@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .exact_arith import factor_rational
 from .local_symbols import REAL, PlaceQ, hilbert
 
@@ -128,7 +128,8 @@ def class_of_quaternion(q: QuaternionQ) -> BrauerClassQ:
         if hilbert(q.a, q.b, place) == -1:
             support[place] = Fraction(1, 2)
     cls = BrauerClassQ.make(support)
-    assert len(cls.invariants) % 2 == 0, "quaternion support must have even size"
+    if len(cls.invariants) % 2:
+        raise InternalError("quaternion support must have even size")
     return cls
 
 

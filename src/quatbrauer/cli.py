@@ -4,7 +4,7 @@ Subcommands mirror the library modules: `hilbert` for symbols over Q,
 `brq` for local invariant vectors, `qx` for quaternions over Q(x),
 `ffx` for quaternions over F_p(x), and `selftest` for the seeded property
 suites.  Exit codes: 0 ok, 1 mathematical precondition error, 2 parse
-error, 3 undecided within budget.
+error, 3 undecided within budget, 4 internal self-check failed.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .brauer_q import (
     same_subgroup,
     scale_class,
 )
-from .errors import BudgetError, DomainError, ParseError
+from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
 from .funcfield_fp import FactoredFuncFp, class_fp, is_isomorphic_fpx
 from .funcfield_q import (
     FactoredFunc,
     QuaternionFF,
     is_isomorphic_qx,
-    ramification_set,
     residue_at,
     specialize,
 )
@@ -147,10 +146,8 @@ def cmd_brq_scale(args) -> int:
 def cmd_qx_residues(args) -> int:
     D = QuaternionFF(_funcfield(args.f), _funcfield(args.g))
     rng = random.Random(args.seed)
-    table = {}
-    for v in D.places():
-        table[str(v)] = residue_at(D, v, rng).to_json()
-    ram = [str(ch.place) for ch in ramification_set(D, random.Random(args.seed))]
+    table = {str(v): residue_at(D, v, rng).to_json() for v in D.places()}
+    ram = [v for v, t in table.items() if not t["trivial"]]
     _emit(args, {"residues": table, "ramified": ram},
           "\n".join(f"{v}: {'trivial' if t['trivial'] else 'ramified'}"
                     for v, t in table.items()) or "no finite places divide the entries")
@@ -227,8 +224,18 @@ def cmd_selftest(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' but names no option as a value,
+    so that `-a -9/5` and `-f "-2*(x+1)"` parse."""
+
+    def _parse_optional(self, arg_string):
+        out = super()._parse_optional(arg_string)
+        first = out[0] if isinstance(out, list) else out
+        return None if first is not None and first[0] is None else out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="quatbrauer",
         description="Quaternion algebras and exponent-2 Brauer classes over "
                     "Q, Q(x) and F_p(x)")
@@ -324,6 +331,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the library.
 
 Exit-code mapping used by the CLI: DomainError -> 1, ParseError -> 2,
-BudgetError -> 3.
+BudgetError -> 3, InternalError -> 4.
 """
 
 
@@ -18,3 +18,8 @@ class BudgetError(RuntimeError):
 
     This is an explicit "undecided" outcome, never a guessed verdict.
     """
+
+
+class InternalError(RuntimeError):
+    """A self-check failed (certificate, reciprocity, round-trip): a bug,
+    reported instead of a verdict.  Unlike `assert`, it survives `python -O`."""

@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 import sympy
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, InternalError, ParseError
 
 # Factorization over Q is rejected above this degree unless the caller
 # raises the cap explicitly; recombination cost is unbounded in general.
@@ -221,9 +221,6 @@ class PolyQ:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
     def lc(self) -> Fraction:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
@@ -313,10 +310,6 @@ def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
     while not g.is_zero():
         f, g = g, f % g
     return f if f.is_zero() else f.monic()
-
-
-def poly_divmod(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
-    return f.divmod(g)
 
 
 def resultant(f: PolyQ, g: PolyQ) -> Fraction:
@@ -450,14 +443,15 @@ def factor_poly_q(f: PolyQ, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factorizati
         factors.append((gq, int(m)))
     factors.sort(key=_factor_key)
     result = FactorizationQ(unit, tuple(factors))
-    assert result.value() == f, "factorization failed to reconstruct input"
+    if result.value() != f:
+        raise InternalError("factorization failed to reconstruct input")
     return result
 
 
 def is_irreducible_q(f: PolyQ) -> bool:
     if f.degree < 1:
         return False
-    return len(factor_poly_q(f).factors) == 1 and factor_poly_q(f).factors[0][1] == 1
+    return [m for _, m in factor_poly_q(f).factors] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +594,36 @@ def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
         b = (b * b) % modulus
         n >>= 1
     return r
+
+
+def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
+    """Resultant over F_p via the Euclidean recursion, as an integer in [0, p);
+    0 when f or g is zero."""
+    if f.is_zero() or g.is_zero():
+        return 0
+    p, acc = f.p, 1
+    while f.degree > 0 and g.degree > 0:
+        r = f % g
+        if r.is_zero():
+            return 0
+        sign = -1 if (f.degree * g.degree) % 2 else 1
+        acc = acc * sign * pow(g.lc(), f.degree - r.degree, p) % p
+        f, g = g, r
+    if f.degree == 0:
+        return acc * pow(f.coeffs[0], g.degree, p) % p
+    return acc * pow(g.coeffs[0], f.degree, p) % p
+
+
+def fq_char(t: PolyFp, h: PolyFp) -> int:
+    """Quadratic character of t in F_q = F_p[x]/(h), h monic irreducible.
+
+    t^((q-1)/2) = (N t / p) with N t = Res(h, t), so the character is one
+    resultant over F_p and one Legendre symbol: the only quadratic-character
+    routine of the package."""
+    n = polyfp_resultant(h, t)
+    if n == 0:
+        raise InternalError(f"quadratic character of a non-unit mod {h}")
+    return 1 if pow(n, (h.p - 1) // 2, h.p) == 1 else -1
 
 
 def polyfp_from_polyq(f: PolyQ, p: int) -> PolyFp:

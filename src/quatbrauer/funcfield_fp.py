@@ -2,9 +2,9 @@
 
 Over a finite constant field the unramified 2-torsion is trivial, so a
 quaternion class IS its residue vector: tame residue characters at the
-finite places plus the place at infinity, with values +-1 computed through
-Euler's criterion in the residue fields F_{p^d}.  Reciprocity (product of
-all residues = +1) is asserted on every constructed class.
+finite places plus the place at infinity, with values +-1 given by the
+norm-Legendre character (Res(h, t) / p) of the residue field F_p[x]/(h).
+Reciprocity (product of all residues = +1) is checked on every class.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .exact_arith import (
     PolyFp,
     factor_poly_fp,
+    fq_char,
     is_prime,
     polyfp_pow_mod,
 )
@@ -42,9 +43,6 @@ class PlaceFFp:
     @property
     def is_infinite(self) -> bool:
         return self.modulus is None
-
-    def residue_degree(self) -> int:
-        return 1 if self.is_infinite else self.modulus.degree
 
     def sort_key(self):
         if self.is_infinite:
@@ -126,45 +124,29 @@ def _check_char(p: int) -> None:
         raise DomainError(f"{p} is not an odd prime below 2^31")
 
 
-def _euler_fq(val: PolyFp, h: PolyFp) -> int:
-    q = h.p ** h.degree
-    t = polyfp_pow_mod(val % h, (q - 1) // 2, h)
-    if t == PolyFp.const(h.p, 1):
-        return 1
-    if t == PolyFp.const(h.p, h.p - 1):
-        return -1
-    raise AssertionError("Euler criterion on a non-unit")
-
-
 def residue_fp(f: FactoredFuncFp, g: FactoredFuncFp, v: PlaceFFp) -> int:
-    """Tame residue character value at v: the Euler criterion of
-    (-1)^(v(f)v(g)) f^v(g) g^(-v(f)) in the residue field."""
+    """Tame residue character value at v: the quadratic character of
+    (-1)^(v(f)v(g)) f^v(g) g^(-v(f)) in the residue field F_p[x]/(h).
+
+    The character is multiplicative: a factor fac^m of f other than h counts
+    (Res(h, fac) / p) when m*v(g) is odd (m*v(f) for g), a constant c counts
+    (c^deg h / p).  At infinity h = x and only the constants count, the
+    factors being monic."""
     if f.p != g.p or f.p != v.p:
         raise DomainError("characteristic mismatch")
     p = f.p
     vf, vg = f.valuation(v), g.valuation(v)
-    if vf == 0 and vg == 0 and not v.is_infinite:
-        if all(fac != v.modulus for fac, _ in f.factors + g.factors):
-            return 1  # unit criterion: symbol is a residue-field unit power
-    if v.is_infinite:
-        # reduction at infinity of a valuation-0 function is its leading
-        # coefficient, which for monic factorizations is the constant
-        sign = -1 if (vf * vg) % 2 else 1
-        t = (sign * pow(f.constant, vg, p) * pow(g.constant, -vf, p)) % p
-        return _euler_fq(PolyFp.const(p, t), PolyFp.x(p))  # F_p Euler criterion
-    h = v.modulus
-    f1 = FactoredFuncFp(p, f.constant,
-                        tuple((q, m) for q, m in f.factors if q != h))
-    g1 = FactoredFuncFp(p, g.constant,
-                        tuple((q, m) for q, m in g.factors if q != h))
-    sign = p - 1 if (vf * vg) % 2 else 1
-    t = PolyFp.const(p, sign)
-    q_card = p ** h.degree
-    fv = f1.reduce_finite(v)
-    gv = g1.reduce_finite(v)
-    t = (t * polyfp_pow_mod(fv, vg % (q_card - 1), h)) % h
-    t = (t * polyfp_pow_mod(gv, (-vf) % (q_card - 1), h)) % h
-    return _euler_fq(t, h)
+    terms = [(PolyFp.const(p, -1), vf * vg), (PolyFp.const(p, f.constant), vg),
+             (PolyFp.const(p, g.constant), vf)]
+    h = PolyFp.x(p) if v.is_infinite else v.modulus
+    if not v.is_infinite:
+        terms += [(fac, m * vg) for fac, m in f.factors if fac != h]
+        terms += [(fac, m * vf) for fac, m in g.factors if fac != h]
+    value = 1
+    for t, e in terms:
+        if e % 2:
+            value *= fq_char(t, h)
+    return value
 
 
 @dataclass(frozen=True)
@@ -189,21 +171,16 @@ class QuatClassFp:
 
 def class_fp(f: FactoredFuncFp, g: FactoredFuncFp) -> QuatClassFp:
     """Residues at all places dividing f or g plus infinity; reciprocity
-    (product of all residue values = +1) is asserted."""
+    (product of all residue values = +1) is checked."""
     if f.p != g.p:
         raise DomainError("characteristic mismatch")
     p = f.p
     mods = {q for q, _ in f.factors} | {q for q, _ in g.factors}
     places = sorted((PlaceFFp.finite(m) for m in mods),
                     key=PlaceFFp.sort_key) + [PlaceFFp.infinity(p)]
-    support = []
-    prod = 1
-    for v in places:
-        r = residue_fp(f, g, v)
-        prod *= r
-        if r == -1:
-            support.append(v)
-    assert prod == 1, "tame residue reciprocity violated: arithmetic bug"
+    support = [v for v in places if residue_fp(f, g, v) == -1]
+    if len(support) % 2:
+        raise InternalError("tame residue reciprocity violated: arithmetic bug")
     return QuatClassFp(p, tuple(support))
 
 

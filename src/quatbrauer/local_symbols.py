@@ -3,8 +3,9 @@
 Provides Legendre and Hilbert symbols at every place of Q, canonical square
 classes of rationals, and a certified square test in number fields.  The
 square test is Las Vegas: it races p-adic square-root reconstruction against
-a search for a witness prime where Euler's criterion fails, and every verdict
-it returns carries an exactly re-verifiable certificate.
+a search for a witness: a prime p and an irreducible factor h of pi mod p
+where the element's norm-Legendre character (Res(h, t) / p) is -1.  Every
+verdict it returns carries an exactly re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, InternalError
 from .exact_arith import (
     PolyFp,
     PolyQ,
     factor_poly_fp,
     factor_rational,
+    fq_char,
     is_prime,
     poly_gcd,
     polyfp_from_polyq,
@@ -78,14 +80,12 @@ REAL = PlaceQ.real()
 # ---------------------------------------------------------------------------
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion; 0 iff p | a."""
+    """Legendre symbol (a/p), the character of F_p = F_p[x]/(x); 0 iff p | a."""
     if p == 2 or not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
+    if a % p == 0:
         return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
+    return fq_char(PolyFp.const(p, a), PolyFp.x(p))
 
 
 def _val_unit(a: Fraction, p: int) -> tuple[int, int, int]:
@@ -200,7 +200,7 @@ class NumberFieldElem:
 @dataclass(frozen=True)
 class NonsquareWitness:
     """A prime p and an irreducible factor of pi mod p where the image of the
-    tested element fails Euler's criterion."""
+    tested element has quadratic character -1."""
 
     prime: int
     factor: PolyFp
@@ -230,7 +230,7 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     one = PolyFp.const(p, 1)
     if val.is_zero():
         return val
-    if polyfp_pow_mod(val, (q - 1) // 2, h) != one:
+    if fq_char(val, h) == -1:
         return None
     if q % 4 == 3:
         return polyfp_pow_mod(val, (q + 1) // 4, h)
@@ -240,7 +240,7 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
         s += 1
     while True:
         z = PolyFp.make(p, [rng.randrange(p) for _ in range(d)])
-        if not z.is_zero() and polyfp_pow_mod(z, (q - 1) // 2, h) != one:
+        if not z.is_zero() and fq_char(z, h) == -1:
             break
     m = s
     c = polyfp_pow_mod(z, qq, h)
@@ -340,7 +340,7 @@ def _good_primes(pi: PolyQ, value: PolyQ, start: int = 3):
     p = start - 1
     while True:
         p += 1
-        if p < 3 or not is_prime(p) or p == 2:
+        if p < 3 or not is_prime(p):
             continue
         if screen % p != 0:
             yield p
@@ -356,12 +356,10 @@ class _LiftState:
         self.exp = 1
         d = pi.degree
         self.r = list(root.coeffs) + [0] * (d - len(root.coeffs))
-        pi_p = _poly_coeffs_mod(pi, self.p, d + 1)
         two_r = [2 * c % self.p for c in self.r]
         pimod = polyfp_from_polyq(pi, self.p)
         inv = _polyfp_inverse(PolyFp.make(self.p, two_r), pimod)
         self.i = list(inv.coeffs) + [0] * (d - len(inv.coeffs))
-        del pi_p
 
     def lift_to(self, exp: int) -> None:
         d = self.pi.degree
@@ -392,29 +390,24 @@ class _LiftState:
         return PolyQ.make(coeffs)
 
 
-def _euler_verdict(value: PolyQ, p: int, h: PolyFp) -> int:
-    """Euler criterion for the image of value in F_p[x]/(h): +1, -1."""
-    vm = polyfp_from_polyq(value, p) % h
-    q = p**h.degree
-    t = polyfp_pow_mod(vm, (q - 1) // 2, h)
-    if t == PolyFp.const(p, 1):
-        return 1
-    if t == PolyFp.const(p, p - 1):
-        return -1
-    raise AssertionError("Euler criterion on a non-unit")
-
-
 def verify_square_certificate(c: NumberFieldElem, root: PolyQ) -> bool:
     return (root * root - c.value) % c.modulus == PolyQ.make([])
 
 
 def verify_nonsquare_certificate(c: NumberFieldElem, w: NonsquareWitness) -> bool:
-    """Recompute the reduction and Euler's criterion at the witness."""
+    """Recompute the reduction and the quadratic character at the witness."""
     p, h = w.prime, w.factor
-    pim = polyfp_from_polyq(c.modulus, p)
-    if not (pim % h).is_zero():
+    if not is_prime(p) or not h.is_monic() or \
+            not (polyfp_from_polyq(c.modulus, p) % h).is_zero():
         return False
-    return _euler_verdict(c.value, p, h) == -1
+    t = polyfp_from_polyq(c.value, p) % h
+    return not t.is_zero() and fq_char(t, h) == -1
+
+
+def _nonsquare(c: NumberFieldElem, w: NonsquareWitness) -> SquareClassVerdict:
+    if not verify_nonsquare_certificate(c, w):
+        raise InternalError(f"nonsquare certificate at {w.prime} failed to verify")
+    return SquareClassVerdict(False, witness=w, verified=True)
 
 
 def is_square_in_number_field(
@@ -426,9 +419,9 @@ def is_square_in_number_field(
     """Decide whether c is a square in Q[x]/(pi), with a certificate.
 
     Alternates between (i) p-adic square-root reconstruction over all residue
-    sign patterns of a fixed good prime and (ii) Euler-criterion witness
-    search over further good primes.  Raises BudgetError if neither side
-    certifies within the budget.
+    sign patterns of a fixed good prime and (ii) a witness search over
+    further good primes by the norm-Legendre character.  Raises
+    BudgetError if neither side certifies within the budget.
     """
     if c.is_zero():
         raise DomainError("square test needs a nonzero element")
@@ -461,20 +454,15 @@ def is_square_in_number_field(
     while True:
         # witness batch
         for _ in range(12):
-            try:
-                p = next(prime_iter)
-            except StopIteration:
-                witnesses_exhausted = True
-                break
+            p = next(prime_iter)
             if p > witness_limit:
                 witnesses_exhausted = True
                 break
             _, facs = factor_poly_fp(polyfp_from_polyq(pi, p), rng)
+            vp = polyfp_from_polyq(value, p)
             for h, _mult in facs:
-                if _euler_verdict(value, p, h) == -1:
-                    w = NonsquareWitness(p, h)
-                    assert verify_nonsquare_certificate(c, w)
-                    return SquareClassVerdict(False, witness=w, verified=True)
+                if fq_char(vp, h) == -1:
+                    return _nonsquare(c, NonsquareWitness(p, h))
 
         # set up reconstruction states at the first good prime
         if states is None:
@@ -486,9 +474,7 @@ def is_square_in_number_field(
             for h in moduli:
                 r = _fq_sqrt(polyfp_from_polyq(value, p0) % h, h, rng)
                 if r is None:
-                    w = NonsquareWitness(p0, h)
-                    assert verify_nonsquare_certificate(c, w)
-                    return SquareClassVerdict(False, witness=w, verified=True)
+                    return _nonsquare(c, NonsquareWitness(p0, h))
                 roots.append(r)
             states = []
             # global sign is free: fix the first factor's sign
@@ -514,8 +500,3 @@ def is_square_in_number_field(
                 "square test undecided within precision/prime budget")
         if exp < max_exp:
             exp *= 2
-
-
-def is_square_verdict_q(a: Fraction) -> bool:
-    """Squareness over Q, for cross-checks against degree-1 residue fields."""
-    return square_class_q(a) == 1

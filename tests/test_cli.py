@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quatbrauer import funcfield_q
 from quatbrauer.cli import main
 
 
@@ -44,6 +45,19 @@ class TestHilbert:
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "hilbert", "-a", "0", "-b", "1", "--real")
         assert code == 1 and "error" in err
+
+    def test_negative_fraction_values(self, capsys):
+        data = run_json(capsys, "hilbert", "-a", "-9/5", "-b", "-3", "--real")
+        assert data == {"place": "real", "symbol": -1}
+
+    def test_equals_form(self, capsys):
+        data = run_json(capsys, "hilbert", "-a=-9/5", "-b=-3", "--real")
+        assert data == {"place": "real", "symbol": -1}
+
+    def test_unknown_option_still_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", "-a", "2", "-b", "3", "--real", "--bogus"])
+        assert exc.value.code == 2
 
 
 class TestBrq:
@@ -111,6 +125,27 @@ class TestQx:
         data = run_json(capsys, "qx", "residues", "-f", "x", "-g", "3")
         assert data["ramified"] == ["x"]
         assert data["residues"]["x"]["trivial"] is False
+
+    def test_residues_negative_entry(self, capsys):
+        data = run_json(capsys, "qx", "residues", "-f", "-2*(x+1)", "-g", "3")
+        assert data["ramified"] == ["x + 1"]
+        assert data["residues"]["x + 1"]["symbol"] == "1/3"
+
+    def test_residues_one_tame_symbol_per_place(self, capsys, monkeypatch):
+        calls = []
+        tame_symbol = funcfield_q.tame_symbol
+
+        def counting(D, v):
+            calls.append(str(v))
+            return tame_symbol(D, v)
+
+        monkeypatch.setattr(funcfield_q, "tame_symbol", counting)
+        data = run_json(capsys, "qx", "residues",
+                        "-f", "(x^2+1)*(x^2-3)", "-g", "5*(x-7)")
+        assert sorted(calls) == sorted(data["residues"])
+        assert len(calls) == 3
+        assert sorted(data["ramified"]) == sorted(
+            v for v, t in data["residues"].items() if not t["trivial"])
 
     def test_isom_true(self, capsys):
         data = run_json(capsys, "qx", "isom", "-f1", "x", "-g1", "3",

@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys import galoistools as gf
+from sympy.polys.domains import ZZ
 
-from quatbrauer.errors import DomainError
+from quatbrauer.errors import DomainError, InternalError
 from quatbrauer.exact_arith import (
     FactoredRational,
     PolyFp,
@@ -15,12 +19,14 @@ from quatbrauer.exact_arith import (
     factor_poly_fp,
     factor_poly_q,
     factor_rational,
+    fq_char,
     is_irreducible_fp,
     is_irreducible_q,
     is_prime,
     poly_from_string,
     poly_gcd,
     poly_to_string,
+    polyfp_resultant,
     ratfunc_from_string,
     resultant,
     sqrt_fraction,
@@ -217,3 +223,91 @@ def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(0)) == 0
     assert sqrt_fraction(Fraction(2)) is None
     assert sqrt_fraction(Fraction(-1)) is None
+
+
+# -- the norm-Legendre character of F_p[x]/(h) ---------------------------------
+
+CHAR_PRIMES = (3, 5, 7, 10007, 2**31 - 1)
+
+
+def _mulmod(a, b, h, p):
+    """Product of coefficient lists (low degree first) modulo monic h."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    d = len(h) - 1
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        for i in range(d + 1):
+            out[k - d + i] = (out[k - d + i] - c * h[i]) % p
+    return (out[:d] + [0] * d)[:d]
+
+
+def _euler_power(t, h, p):
+    """Reference character: t^((q-1)/2) in F_p[x]/(h) by square and multiply,
+    returned as +1 or -1."""
+    d = len(h) - 1
+    base = _mulmod(t, [1], h, p)
+    acc = [1] + [0] * (d - 1)
+    e = (p**d - 1) // 2
+    while e:
+        if e & 1:
+            acc = _mulmod(acc, base, h, p)
+        base = _mulmod(base, base, h, p)
+        e >>= 1
+    assert acc[1:] == [0] * (d - 1) and acc[0] in (1, p - 1)
+    return 1 if acc[0] == 1 else -1
+
+
+@st.composite
+def residue_fields(draw):
+    """(p, h) with h monic irreducible over F_p: an irreducible factor of a
+    random monic polynomial, found by sympy."""
+    p = draw(st.sampled_from(CHAR_PRIMES))
+    n = draw(st.integers(1, 4 if p > 10**4 else 7))
+    f = [1] + draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    _, facs = gf.gf_factor(f, p, ZZ)
+    h = max((g for g, _ in facs), key=len)
+    return p, [int(c) for c in reversed(h)]
+
+
+class TestNormLegendre:
+    @settings(max_examples=60, deadline=None)
+    @given(residue_fields(), st.data())
+    def test_fq_char_is_euler_power(self, field, data):
+        p, h = field
+        d = len(h) - 1
+        t = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * d + 1))
+        tp, hp = PolyFp.make(p, t), PolyFp.make(p, h)
+        if (tp % hp).is_zero():
+            with pytest.raises(InternalError):
+                fq_char(tp, hp)
+        else:
+            assert fq_char(tp, hp) == _euler_power(t, h, p)
+
+    def test_resultant_x_minus_one(self):
+        f = PolyFp.make(11, [1, 5, 10, 1, 3, 1])  # x^5+3x^4+x^3+10x^2+5x+1
+        assert polyfp_resultant(PolyFp.make(11, [-1, 1]), f) == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CHAR_PRIMES), st.lists(st.integers(0, 2**31), max_size=8))
+    def test_resultant_with_x_minus_one_is_value_at_one(self, p, cs):
+        f = PolyFp.make(p, cs)
+        if not f.is_zero():
+            assert polyfp_resultant(PolyFp.make(p, [-1, 1]), f) == sum(cs) % p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CHAR_PRIMES),
+           *[st.lists(st.integers(0, 2**31), min_size=1, max_size=6)] * 3)
+    def test_resultant_multiplicative(self, p, a, b, c):
+        fa, fb, fc = (PolyFp.make(p, cs + [1]) for cs in (a, b, c))
+        assert polyfp_resultant(fa, fb * fc) == \
+            polyfp_resultant(fa, fb) * polyfp_resultant(fa, fc) % p
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CHAR_PRIMES),
+           *[st.lists(st.integers(0, 2**31), min_size=1, max_size=5)] * 3)
+    def test_resultant_zero_on_common_factor(self, p, a, b, c):
+        fa, fb, fc = (PolyFp.make(p, cs + [1]) for cs in (a, b, c))
+        assert polyfp_resultant(fa * fc, fb * fc) == 0

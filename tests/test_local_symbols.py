@@ -1,15 +1,21 @@
 """Tests for Legendre/Hilbert symbols and the number-field square tester."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import hilbert_oracle
-from quatbrauer.errors import DomainError
-from quatbrauer.exact_arith import PolyQ, factor_rational, is_irreducible_q
+from quatbrauer import local_symbols
+from quatbrauer.errors import DomainError, InternalError
+from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational, is_irreducible_q
 from quatbrauer.local_symbols import (
     REAL,
+    NonsquareWitness,
     NumberFieldElem,
     PlaceQ,
     hilbert,
@@ -160,6 +166,16 @@ class TestSquareTester:
         assert not v.is_square and v.verified
         assert verify_nonsquare_certificate(c, v.witness)
 
+    def test_forged_nonsquare_certificates_rejected(self):
+        # 2i = (1+i)^2 is a square; its norm 4 is no square mod 21 = 3 * 7
+        c = NumberFieldElem.make(GAUSS, PolyQ.make([0, 2]))
+        assert not verify_nonsquare_certificate(
+            c, NonsquareWitness(21, PolyFp.make(21, [1, 0, 1])))
+        assert not verify_nonsquare_certificate(
+            c, NonsquareWitness(5, PolyFp.make(5, [1, 1])))  # x + 1 does not divide pi
+        assert not verify_nonsquare_certificate(
+            c, NonsquareWitness(3, PolyFp.make(3, [2, 0, 2])))  # not monic
+
     def test_two_square_in_sqrt2_field(self):
         c = NumberFieldElem.make(SQRT2, PolyQ.const(2))
         v = is_square_in_number_field(c)
@@ -205,3 +221,43 @@ class TestSquareTester:
         c = NumberFieldElem.make(GAUSS, PolyQ.make([]))
         with pytest.raises(DomainError):
             is_square_in_number_field(c)
+
+
+# A nonsquare certificate that fails its own check must stop the run, also
+# under `python -O`, which strips `assert` statements.
+REJECTED_CERTIFICATE_SCRIPT = """
+import sys
+from quatbrauer import local_symbols
+from quatbrauer.cli import main
+from quatbrauer.errors import InternalError
+from quatbrauer.exact_arith import PolyQ
+
+assert False, "assert statements must be stripped"
+local_symbols.verify_nonsquare_certificate = lambda c, w: False
+c = local_symbols.NumberFieldElem.make(PolyQ.make([1, 0, 1]), PolyQ.const(3))
+try:
+    verdict = local_symbols.is_square_in_number_field(c)
+except InternalError:
+    print("InternalError")
+else:
+    print("verdict", verdict)
+sys.exit(main(["qx", "residues", "-f", "x^2+1", "-g", "3"]))
+"""
+
+
+def test_rejected_certificate_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(local_symbols, "verify_nonsquare_certificate", lambda c, w: False)
+    c = NumberFieldElem.make(PolyQ.make([1, 0, 1]), PolyQ.const(3))
+    with pytest.raises(InternalError):
+        is_square_in_number_field(c)
+
+
+def test_rejected_certificate_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-O", "-c", REJECTED_CERTIFICATE_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.stdout.splitlines()[0] == "InternalError", out.stdout + out.stderr
+    assert out.returncode == 4, out.stdout + out.stderr
+    assert "internal error" in out.stderr
