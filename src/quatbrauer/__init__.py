@@ -1,59 +1,3 @@
 """Quaternion algebras and exponent-2 Brauer classes over Q, Q(x), F_p(x)."""
 
-from .brauer_q import (
-    BrauerClassQ,
-    QuaternionQ,
-    class_of_quaternion,
-    example_6_5,
-    quaternion_of_class,
-    same_maximal_subfields_q,
-    same_subgroup,
-    scale_class,
-)
-from .errors import BudgetError, DomainError, ParseError
-from .exact_arith import (
-    FactoredRational,
-    FactorizationQ,
-    PolyFp,
-    PolyQ,
-    factor_int,
-    factor_poly_fp,
-    factor_poly_q,
-    factor_rational,
-    poly_from_string,
-    poly_gcd,
-    resultant,
-)
-from .funcfield_fp import (
-    FactoredFuncFp,
-    PlaceFFp,
-    QuatClassFp,
-    class_fp,
-    is_isomorphic_fpx,
-    residue_fp,
-)
-from .funcfield_q import (
-    FactoredFunc,
-    PlaceFFQ,
-    QuaternionFF,
-    RatFuncQ,
-    ResidueCharacter,
-    is_isomorphic_qx,
-    qform_represents,
-    ramification_set,
-    residue_at,
-    same_maximal_subfields_qx,
-    specialize,
-)
-from .local_symbols import (
-    NumberFieldElem,
-    PlaceQ,
-    REAL,
-    SquareClassVerdict,
-    hilbert,
-    is_square_in_number_field,
-    legendre,
-    square_class_q,
-)
-
 __version__ = "0.1.0"

@@ -11,11 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import DomainError, InternalError
-from .exact_arith import factor_rational
-from .local_symbols import REAL, PlaceQ, hilbert
+from .errors import BudgetError, DomainError, InternalError
+from .local_symbols import REAL, PlaceQ, hilbert, support_places
 
 QUATERNION_SEARCH_BUDGET = 10**5
 
@@ -120,11 +119,8 @@ def class_of_quaternion(q: QuaternionQ) -> BrauerClassQ:
     Only the real place and primes dividing 2 or one of the entries can
     carry a nontrivial symbol (unit criterion), so the scan is finite.
     """
-    primes = {2}
-    primes.update(factor_rational(q.a).primes())
-    primes.update(factor_rational(q.b).primes())
     support = {}
-    for place in [REAL] + [PlaceQ(p) for p in sorted(primes)]:
+    for place in support_places(q.a, q.b):
         if hilbert(q.a, q.b, place) == -1:
             support[place] = Fraction(1, 2)
     cls = BrauerClassQ.make(support)
@@ -198,5 +194,5 @@ def quaternion_of_class(c: BrauerClassQ,
         q = QuaternionQ.make(a, b)
         if class_of_quaternion(q) == c:
             return q
-    raise DomainError(
+    raise BudgetError(
         f"no quaternion presentation found within {budget} candidates")

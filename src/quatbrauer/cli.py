@@ -36,7 +36,7 @@ from .funcfield_q import (
     residue_at,
     specialize,
 )
-from .local_symbols import REAL, PlaceQ, hilbert
+from .local_symbols import REAL, PlaceQ, hilbert, support_places
 from .selftest import run_selftest
 
 
@@ -83,12 +83,7 @@ def _emit(args, payload: dict, human: str) -> None:
 def cmd_hilbert(args) -> int:
     a, b = _fraction(args.a), _fraction(args.b)
     if args.all:
-        primes = {2}
-        from .exact_arith import factor_rational
-        primes.update(factor_rational(a).primes())
-        primes.update(factor_rational(b).primes())
-        places = [REAL] + [PlaceQ(p) for p in sorted(primes)]
-        syms = {str(v): hilbert(a, b, v) for v in places}
+        syms = {str(v): hilbert(a, b, v) for v in support_places(a, b)}
         prod = 1
         for s in syms.values():
             prod *= s

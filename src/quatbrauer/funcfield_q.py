@@ -10,7 +10,7 @@ invariant vector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count
 
@@ -19,6 +19,7 @@ from .errors import DomainError
 from .exact_arith import (
     FactorizationQ,
     PolyQ,
+    RatFuncQ,
     factor_poly_q,
     poly_to_string,
 )
@@ -92,7 +93,7 @@ class FactoredFunc:
         for f, m in self.factors:
             val = f.evaluate(alpha)
             if val == 0:
-                raise DomainError(f"{self} has a zero or pole at {alpha}")
+                raise DomainError(f"{self} has a zero or pole at {alpha}; pick another point")
             acc *= val**m
         return acc
 
@@ -189,11 +190,6 @@ def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
     """Evaluate both entries at a common unit point; the induced map on
     classes is the specialization homomorphism."""
     alpha = Fraction(alpha)
-    for entry in (D.f, D.g):
-        for f, _ in entry.factors:
-            if f.evaluate(alpha) == 0:
-                raise DomainError(
-                    f"entry has a zero or pole at {alpha}; pick another point")
     return QuaternionQ.make(D.f.value_at(alpha), D.g.value_at(alpha))
 
 
@@ -287,40 +283,8 @@ def same_maximal_subfields_qx(D1: QuaternionFF, D2: QuaternionFF,
         if not division:
             raise DomainError(f"{name} algebra is not a division algebra ({why})")
     verdict = is_isomorphic_qx(D1, D2, rng)
-    return IsomorphismVerdict(
-        verdict.isomorphic, verdict.witness_place, verdict.witness_symbols,
-        verdict.witness_invariants, verdict.specialization_point,
-        verdict.citations + ("maximal-subfield equivalence over rational function fields",))
-
-
-@dataclass(frozen=True)
-class RatFuncQ:
-    """A rational function num/den, den monic nonzero; zero allowed."""
-
-    num: PolyQ
-    den: PolyQ
-
-    @staticmethod
-    def make(num: PolyQ, den: PolyQ | None = None) -> "RatFuncQ":
-        den = den if den is not None else PolyQ.const(1)
-        if den.is_zero():
-            raise DomainError("zero denominator")
-        return RatFuncQ(num, den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, o: "RatFuncQ") -> "RatFuncQ":
-        return RatFuncQ(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "RatFuncQ") -> "RatFuncQ":
-        return RatFuncQ(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o: "RatFuncQ") -> "RatFuncQ":
-        return RatFuncQ(self.num * o.num, self.den * o.den)
-
-    def __eq__(self, o) -> bool:
-        return isinstance(o, RatFuncQ) and self.num * o.den == o.num * self.den
+    return replace(verdict, citations=verdict.citations + (
+        "maximal-subfield equivalence over rational function fields",))
 
 
 def _expand(f: FactoredFunc) -> RatFuncQ:

@@ -23,8 +23,8 @@ from .exact_arith import (
     factor_rational,
     fq_char,
     is_prime,
-    poly_gcd,
     polyfp_from_polyq,
+    polyfp_gcd,
     polyfp_pow_mod,
     resultant,
     sqrt_fraction,
@@ -128,6 +128,13 @@ def hilbert(a, b, place: PlaceQ) -> int:
     om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
     e = (eps_u * eps_w + alpha * om_w + beta * om_u) % 2
     return -1 if e else 1
+
+
+def support_places(a, b) -> list[PlaceQ]:
+    """The real place, 2 and the primes of a and b: outside these the Hilbert
+    symbol (a, b) is 1 (unit criterion)."""
+    primes = {2, *factor_rational(a).primes(), *factor_rational(b).primes()}
+    return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
 
 def square_class_q(a) -> int:
@@ -395,10 +402,19 @@ def verify_square_certificate(c: NumberFieldElem, root: PolyQ) -> bool:
 
 
 def verify_nonsquare_certificate(c: NumberFieldElem, w: NonsquareWitness) -> bool:
-    """Recompute the reduction and the quadratic character at the witness."""
+    """Recompute the reduction and the quadratic character at the witness.
+
+    The prime must be odd, divide no coefficient denominator, and keep pi of
+    full degree and squarefree; the factor must be monic and divide pi mod p.
+    It need not be irreducible: a character -1 of F_p[x]/(h) is -1 at some
+    irreducible factor of h, as (Res(h, t) / p) is multiplicative in h."""
     p, h = w.prime, w.factor
-    if not is_prime(p) or not h.is_monic() or \
-            not (polyfp_from_polyq(c.modulus, p) % h).is_zero():
+    if p == 2 or h.p != p or not is_prime(p) or not h.is_monic() or \
+            any(q.denominator % p == 0 for q in c.modulus.coeffs + c.value.coeffs):
+        return False
+    pim = polyfp_from_polyq(c.modulus, p)
+    if pim.degree != c.modulus.degree or polyfp_gcd(pim, pim.derivative()).degree > 0 \
+            or not (pim % h).is_zero():
         return False
     t = polyfp_from_polyq(c.value, p) % h
     return not t.is_zero() and fq_char(t, h) == -1

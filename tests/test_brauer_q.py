@@ -15,7 +15,7 @@ from quatbrauer.brauer_q import (
     same_subgroup,
     scale_class,
 )
-from quatbrauer.errors import DomainError
+from quatbrauer.errors import BudgetError, DomainError
 from quatbrauer.local_symbols import REAL, PlaceQ, hilbert
 
 
@@ -150,6 +150,11 @@ class TestQuaternionOfClass:
         c = BrauerClassQ.make({PlaceQ(2): Fraction(1, 3), PlaceQ(3): Fraction(2, 3)})
         with pytest.raises(DomainError):
             quaternion_of_class(c)
+
+    def test_search_budget_exhausted(self):
+        c = BrauerClassQ.make({PlaceQ(3): Fraction(1, 2), PlaceQ(7): Fraction(1, 2)})
+        with pytest.raises(BudgetError):
+            quaternion_of_class(c, random.Random(5), budget=0)
 
 
 def test_scale_preserves_local_orders():

@@ -1,8 +1,13 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import sympy
 
 from quatbrauer import funcfield_q
 from quatbrauer.cli import main
@@ -180,6 +185,13 @@ class TestQx:
                         "-f2", "(x^2-1)/(x+2)", "-g2", "27")
         assert data["isomorphic"] is True
 
+    def test_injection_is_a_parse_error(self, capsys, tmp_path):
+        marker = tmp_path / "INJECTED"
+        code, _, err = run(capsys, "qx", "residues", "-f",
+                           f"__import__('os').system('touch {marker}') or x", "-g", "3")
+        assert code == 2 and "parse error" in err
+        assert not marker.exists()
+
 
 class TestFfx:
     def test_residues(self, capsys):
@@ -213,3 +225,35 @@ def test_selftest_json(capsys):
     data = run_json(capsys, "--seed", "1", "selftest", "--cases", "5")
     assert data["passed"] is True
     assert len(data["suites"]) == 7
+
+
+# The package loads sympy only to factor over Q; a process that runs the
+# hilbert, brq or ffx subcommands must not pay for its import.  The test
+# session imports sympy itself, so the check runs in a fresh interpreter.
+SYMPY_FREE_SCRIPT = """
+import json
+import sys
+
+import quatbrauer.cli
+
+loaded_on_import = "sympy" in sys.modules
+codes = [quatbrauer.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"loaded_on_import": loaded_on_import, "codes": codes,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
+"""
+
+
+def test_hilbert_brq_ffx_do_not_import_sympy():
+    big = int(sympy.nextprime(10**7)) * int(sympy.nextprime(5 * 10**7)) * 3 * 7 * 97
+    argvs = [["hilbert", "-a", str(big), "-b", "-6", "--all"],
+             ["brq", "class", "-a", str(big), "-b", "-1/15"],
+             ["ffx", "isom", "--char", "7", "-f1", "(x^2+1)*(x+3)", "-g1", "3",
+              "-f2", "x^3 + 3*x^2 + x + 3", "-g2", "5/2"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", SYMPY_FREE_SCRIPT, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result == {"loaded_on_import": False, "codes": [0, 0, 0], "loaded": []}, result

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys import galoistools as gf
 from sympy.polys.domains import ZZ
 
-from quatbrauer.errors import DomainError, InternalError
+from quatbrauer.errors import DomainError, InternalError, ParseError
 from quatbrauer.exact_arith import (
+    MAX_POWER_SIZE,
+    TRIAL_DIVISION_BOUND,
     FactoredRational,
     PolyFp,
     PolyQ,
@@ -26,6 +29,7 @@ from quatbrauer.exact_arith import (
     poly_from_string,
     poly_gcd,
     poly_to_string,
+    polyfp_from_string,
     polyfp_resultant,
     ratfunc_from_string,
     resultant,
@@ -79,6 +83,25 @@ class TestFactorInt:
     def test_product(self):
         a, b = factor_int(12), factor_rational(Fraction(5, 9))
         assert (a * b).value() == Fraction(12 * 5, 9)
+
+    @pytest.mark.parametrize("p", [1009, 1013, 65537, 999983])
+    def test_prime_powers_past_trial_division(self, p):
+        assert TRIAL_DIVISION_BOUND < p < 10**6
+        assert factor_int(p**2).factors == ((p, 2),)
+        assert factor_int(p**3).factors == ((p, 3),)
+        assert factor_int(-1009 * 1013 * p**2).value() == -1009 * 1013 * p**2
+
+    def test_18_to_20_digit_entries(self):
+        # two 8-digit primes times small primes, as in the CLI's integer entries
+        rng = random.Random(2009)
+        for _ in range(20):
+            n = int(sympy.nextprime(rng.randrange(10**7, 10**8))) * \
+                int(sympy.nextprime(rng.randrange(10**7, 10**8)))
+            while n < 10**17:
+                n *= rng.choice((3, 5, 7, 11, 97, 1009))
+            assert 10**17 <= n < 10**20
+            fz = factor_int(n)
+            assert dict(fz.factors) == sympy.factorint(n) and not fz.probable
 
 
 class TestPolyQ:
@@ -148,6 +171,92 @@ class TestParsing:
         num, den = ratfunc_from_string("3/5")
         assert num.degree == 0 and den.degree == 0
         assert num.coeffs[0] / den.coeffs[0] == Fraction(3, 5)
+
+    def test_proper_rational_function_is_not_a_polynomial(self):
+        assert poly_from_string("(x^2 - 1)/(x - 1)") == PolyQ.make([1, 1])
+        with pytest.raises(ParseError):
+            poly_from_string("(x^2 - 1)/(x + 2)")
+
+    def test_polyfp_reduces_mod_p(self):
+        assert polyfp_from_string("(x + 1)^2/2 - 7*x", 7) == PolyFp.make(7, [4, 1, 4])
+
+    @pytest.mark.parametrize("text", [
+        "y", "sin(x)", "x(2)", "x.real", "x[0]", "2x", "x x", "(x)(x)", "1.5", "1e3",
+        "x +", "x*", "-", "(x + 1", "x + 1)", "", "   ", "x^x", "x^(2)", "x^2^3",
+        "1/0", "x/(x - x)", "0^-1", "(1 - 1)**-2",
+        f"x^{MAX_POWER_SIZE}", "x^99999999", "((x + 2)^99)^99",
+        "(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x", "1" * 5000,
+        "__import__('os').system('true') or x", "lambda: x", "x if 1 else 2",
+    ])
+    def test_rejected_forms(self, text):
+        with pytest.raises(ParseError):
+            ratfunc_from_string(text)
+
+
+# Random expression trees for the parser, printed with the fewest parentheses
+# their precedence allows.  A node is (text, precedence, sympy value, whether
+# it divides by zero); precedence runs 1 sums, 2 products, 3 unary minus,
+# 4 powers, 5 atoms.  sympy is the oracle for the value of the text.
+X = sympy.Symbol("x")
+
+
+def _paren(node, needed):
+    return f"({node[0]})" if needed else node[0]
+
+
+def _node(args):
+    op, a, b, spaced = args
+    if op == "~":
+        return "-" + _paren(a, a[1] < 3), 3, -a[2], a[3]
+    prec = 1 if op in "+-" else 2
+    text = _paren(a, a[1] < prec) + (f" {op} " if spaced else op) + _paren(b, b[1] <= prec)
+    bad = a[3] or b[3] or (op == "/" and sympy.cancel(b[2]) == 0)
+    value = sympy.S.Zero if bad else {"+": sympy.Add, "-": lambda u, v: u - v,
+                                      "*": sympy.Mul, "/": lambda u, v: u / v}[op](a[2], b[2])
+    return text, prec, value, bad
+
+
+def _power(args):
+    a, op, n = args
+    bad = a[3] or (n < 0 and sympy.cancel(a[2]) == 0)
+    return _paren(a, a[1] < 5) + op + str(n), 4, sympy.S.Zero if bad else a[2] ** n, bad
+
+
+_leaves = st.one_of(st.integers(0, 60).map(lambda n: (str(n), 5, sympy.Integer(n), False)),
+                    st.just(("x", 5, X, False)))
+
+
+def _extend(kids):
+    # "~" is unary minus on the first operand
+    return st.tuples(st.sampled_from("+-*/~"), kids, kids, st.booleans()).map(_node)
+
+
+_powers = st.tuples(st.recursive(_leaves, _extend, max_leaves=3),
+                    st.sampled_from(["^", "**"]), st.integers(-3, 4)).map(_power)
+expressions = st.recursive(st.one_of(_leaves, _powers), _extend, max_leaves=8)
+
+
+def _sympy_poly(f: PolyQ):
+    return sum((sympy.Rational(c.numerator, c.denominator) * X**i
+                for i, c in enumerate(f.coeffs)), sympy.S.Zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_parser_agrees_with_sympy(node):
+    text, _, value, bad = node
+    if bad:
+        with pytest.raises(ParseError):
+            ratfunc_from_string(text)
+        return
+    num, den = ratfunc_from_string(text)
+    assert den.is_monic() and poly_gcd(num, den) == PolyQ.const(1), text
+    assert sympy.cancel(value - _sympy_poly(num) / _sympy_poly(den)) == 0, text
+    if den.degree == 0:
+        assert poly_from_string(text) == num
+    else:
+        with pytest.raises(ParseError):
+            poly_from_string(text)
 
 
 class TestFactorPolyQ:

@@ -40,14 +40,6 @@ class TestFactoredFuncFp:
         assert f.valuation(PlaceFFp.infinity(5)) == -3
         assert ffp(5, 2).valuation(PlaceFFp.infinity(5)) == 0
 
-    def test_reduce_finite_inverse(self):
-        p = 7
-        v = PlaceFFp.finite(PolyFp.make(p, [1, 0, 1]))
-        f = ffp(p, "x + 3")
-        inv = FactoredFuncFp(p, 1, tuple((q, -m) for q, m in f.factors))
-        prod = f.reduce_finite(v) * inv.reduce_finite(v)
-        assert prod % v.modulus == PolyFp.const(p, 1)
-
     def test_char_checks(self):
         for p in (2, 4, 9, 2**31 + 11):
             with pytest.raises(DomainError):

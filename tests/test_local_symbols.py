@@ -176,6 +176,24 @@ class TestSquareTester:
         assert not verify_nonsquare_certificate(
             c, NonsquareWitness(3, PolyFp.make(3, [2, 0, 2])))  # not monic
 
+    def test_certificates_at_bad_primes_rejected(self):
+        # 3 divides a denominator of the value: rejected, not raised
+        c = NumberFieldElem.make(GAUSS, PolyQ.const(Fraction(1, 3)))
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(3, PolyFp.make(3, [1, 0, 1])))
+        # 5 divides a denominator of pi = x^2 + 1/5
+        c = NumberFieldElem.make(PolyQ.make([Fraction(1, 5), 0, 1]), PolyQ.const(2))
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(5, PolyFp.make(5, [0, 1])))
+        # x^2 - 3 = x^2 mod 3 is not squarefree, though (Res(x, 2) / 3) = -1
+        c = NumberFieldElem.make(PolyQ.make([-3, 0, 1]), PolyQ.const(2))
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(3, PolyFp.make(3, [0, 1])))
+        # 3x^2 + x + 1 drops to degree 1 mod 3, though (Res(x + 1, 2) / 3) = -1
+        c = NumberFieldElem(PolyQ.make([1, 1, 3]), PolyQ.const(2))
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(3, PolyFp.make(3, [1, 1])))
+        # a factor over another field, and the prime 2
+        c = NumberFieldElem.make(GAUSS, PolyQ.const(3))
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(7, PolyFp.make(3, [1, 0, 1])))
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(2, PolyFp(2, (1, 1))))
+
     def test_two_square_in_sqrt2_field(self):
         c = NumberFieldElem.make(SQRT2, PolyQ.const(2))
         v = is_square_in_number_field(c)
