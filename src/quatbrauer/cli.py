@@ -28,14 +28,9 @@ from .brauer_q import (
 )
 from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
-from .funcfield_fp import FactoredFuncFp, class_fp, is_isomorphic_fpx
-from .funcfield_q import (
-    FactoredFunc,
-    QuaternionFF,
-    is_isomorphic_qx,
-    residue_at,
-    specialize,
-)
+from .funcfield import FactoredFunc
+from .funcfield_fp import class_fp, is_isomorphic_fpx
+from .funcfield_q import QuaternionFF, is_isomorphic_qx, residue_at, specialize
 from .local_symbols import REAL, PlaceQ, hilbert, support_places
 from .selftest import run_selftest
 
@@ -177,8 +172,8 @@ def cmd_qx_specialize(args) -> int:
 def cmd_ffx_residues(args) -> int:
     p = args.char
     rng = random.Random(args.seed)
-    f = FactoredFuncFp.from_poly(polyfp_from_string(args.f, p), rng)
-    g = FactoredFuncFp.from_poly(polyfp_from_string(args.g, p), rng)
+    f = FactoredFunc.from_poly(polyfp_from_string(args.f, p), rng)
+    g = FactoredFunc.from_poly(polyfp_from_string(args.g, p), rng)
     cls = class_fp(f, g)
     _emit(args, cls.to_json(),
           f"ramified places over F_{p}(x): {cls}")
@@ -190,8 +185,8 @@ def cmd_ffx_isom(args) -> int:
     rng = random.Random(args.seed)
 
     def pair(fs, gs):
-        return (FactoredFuncFp.from_poly(polyfp_from_string(fs, p), rng),
-                FactoredFuncFp.from_poly(polyfp_from_string(gs, p), rng))
+        return (FactoredFunc.from_poly(polyfp_from_string(fs, p), rng),
+                FactoredFunc.from_poly(polyfp_from_string(gs, p), rng))
 
     verdict = is_isomorphic_fpx(pair(args.f1, args.g1), pair(args.f2, args.g2))
     human = "isomorphic" if verdict.isomorphic else \

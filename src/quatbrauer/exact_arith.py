@@ -19,8 +19,8 @@ from math import gcd, isqrt
 
 from .errors import DomainError, InternalError, ParseError
 
-# Factorization over Q is rejected above this degree unless the caller
-# raises the cap explicitly; recombination cost is unbounded in general.
+# Factorization over Q is rejected above this degree; recombination cost is
+# unbounded in general.
 DEFAULT_DEGREE_CAP = 24
 
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -155,12 +155,6 @@ class FactoredRational:
         facs = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
         return FactoredRational(self.sign * other.sign, facs,
                                 tuple(sorted(set(self.probable + other.probable))))
-
-    def to_json(self) -> dict:
-        out = {"sign": self.sign, "factors": [[p, e] for p, e in self.factors]}
-        if self.probable:
-            out["probable_primes"] = list(self.probable)
-        return out
 
 
 def factor_int(n: int, rng: random.Random | None = None) -> FactoredRational:
@@ -330,9 +324,11 @@ def discriminant(f: PolyQ) -> Fraction:
     return sign * resultant(f, f.derivative()) / f.lc()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatFuncQ:
-    """A rational function num/den over Q, den nonzero; zero allowed."""
+    """A rational function num/den over Q, den nonzero; zero allowed.
+
+    Equal values may have different (num, den), so the class is unhashable."""
 
     num: PolyQ
     den: PolyQ
@@ -528,17 +524,15 @@ class FactorizationQ:
             prod = prod * f**m
         return prod
 
-    def to_json(self) -> dict:
-        return {"unit": str(self.unit),
-                "factors": [[poly_to_string(f), m] for f, m in self.factors]}
 
-
-def _factor_key(fm: tuple[PolyQ, int]):
+def factor_key(fm):
+    """Sort key of a (factor, multiplicity) pair over Q or F_p: degree, then
+    coefficients from the constant term up."""
     f, _ = fm
     return (f.degree, tuple(f.coeffs))
 
 
-def factor_poly_q(f: PolyQ, degree_cap: int = DEFAULT_DEGREE_CAP) -> FactorizationQ:
+def factor_poly_q(f: PolyQ) -> FactorizationQ:
     """Exact factorization into monic irreducibles over Q.
 
     Delegates to sympy's Zassenhaus-style machinery (squarefree split,
@@ -547,9 +541,9 @@ def factor_poly_q(f: PolyQ, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factorizati
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    if f.degree > degree_cap:
+    if f.degree > DEFAULT_DEGREE_CAP:
         raise DomainError(
-            f"degree {f.degree} exceeds the factorization cap {degree_cap}")
+            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
     if f.degree == 0:
         return FactorizationQ(f.coeffs[0], ())
     unit_s, facs_s = _to_sympy(f).factor_list()
@@ -561,7 +555,7 @@ def factor_poly_q(f: PolyQ, degree_cap: int = DEFAULT_DEGREE_CAP) -> Factorizati
             unit *= gq.lc() ** m
             gq = gq.monic()
         factors.append((gq, int(m)))
-    factors.sort(key=_factor_key)
+    factors.sort(key=factor_key)
     result = FactorizationQ(unit, tuple(factors))
     if result.value() != f:
         raise InternalError("factorization failed to reconstruct input")
@@ -828,7 +822,7 @@ def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
         for part, d in _ddf(sqf):
             for irr in _edf(part, d, rng):
                 factors.append((irr, mult))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    factors.sort(key=factor_key)
     return unit, tuple(factors)
 
 

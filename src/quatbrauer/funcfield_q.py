@@ -16,108 +16,13 @@ from itertools import count
 
 from .brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from .errors import DomainError
-from .exact_arith import (
-    FactorizationQ,
-    PolyQ,
-    RatFuncQ,
-    factor_poly_q,
-    poly_to_string,
-)
+from .exact_arith import PolyQ, RatFuncQ
+from .funcfield import FactoredFunc, Place, places, tame_terms
 from .local_symbols import (
     NumberFieldElem,
     SquareClassVerdict,
     is_square_in_number_field,
 )
-
-
-@dataclass(frozen=True)
-class PlaceFFQ:
-    """A finite place of Q(x): a monic irreducible polynomial."""
-
-    modulus: PolyQ
-
-    def __str__(self) -> str:
-        return poly_to_string(self.modulus)
-
-    def sort_key(self):
-        return (self.modulus.degree, tuple(self.modulus.coeffs))
-
-
-@dataclass(frozen=True)
-class FactoredFunc:
-    """A nonzero element of Q(x)^x: constant * prod(irreducible ** exponent)."""
-
-    constant: Fraction
-    factors: tuple[tuple[PolyQ, int], ...]  # monic irreducible, nonzero exponent
-
-    @staticmethod
-    def from_factorization(fz: FactorizationQ) -> "FactoredFunc":
-        if fz.unit == 0:
-            raise DomainError("zero is not a unit of Q(x)")
-        return FactoredFunc(fz.unit, tuple((f, m) for f, m in fz.factors))
-
-    @staticmethod
-    def from_poly(f: PolyQ) -> "FactoredFunc":
-        if f.is_zero():
-            raise DomainError("zero is not a unit of Q(x)")
-        return FactoredFunc.from_factorization(factor_poly_q(f))
-
-    @staticmethod
-    def from_constant(c) -> "FactoredFunc":
-        c = Fraction(c)
-        if c == 0:
-            raise DomainError("zero is not a unit of Q(x)")
-        return FactoredFunc(c, ())
-
-    def __mul__(self, other: "FactoredFunc") -> "FactoredFunc":
-        exps = dict(self.factors)
-        for f, m in other.factors:
-            exps[f] = exps.get(f, 0) + m
-        facs = tuple(sorted(((f, m) for f, m in exps.items() if m != 0),
-                            key=lambda fm: (fm[0].degree, tuple(fm[0].coeffs))))
-        return FactoredFunc(self.constant * other.constant, facs)
-
-    def inverse(self) -> "FactoredFunc":
-        return FactoredFunc(1 / self.constant,
-                            tuple((f, -m) for f, m in self.factors))
-
-    def valuation(self, v: PlaceFFQ) -> int:
-        for f, m in self.factors:
-            if f == v.modulus:
-                return m
-        return 0
-
-    def value_at(self, alpha) -> Fraction:
-        """Exact value at a rational point; the point must not be a zero or pole."""
-        acc = self.constant
-        for f, m in self.factors:
-            val = f.evaluate(alpha)
-            if val == 0:
-                raise DomainError(f"{self} has a zero or pole at {alpha}; pick another point")
-            acc *= val**m
-        return acc
-
-    def unit_part(self, v: PlaceFFQ) -> "FactoredFunc":
-        """Strip the place's own factor."""
-        return FactoredFunc(self.constant,
-                            tuple((f, m) for f, m in self.factors if f != v.modulus))
-
-    def reduce_mod(self, v: PlaceFFQ) -> NumberFieldElem:
-        """Image of a v-unit in the residue field Q[x]/(pi)."""
-        pi = v.modulus
-        acc = NumberFieldElem.make(pi, PolyQ.const(self.constant))
-        for f, m in self.factors:
-            if f == pi:
-                raise DomainError("not a unit at the place")
-            acc = acc * NumberFieldElem.make(pi, f) ** m
-        return acc
-
-    def __str__(self) -> str:
-        parts = [str(self.constant)]
-        for f, m in self.factors:
-            parts.append(f"({poly_to_string(f)})^{m}" if m != 1
-                         else f"({poly_to_string(f)})")
-        return " * ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -127,9 +32,8 @@ class QuaternionFF:
     f: FactoredFunc
     g: FactoredFunc
 
-    def places(self) -> list[PlaceFFQ]:
-        mods = {f for f, _ in self.f.factors} | {f for f, _ in self.g.factors}
-        return sorted((PlaceFFQ(m) for m in mods), key=PlaceFFQ.sort_key)
+    def places(self) -> list[Place]:
+        return places(self.f, self.g)
 
     def __str__(self) -> str:
         return f"({self.f}, {self.g} / Q(x))"
@@ -140,7 +44,7 @@ class ResidueCharacter:
     """An order <= 2 character of the residue field's absolute Galois group,
     in Kummer form: the square class of the tame symbol in Q[x]/(pi)."""
 
-    place: PlaceFFQ
+    place: Place
     symbol: NumberFieldElem
     trivial: bool
     verdict: SquareClassVerdict
@@ -152,18 +56,19 @@ class ResidueCharacter:
                 "certificate": self.verdict.to_json()}
 
 
-def tame_symbol(D: QuaternionFF, v: PlaceFFQ) -> NumberFieldElem:
-    """(-1)^(v(f)v(g)) f^v(g) g^(-v(f)) reduced into Q[x]/(pi)."""
-    vf, vg = D.f.valuation(v), D.g.valuation(v)
-    f1 = D.f.unit_part(v).reduce_mod(v)
-    g1 = D.g.unit_part(v).reduce_mod(v)
-    sign = NumberFieldElem.make(v.modulus, PolyQ.const(-1 if (vf * vg) % 2 else 1))
-    t = sign * f1**vg * g1 ** (-vf)
-    assert not t.is_zero()
-    return t
+def tame_symbol(D: QuaternionFF, v: Place) -> NumberFieldElem:
+    """(-1)^(v(f)v(g)) f^v(g) g^(-v(f)) reduced into Q[x]/(pi): the tame terms
+    with positive exponents over those with negative ones, one inverse."""
+    num = den = NumberFieldElem.make(v.modulus, PolyQ.const(1))
+    for base, e in tame_terms(D.f, D.g, v):
+        if e > 0:
+            num = num * NumberFieldElem.make(v.modulus, base) ** e
+        elif e < 0:
+            den = den * NumberFieldElem.make(v.modulus, base) ** -e
+    return num * den.inverse()
 
 
-def residue_at(D: QuaternionFF, v: PlaceFFQ,
+def residue_at(D: QuaternionFF, v: Place,
                rng: random.Random | None = None) -> ResidueCharacter:
     """The residue character of D at v: trivial iff the tame symbol is a
     square in the residue field (decided with a certificate)."""
@@ -196,7 +101,7 @@ def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
 @dataclass(frozen=True)
 class IsomorphismVerdict:
     isomorphic: bool
-    witness_place: PlaceFFQ | None = None
+    witness_place: Place | None = None
     witness_symbols: tuple[NumberFieldElem, NumberFieldElem] | None = None
     witness_invariants: BrauerClassQ | None = None
     specialization_point: Fraction | None = None
@@ -234,9 +139,7 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
     the smallest common unit point and compares the constant classes in
     Br(Q) as local invariant vectors.
     """
-    places = sorted({v for v in D1.places()} | {v for v in D2.places()},
-                    key=PlaceFFQ.sort_key)
-    for v in places:
+    for v in places(D1.f, D1.g, D2.f, D2.g):
         t1, t2 = tame_symbol(D1, v), tame_symbol(D2, v)
         ratio = t1 * t2  # t1/t2 up to the square t2^2
         if ratio.value == PolyQ.const(1):

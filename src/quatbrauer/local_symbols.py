@@ -426,12 +426,8 @@ def _nonsquare(c: NumberFieldElem, w: NonsquareWitness) -> SquareClassVerdict:
     return SquareClassVerdict(False, witness=w, verified=True)
 
 
-def is_square_in_number_field(
-    c: NumberFieldElem,
-    rng: random.Random | None = None,
-    max_exp: int | None = None,
-    witness_limit: int | None = None,
-) -> SquareClassVerdict:
+def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = None
+                              ) -> SquareClassVerdict:
     """Decide whether c is a square in Q[x]/(pi), with a certificate.
 
     Alternates between (i) p-adic square-root reconstruction over all residue
@@ -441,10 +437,6 @@ def is_square_in_number_field(
     """
     if c.is_zero():
         raise DomainError("square test needs a nonzero element")
-    if max_exp is None:
-        max_exp = MAX_LIFT_EXPONENT
-    if witness_limit is None:
-        witness_limit = WITNESS_PRIME_LIMIT
     rng = rng or random.Random(0x5C1A55)
     pi, value = c.modulus, c.value
 
@@ -471,7 +463,7 @@ def is_square_in_number_field(
         # witness batch
         for _ in range(12):
             p = next(prime_iter)
-            if p > witness_limit:
+            if p > WITNESS_PRIME_LIMIT:
                 witnesses_exhausted = True
                 break
             _, facs = factor_poly_fp(polyfp_from_polyq(pi, p), rng)
@@ -511,8 +503,8 @@ def is_square_in_number_field(
             if cand is not None and verify_square_certificate(c, cand):
                 return SquareClassVerdict(True, root=cand, verified=True)
 
-        if exp >= max_exp and witnesses_exhausted:
+        if exp >= MAX_LIFT_EXPONENT and witnesses_exhausted:
             raise BudgetError(
                 "square test undecided within precision/prime budget")
-        if exp < max_exp:
+        if exp < MAX_LIFT_EXPONENT:
             exp *= 2

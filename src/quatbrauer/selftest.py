@@ -13,7 +13,8 @@ from fractions import Fraction
 from .brauer_q import QuaternionQ, class_of_quaternion
 from .errors import InternalError
 from .exact_arith import PolyFp, PolyQ, factor_poly_fp, factor_poly_q
-from .funcfield_fp import FactoredFuncFp, class_fp
+from .funcfield import FactoredFunc
+from .funcfield_fp import class_fp
 from .local_symbols import NumberFieldElem, hilbert, is_square_in_number_field, support_places
 
 
@@ -67,7 +68,7 @@ def suite_fp_reciprocity(rng: random.Random, cases: int) -> SuiteResult:
         f = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
         g = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
         try:
-            class_fp(FactoredFuncFp.from_poly(f, rng), FactoredFuncFp.from_poly(g, rng))
+            class_fp(FactoredFunc.from_poly(f, rng), FactoredFunc.from_poly(g, rng))
         except InternalError:
             failures.append(f"reciprocity violated for ({f}, {g}) over F_{p}")
     return SuiteResult("F_p(x) reciprocity", cases, failures)

@@ -32,7 +32,8 @@ from quatbrauer.exact_arith import (
     is_irreducible_q,
     is_prime,
 )
-from quatbrauer.funcfield_fp import FactoredFuncFp, PlaceFFp, residue_fp
+from quatbrauer.funcfield import Place
+from quatbrauer.funcfield_fp import residue_fp
 from quatbrauer.funcfield_q import (
     FactoredFunc,
     QuaternionFF,
@@ -197,17 +198,17 @@ def test_criterion_6_fp_reciprocity(capsys):
     rng = random.Random(0xF6)
     for p in (3, 5, 7, 11):
         for _ in range(500):
-            f = FactoredFuncFp.from_poly(
+            f = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 5))] + [1]), rng)
-            g = FactoredFuncFp.from_poly(
+            g = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 5))] + [1]), rng)
             mods = {q for q, _ in f.factors} | {q for q, _ in g.factors}
             prod = 1
             for m in mods:
-                prod *= residue_fp(f, g, PlaceFFp.finite(m))
-            prod *= residue_fp(f, g, PlaceFFp.infinity(p))
+                prod *= residue_fp(f, g, Place(m))
+            prod *= residue_fp(f, g, Place(None))
             assert prod == 1, (p, f, g)
     with capsys.disabled():
         report(6, "F_p(x) residue reciprocity, 4 x 500 pairs", t0, 30)

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import sympy
 
-from quatbrauer import funcfield_q
+from quatbrauer import funcfield_q, local_symbols
 from quatbrauer.cli import main
 
 
@@ -185,6 +186,13 @@ class TestQx:
                         "-f2", "(x^2-1)/(x+2)", "-g2", "27")
         assert data["isomorphic"] is True
 
+    def test_square_budget_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", 16)
+        monkeypatch.setattr(local_symbols, "WITNESS_PRIME_LIMIT", 50)
+        code, _, err = run(capsys, "qx", "residues", "-f", "x^2+1",
+                           "-g", f"(3*x+{10**40 + 7})^2")
+        assert code == 3 and "undecided:" in err
+
     def test_injection_is_a_parse_error(self, capsys, tmp_path):
         marker = tmp_path / "INJECTED"
         code, _, err = run(capsys, "qx", "residues", "-f",
@@ -208,6 +216,18 @@ class TestFfx:
         data = run_json(capsys, "ffx", "isom", "--char", "5",
                         "-f1", "x", "-g1", "2", "-f2", "x", "-g2", "4")
         assert data["isomorphic"] is False and "witness_place" in data
+
+    def test_degree_cap_exit_1(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "ffx", "residues", "--char", "1000003",
+                           "-f", "(x^2+x+1)^60*(x+2)^40*x^100+3", "-g", "2")
+        assert code == 1 and "exceeds" in err
+        assert time.perf_counter() - t0 < 5  # refused before factoring (about 12 s)
+
+    def test_degree_64_accepted(self, capsys):
+        data = run_json(capsys, "ffx", "residues", "--char", "1000003",
+                        "-f", "x^64+3", "-g", "2")
+        assert data["char"] == 1000003
 
     def test_char_two_exit_1(self, capsys):
         code, _, _ = run(capsys, "ffx", "residues", "--char", "2",

@@ -1,0 +1,155 @@
+"""Tests of the function-field core shared by F_p(x) and Q(x).
+
+The tame symbol is checked against an independent reduction: expand
+(-1)^(v(f)v(g)) f^v(g) g^(-v(f)) to num/den, cancel the place's modulus,
+reduce both mod the modulus and divide (over Q with sympy; over F_p by the
+Euler power of the residue-field element).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from quatbrauer.errors import DomainError
+from quatbrauer.exact_arith import PolyFp, PolyQ, polyfp_pow_mod
+from quatbrauer.funcfield import MAX_DEGREE, FactoredFunc, Place, places
+from quatbrauer.funcfield_fp import residue_fp
+from quatbrauer.funcfield_q import QuaternionFF, tame_symbol
+
+X = sympy.Symbol("x")
+
+# monic irreducibles over Q
+Q_POOL = [PolyQ.make(c) for c in ([0, 1], [1, 1], [-2, 1], [1, 0, 1], [-2, 0, 1],
+                                  [1, 1, 1], [-3, 0, 0, 1])]
+
+
+def _random_entry_q(rng):
+    num = PolyQ.const(Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7])))
+    den = PolyQ.const(1)
+    for q in rng.sample(Q_POOL, rng.randint(1, 3)):
+        e = rng.choice([-2, -1, 1, 2, 3])
+        if e > 0:
+            num = num * q**e
+        else:
+            den = den * q**-e
+    return FactoredFunc.from_poly(num) * FactoredFunc.from_poly(den).inverse()
+
+
+def _rat(c: Fraction) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sym(f: PolyQ) -> sympy.Expr:
+    return sum((_rat(c) * X**i for i, c in enumerate(f.coeffs)), sympy.Integer(0))
+
+
+def _sym_entry(F: FactoredFunc) -> sympy.Expr:
+    out = _rat(F.constant)
+    for q, m in F.factors:
+        out *= _sym(q) ** m
+    return out
+
+
+def _expanded_poly_fp(F: FactoredFunc, sign: int) -> tuple[PolyFp, PolyFp]:
+    """(num, den) of F ** sign with every factor multiplied out."""
+    num = den = PolyFp.const(F.p, 1)
+    for q, m in F.factors:
+        for _ in range(abs(m)):
+            if m * sign > 0:
+                num = num * q
+            else:
+                den = den * q
+    c = PolyFp.const(F.p, F.constant)
+    return (num * c, den) if sign > 0 else (num, den * c)
+
+
+class TestFactoredFunc:
+    def test_mixed_characteristics_rejected(self):
+        with pytest.raises(DomainError):
+            FactoredFunc.from_constant(2) * FactoredFunc.from_constant(2, 5)
+
+    def test_inverse_over_fp(self):
+        f = FactoredFunc.from_poly(PolyFp.make(7, [3, 0, 2]))  # 2x^2 + 3
+        g = f * f.inverse()
+        assert g.constant == 1 and g.factors == () and g.p == 7
+
+    def test_value_at_over_fp(self):
+        f = FactoredFunc.from_poly(PolyFp.make(7, [1, 1])).inverse()  # 1/(x + 1)
+        assert f.value_at(2) == pow(3, -1, 7)
+
+    def test_places_sorted_and_merged(self):
+        f = FactoredFunc.from_poly(PolyQ.make([1, 0, 1]) * PolyQ.make([0, 1]))
+        g = FactoredFunc.from_poly(PolyQ.make([-2, 1]) * PolyQ.make([0, 1]))
+        assert [str(v) for v in places(f, g)] == ["x - 2", "x", "x^2 + 1"]
+
+    def test_infinity_prints_and_sorts_last(self):
+        v = Place(PolyFp.make(5, [1, 0, 1, 1]))
+        assert str(Place(None)) == "inf"
+        assert sorted([Place(None), v], key=Place.sort_key) == [v, Place(None)]
+
+
+class TestDegreeCap:
+    def test_cap_accepted(self):
+        f = FactoredFunc.from_poly(PolyFp.make(1000003, [3] + [0] * (MAX_DEGREE - 1) + [1]))
+        assert sum(q.degree * m for q, m in f.factors) == MAX_DEGREE
+
+    def test_above_cap_refused(self):
+        with pytest.raises(DomainError, match="exceeds"):
+            FactoredFunc.from_poly(PolyFp.make(1000003, [3] + [0] * MAX_DEGREE + [1]))
+
+
+class TestTameSymbolOracle:
+    def test_q_tame_symbol_matches_sympy_reduction(self):
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(25):
+            f, g = _random_entry_q(rng), _random_entry_q(rng)
+            for v in places(f, g):
+                vf, vg = f.valuation(v), g.valuation(v)
+                t = tame_symbol(QuaternionFF(f, g), v)
+                expr = sympy.Integer(-1) ** (vf * vg) * _sym_entry(f) ** vg * _sym_entry(g) ** (-vf)
+                num, den = sympy.fraction(sympy.cancel(expr))
+                pi = _sym(v.modulus)
+                rn, rd = sympy.rem(num, pi, X), sympy.rem(den, pi, X)
+                want = sympy.rem(rn * sympy.invert(rd, pi, X), pi, X)
+                assert sympy.expand(_sym(t.value) - want) == 0, (f, g, v)
+                checked += 1
+        assert checked > 50
+
+    def test_fp_residue_matches_euler_power(self):
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(40):
+            p = rng.choice([3, 5, 7, 11, 13])
+
+            def entry():
+                num = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1])
+                den = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
+                c = FactoredFunc.from_constant(rng.randrange(1, p), p)
+                return c * FactoredFunc.from_poly(num, rng) * FactoredFunc.from_poly(den, rng).inverse()
+
+            f, g = entry(), entry()
+            for v in places(f, g):
+                h = v.modulus
+                vf, vg = f.valuation(v), g.valuation(v)
+                fn, fd = _expanded_poly_fp(f, 1 if vg >= 0 else -1)
+                gn, gd = _expanded_poly_fp(g, 1 if vf <= 0 else -1)
+                num = PolyFp.const(p, -1 if vf * vg % 2 else 1)
+                den = PolyFp.const(p, 1)
+                for _ in range(abs(vg)):
+                    num, den = num * fn, den * fd
+                for _ in range(abs(vf)):
+                    num, den = num * gn, den * gd
+                # cancel h: num/den has valuation zero at h
+                while (num % h).is_zero() and (den % h).is_zero():
+                    num, den = num.divmod(h)[0], den.divmod(h)[0]
+                assert not (num % h).is_zero() and not (den % h).is_zero()
+                # the character is multiplicative, so num/den and num*den agree
+                power = polyfp_pow_mod(num * den % h, (p**h.degree - 1) // 2, h)
+                want = 1 if power == PolyFp.const(p, 1) else -1
+                assert power in (PolyFp.const(p, 1), PolyFp.const(p, -1))
+                assert residue_fp(f, g, v) == want, (f, g, v)
+                checked += 1
+        assert checked > 80

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import hilbert_oracle
 from quatbrauer import local_symbols
-from quatbrauer.errors import DomainError, InternalError
+from quatbrauer.errors import BudgetError, DomainError, InternalError
 from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational, is_irreducible_q
 from quatbrauer.local_symbols import (
     REAL,
@@ -239,6 +239,15 @@ class TestSquareTester:
         c = NumberFieldElem.make(GAUSS, PolyQ.make([]))
         with pytest.raises(DomainError):
             is_square_in_number_field(c)
+
+    def test_small_budget_raises_budget_error(self, monkeypatch):
+        # a square whose root has a 41-digit coefficient: precision p^16
+        # cannot reconstruct it, and no witness prime can exist for a square
+        monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", 16)
+        monkeypatch.setattr(local_symbols, "WITNESS_PRIME_LIMIT", 50)
+        r = PolyQ.make([10**40 + 7, 3])
+        with pytest.raises(BudgetError):
+            is_square_in_number_field(NumberFieldElem.make(GAUSS, (r * r) % GAUSS))
 
 
 # A nonsquare certificate that fails its own check must stop the run, also
