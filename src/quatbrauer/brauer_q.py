@@ -83,6 +83,7 @@ class BrauerClassQ:
         return BrauerClassQ.make({p: -v for p, v in self.invariants})
 
     def scale(self, m: int) -> "BrauerClassQ":
+        """m * c componentwise; preserves local orders when gcd(m, index) = 1."""
         return BrauerClassQ.make({p: m * v for p, v in self.invariants})
 
     def exponent(self) -> int:
@@ -159,11 +160,6 @@ def example_6_5(n: int, places: tuple[PlaceQ, PlaceQ, PlaceQ, PlaceQ]
     c1 = BrauerClassQ.make(dict(zip(places, [u, u, -u, -u])))
     c2 = BrauerClassQ.make(dict(zip(places, [u, -u, u, -u])))
     return c1, c2
-
-
-def scale_class(c: BrauerClassQ, m: int) -> BrauerClassQ:
-    """m * c componentwise; preserves local orders when gcd(m, index) = 1."""
-    return c.scale(m)
 
 
 def quaternion_of_class(c: BrauerClassQ,

@@ -24,7 +24,6 @@ from .brauer_q import (
     example_6_5,
     same_maximal_subfields_q,
     same_subgroup,
-    scale_class,
 )
 from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
@@ -128,7 +127,7 @@ def cmd_brq_ex65(args) -> int:
 
 def cmd_brq_scale(args) -> int:
     c = _load_class(args.file)
-    out = scale_class(c, args.m)
+    out = c.scale(args.m)
     _emit(args, out.to_json(), f"{args.m} * {c} = {out}")
     return 0
 

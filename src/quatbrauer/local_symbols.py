@@ -1,11 +1,13 @@
 """Local computations over Q and over number fields Q[x]/(pi).
 
-Provides Legendre and Hilbert symbols at every place of Q, canonical square
-classes of rationals, and a certified square test in number fields.  The
-square test is Las Vegas: it races p-adic square-root reconstruction against
-a search for a witness: a prime p and an irreducible factor h of pi mod p
-where the element's norm-Legendre character (Res(h, t) / p) is -1.  Every
-verdict it returns carries an exactly re-verifiable certificate.
+Provides Legendre and Hilbert symbols at every place of Q and a certified
+square test in number fields.  The square test goes norm first: a prime p
+where the norm Res(pi, t) is a nonresidue certifies a nonsquare without any
+factoring.  Otherwise it lifts first, p-adic square-root reconstruction at a
+prime where pi has few factors, and then alternates the lift with a growing
+search for a witness: a prime p and a factor h of pi mod p where the
+element's norm-Legendre character (Res(h, t) / p) is -1.  Every verdict it
+returns carries an exactly re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 
 from .errors import BudgetError, DomainError, InternalError
@@ -32,6 +35,8 @@ from .exact_arith import (
 
 WITNESS_PRIME_LIMIT = 10**5
 MAX_LIFT_EXPONENT = 1024
+NORM_PRIMES = 64        # norm-Legendre primes tried before any factoring
+LIFT_CANDIDATES = 4     # primes factored to pick the lifting prime
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +142,6 @@ def support_places(a, b) -> list[PlaceQ]:
     return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
 
-def square_class_q(a) -> int:
-    """The unique squarefree integer t with a/t a rational square."""
-    a = Fraction(a)
-    if a == 0:
-        raise DomainError("zero has no square class")
-    fr = factor_rational(a)
-    t = fr.sign
-    for p, e in fr.factors:
-        if e % 2:
-            t *= p
-    return t
-
-
 # ---------------------------------------------------------------------------
 # number field elements
 # ---------------------------------------------------------------------------
@@ -206,8 +198,9 @@ class NumberFieldElem:
 
 @dataclass(frozen=True)
 class NonsquareWitness:
-    """A prime p and an irreducible factor of pi mod p where the image of the
-    tested element has quadratic character -1."""
+    """A prime p and a monic factor of pi mod p (all of it for a norm
+    witness) where the image of the tested element has quadratic character
+    -1."""
 
     prime: int
     factor: PolyFp
@@ -281,15 +274,6 @@ def _polyfp_inverse(a: PolyFp, mod: PolyFp) -> PolyFp:
     return (s0 * PolyFp.const(a.p, inv)) % mod
 
 
-def _crt_polyfp(residues: list[PolyFp], moduli: list[PolyFp], product: PolyFp) -> PolyFp:
-    p = product.p
-    acc = PolyFp.const(p, 0)
-    for r, h in zip(residues, moduli):
-        cof = product.divmod(h)[0]
-        acc = acc + (r * cof * _polyfp_inverse(cof % h, h)) % product
-    return acc % product
-
-
 def _poly_coeffs_mod(f: PolyQ, m: int, length: int) -> list[int]:
     out = []
     for i in range(length):
@@ -336,20 +320,18 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _good_primes(pi: PolyQ, value: PolyQ, start: int = 3):
-    """Odd primes where pi stays squarefree and the value stays a unit."""
+def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
+    """Odd primes where pi stays squarefree and the value, of norm `norm`,
+    stays a unit."""
     r1 = resultant(pi, pi.derivative())
-    r2 = resultant(pi, value) if value.degree >= 0 else Fraction(1)
     screen = (abs(r1.numerator) * r1.denominator *
-              abs(r2.numerator) * r2.denominator)
+              abs(norm.numerator) * norm.denominator)
     for c in pi.coeffs + value.coeffs:
         screen *= c.denominator
-    p = start - 1
+    p = 2
     while True:
         p += 1
-        if p < 3 or not is_prime(p):
-            continue
-        if screen % p != 0:
+        if is_prime(p) and screen % p != 0:
             yield p
 
 
@@ -426,13 +408,27 @@ def _nonsquare(c: NumberFieldElem, w: NonsquareWitness) -> SquareClassVerdict:
     return SquareClassVerdict(False, witness=w, verified=True)
 
 
+def _factors_and_witness(c: NumberFieldElem, p: int, rng: random.Random
+                         ) -> tuple[list[PolyFp], NonsquareWitness | None]:
+    """The monic factors of pi mod p, and a witness at the first one where
+    the character of c is -1 (None if there is none)."""
+    vp = polyfp_from_polyq(c.value, p)
+    moduli = [h for h, _m in factor_poly_fp(polyfp_from_polyq(c.modulus, p), rng)[1]]
+    return moduli, next((NonsquareWitness(p, h) for h in moduli if fq_char(vp, h) == -1), None)
+
+
 def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = None
                               ) -> SquareClassVerdict:
     """Decide whether c is a square in Q[x]/(pi), with a certificate.
 
-    Alternates between (i) p-adic square-root reconstruction over all residue
-    sign patterns of a fixed good prime and (ii) a witness search over
-    further good primes by the norm-Legendre character.  Raises
+    Norm first: pi is monic, so N(c) = Res(pi, c), and a square has a square
+    norm; a good prime p with (N / p) = -1 certifies a nonsquare, with all of
+    pi mod p as the factor and no factoring (at most NORM_PRIMES primes).
+    Then lift: factor pi at the next LIFT_CANDIDATES good primes (a factor
+    where c has character -1 is a witness) and Newton-lift the square root
+    over all residue sign patterns at the one with the fewest factors.  Then
+    alternate rational reconstruction with a witness search over further
+    good primes, the batch growing with the lift precision.  Raises
     BudgetError if neither side certifies within the budget.
     """
     if c.is_zero():
@@ -446,62 +442,54 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
         if r is not None:
             return SquareClassVerdict(True, root=PolyQ.const(r), verified=True)
 
-    # degree-1 fast path: the residue field is Q itself
-    if pi.degree == 1:
-        v = value.coeffs[0] if value.coeffs else Fraction(0)
-        root = sqrt_fraction(v)
-        if root is not None:
-            return SquareClassVerdict(True, root=PolyQ.const(root), verified=True)
-        # fall through: witness search below certifies the nonsquare
+    norm = resultant(pi, value)
+    primes = _good_primes(pi, value, norm)
+    if sqrt_fraction(norm) is None:
+        n = norm.numerator * norm.denominator
+        for p in islice(primes, NORM_PRIMES):
+            if legendre(n, p) == -1:
+                return _nonsquare(c, NonsquareWitness(p, polyfp_from_polyq(pi, p)))
 
-    prime_iter = _good_primes(pi, value)
-    states: list[_LiftState] | None = None
+    # lift at the candidate prime with the fewest factors: an inert prime
+    # gives one sign pattern instead of 2^(k-1)
+    best: tuple[int, list[PolyFp]] | None = None
+    for p in islice(primes, LIFT_CANDIDATES):
+        moduli, w = _factors_and_witness(c, p, rng)
+        if w is not None:
+            return _nonsquare(c, w)
+        if best is None or len(moduli) < len(best[1]):
+            best = (p, moduli)
+    p0, moduli = best
+    pim, vp = polyfp_from_polyq(pi, p0), polyfp_from_polyq(value, p0)
+    terms = []  # CRT: the root mod h, times the idempotent of h in F_p[x]/(pi)
+    for h in moduli:
+        cof = pim.divmod(h)[0]
+        terms.append((_fq_sqrt(vp % h, h, rng) * cof * _polyfp_inverse(cof % h, h)) % pim)
+    states = []
+    # global sign is free: fix the first factor's sign
+    for mask in range(1 << (len(moduli) - 1)):
+        root = sum((-t if j and (mask >> (j - 1)) & 1 else t for j, t in enumerate(terms)),
+                   PolyFp.const(p0, 0))
+        states.append(_LiftState(root, pi, value))
+
     exp = 16
     witnesses_exhausted = False
-
     while True:
-        # witness batch
-        for _ in range(12):
-            p = next(prime_iter)
-            if p > WITNESS_PRIME_LIMIT:
-                witnesses_exhausted = True
-                break
-            _, facs = factor_poly_fp(polyfp_from_polyq(pi, p), rng)
-            vp = polyfp_from_polyq(value, p)
-            for h, _mult in facs:
-                if fq_char(vp, h) == -1:
-                    return _nonsquare(c, NonsquareWitness(p, h))
-
-        # set up reconstruction states at the first good prime
-        if states is None:
-            p0 = next(_good_primes(pi, value))
-            pim = polyfp_from_polyq(pi, p0)
-            _, facs = factor_poly_fp(pim, rng)
-            moduli = [h for h, _m in facs]
-            roots = []
-            for h in moduli:
-                r = _fq_sqrt(polyfp_from_polyq(value, p0) % h, h, rng)
-                if r is None:
-                    return _nonsquare(c, NonsquareWitness(p0, h))
-                roots.append(r)
-            states = []
-            # global sign is free: fix the first factor's sign
-            for mask in range(1 << max(0, len(moduli) - 1)):
-                sroots = [roots[0]]
-                for j in range(1, len(moduli)):
-                    rj = roots[j]
-                    if (mask >> (j - 1)) & 1:
-                        rj = -rj
-                    sroots.append(rj)
-                combined = _crt_polyfp(sroots, moduli, pim)
-                states.append(_LiftState(combined, pi, value))
-
         # lift and attempt rational reconstruction
         for st in states:
             st.lift_to(exp)
             cand = st.reconstruct()
             if cand is not None and verify_square_certificate(c, cand):
                 return SquareClassVerdict(True, root=cand, verified=True)
+
+        # witness batch, growing with the precision
+        for p in islice(primes, 12 * exp // 16):
+            if p > WITNESS_PRIME_LIMIT:
+                witnesses_exhausted = True
+                break
+            w = _factors_and_witness(c, p, rng)[1]
+            if w is not None:
+                return _nonsquare(c, w)
 
         if exp >= MAX_LIFT_EXPONENT and witnesses_exhausted:
             raise BudgetError(

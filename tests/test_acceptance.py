@@ -20,7 +20,6 @@ from quatbrauer.brauer_q import (
     example_6_5,
     same_maximal_subfields_q,
     same_subgroup,
-    scale_class,
 )
 from quatbrauer.errors import BudgetError
 from quatbrauer.exact_arith import (
@@ -286,7 +285,7 @@ def test_criterion_8_scaling_preserves_subfields(capsys):
         if c.exponent() != n:
             continue
         m = rng.choice([m for m in range(2, 2 * n) if math.gcd(m, n) == 1])
-        assert same_maximal_subfields_q(c, scale_class(c, m)) is True
+        assert same_maximal_subfields_q(c, c.scale(m)) is True
         assert same_maximal_subfields_q(c, c.neg()) is True
         done += 1
     with capsys.disabled():

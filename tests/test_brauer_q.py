@@ -13,7 +13,6 @@ from quatbrauer.brauer_q import (
     quaternion_of_class,
     same_maximal_subfields_q,
     same_subgroup,
-    scale_class,
 )
 from quatbrauer.errors import BudgetError, DomainError
 from quatbrauer.local_symbols import REAL, PlaceQ, hilbert
@@ -160,4 +159,4 @@ class TestQuaternionOfClass:
 def test_scale_preserves_local_orders():
     c = BrauerClassQ.make({PlaceQ(2): Fraction(1, 6), PlaceQ(3): Fraction(1, 6),
                            PlaceQ(5): Fraction(2, 3)})
-    assert dict(scale_class(c, 5).local_orders()) == dict(c.local_orders())
+    assert dict(c.scale(5).local_orders()) == dict(c.local_orders())

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from oracles import hilbert_oracle
 from quatbrauer import local_symbols
@@ -21,7 +22,6 @@ from quatbrauer.local_symbols import (
     hilbert,
     is_square_in_number_field,
     legendre,
-    square_class_q,
     verify_nonsquare_certificate,
     verify_square_certificate,
 )
@@ -120,18 +120,11 @@ class TestHilbert:
                     assert hilbert(a, b, v) == hilbert_oracle(a, b, v), (a, b, v)
 
 
-def test_square_class_q():
-    assert square_class_q(18) == 2
-    assert square_class_q(-4) == -1
-    assert square_class_q(Fraction(8, 9)) == 2
-    assert square_class_q(1) == 1
-    with pytest.raises(DomainError):
-        square_class_q(0)
-
-
 GAUSS = PolyQ.make([1, 0, 1])        # x^2 + 1
 SQRT2 = PolyQ.make([-2, 0, 1])       # x^2 - 2
 CBRT2 = PolyQ.make([-2, 0, 0, 1])    # x^3 - 2
+# degree 16: Q(sqrt 2, sqrt 3, sqrt 5, sqrt 7); pi factors mod every prime
+SWINNERTON_DYER = PolyQ.make([int(c) for c in reversed(swinnerton_dyer_poly(4).as_poly().all_coeffs())])
 
 
 class TestNumberFieldElem:
@@ -151,6 +144,11 @@ class TestNumberFieldElem:
     def test_pow_negative(self):
         e = NumberFieldElem.make(GAUSS, PolyQ.x())
         assert (e ** -2).value == PolyQ.const(-1)  # 1/i^2 = -1
+
+    def test_non_monic_modulus_rejected(self):
+        # the square test reads Res(pi, t) as the norm, which needs pi monic
+        with pytest.raises(DomainError):
+            NumberFieldElem.make(PolyQ.make([1, 0, 2]), PolyQ.x())
 
 
 class TestSquareTester:
@@ -206,6 +204,60 @@ class TestSquareTester:
         v = is_square_in_number_field(c)
         assert not v.is_square and v.verified
 
+    def test_norm_witness_needs_no_factoring(self, monkeypatch):
+        # N(2^(1/3)) = 2, a nonresidue mod 5: all of pi mod 5 is the witness
+        calls = _count_factorizations(monkeypatch)
+        c = NumberFieldElem.make(CBRT2, PolyQ.x())
+        v = is_square_in_number_field(c)
+        assert not v.is_square and v.verified and calls == []
+        assert v.witness == NonsquareWitness(5, PolyFp.make(5, [3, 0, 0, 1]))
+        assert verify_nonsquare_certificate(c, v.witness)
+
+    def test_forged_norm_witness_rejected(self):
+        # (2 / 7) = +1, so x^3 - 2 mod 7 certifies nothing about 2^(1/3)
+        c = NumberFieldElem.make(CBRT2, PolyQ.x())
+        assert not verify_nonsquare_certificate(c, NonsquareWitness(7, PolyFp.make(7, [5, 0, 0, 1])))
+
+    def test_factoring_search_without_norm_primes(self, monkeypatch):
+        monkeypatch.setattr(local_symbols, "NORM_PRIMES", 0)
+        calls = _count_factorizations(monkeypatch)
+        c = NumberFieldElem.make(CBRT2, PolyQ.x())
+        v = is_square_in_number_field(c)
+        assert not v.is_square and v.verified and calls
+        assert verify_nonsquare_certificate(c, v.witness)
+
+    def test_nonsquares_with_square_norm(self):
+        # N(3) = 9 in Q(i); N(11) = 11^16 in the Swinnerton-Dyer field
+        for pi, t in [(GAUSS, 3), (SWINNERTON_DYER, 11)]:
+            c = NumberFieldElem.make(pi, PolyQ.const(t))
+            v = is_square_in_number_field(c)
+            assert not v.is_square and v.verified
+            assert verify_nonsquare_certificate(c, v.witness)
+
+    def test_squares_in_swinnerton_dyer_field(self):
+        r = PolyQ.make([1, 1, 0, 1])
+        for t in [(r * r) % SWINNERTON_DYER, PolyQ.const(3)]:
+            c = NumberFieldElem.make(SWINNERTON_DYER, t)
+            v = is_square_in_number_field(c)
+            assert v.is_square and verify_square_certificate(c, v.root)
+
+    def test_square_lifts_after_four_factorizations(self, monkeypatch):
+        # (5 + 3i)^2 = 16 + 30i: the lift at an inert prime succeeds at once
+        calls = _count_factorizations(monkeypatch)
+        c = NumberFieldElem.make(GAUSS, PolyQ.make([16, 30]))
+        v = is_square_in_number_field(c)
+        assert v.is_square and verify_square_certificate(c, v.root)
+        assert len(calls) <= 4, calls
+
+    def test_no_polynomial_factored_twice(self, monkeypatch):
+        calls = _count_factorizations(monkeypatch)
+        r = PolyQ.make([1, 1, 0, 1])
+        for pi, t in [(GAUSS, PolyQ.make([16, 30])), (GAUSS, PolyQ.const(3)),
+                      (CBRT2, (r * r) % CBRT2), (SWINNERTON_DYER, PolyQ.const(3))]:
+            calls.clear()
+            is_square_in_number_field(NumberFieldElem.make(pi, t))
+            assert calls and len(set(calls)) == len(calls), calls
+
     def test_rational_square_constant(self):
         c = NumberFieldElem.make(CBRT2, PolyQ.const(Fraction(9, 16)))
         v = is_square_in_number_field(c)
@@ -250,6 +302,19 @@ class TestSquareTester:
             is_square_in_number_field(NumberFieldElem.make(GAUSS, (r * r) % GAUSS))
 
 
+def _count_factorizations(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """Record (p, coefficients) of every polynomial the square test factors."""
+    calls = []
+    factor = local_symbols.factor_poly_fp
+
+    def counted(f, rng=None):
+        calls.append((f.p, f.coeffs))
+        return factor(f, rng)
+
+    monkeypatch.setattr(local_symbols, "factor_poly_fp", counted)
+    return calls
+
+
 # A nonsquare certificate that fails its own check must stop the run, also
 # under `python -O`, which strips `assert` statements.
 REJECTED_CERTIFICATE_SCRIPT = """
@@ -261,13 +326,16 @@ from quatbrauer.exact_arith import PolyQ
 
 assert False, "assert statements must be stripped"
 local_symbols.verify_nonsquare_certificate = lambda c, w: False
-c = local_symbols.NumberFieldElem.make(PolyQ.make([1, 0, 1]), PolyQ.const(3))
-try:
-    verdict = local_symbols.is_square_in_number_field(c)
-except InternalError:
-    print("InternalError")
-else:
-    print("verdict", verdict)
+# 3 in Q(i) is certified by the factoring search, x in Q(2^(1/3)) by its norm
+for pi, t in [([1, 0, 1], [3]), ([-2, 0, 0, 1], [0, 1])]:
+    c = local_symbols.NumberFieldElem.make(PolyQ.make(pi), PolyQ.make(t))
+    try:
+        verdict = local_symbols.is_square_in_number_field(c)
+    except InternalError:
+        print("InternalError")
+    else:
+        print("verdict", verdict)
+print("exit", main(["qx", "residues", "-f", "x^3-2", "-g", "x"]))
 sys.exit(main(["qx", "residues", "-f", "x^2+1", "-g", "3"]))
 """
 
@@ -285,6 +353,7 @@ def test_rejected_certificate_under_python_O():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-O", "-c", REJECTED_CERTIFICATE_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout.splitlines()[0] == "InternalError", out.stdout + out.stderr
+    assert out.stdout.splitlines()[:3] == ["InternalError", "InternalError", "exit 4"], \
+        out.stdout + out.stderr
     assert out.returncode == 4, out.stdout + out.stderr
     assert "internal error" in out.stderr
