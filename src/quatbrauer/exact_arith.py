@@ -15,7 +15,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import zip_longest
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, InternalError, ParseError
 
@@ -583,10 +584,7 @@ class PolyFp:
     def make(p: int, coeffs) -> "PolyFp":
         if p == 2:
             raise DomainError("characteristic 2 is unsupported")
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return PolyFp(p, tuple(cs))
+        return PolyFp(p, tuple(_trimmed(coeffs, p)))
 
     @staticmethod
     def const(p: int, c: int) -> "PolyFp":
@@ -621,11 +619,8 @@ class PolyFp:
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._chk(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return PolyFp.make(self.p, a)
+        return PolyFp.make(self.p, [a + b for a, b in
+                                    zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "PolyFp":
         return PolyFp.make(self.p, [-c for c in self.coeffs])
@@ -635,35 +630,15 @@ class PolyFp:
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._chk(other)
-        if self.is_zero() or other.is_zero():
-            return PolyFp(self.p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyFp.make(self.p, out)
+        return PolyFp.make(self.p, _product(self.coeffs, other.coeffs))
 
     def divmod(self, other: "PolyFp") -> tuple["PolyFp", "PolyFp"]:
         self._chk(other)
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        p = self.p
-        inv = pow(other.lc(), -1, p)
-        q = [0] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        while True:
-            while r and r[-1] % p == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] * inv % p
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                r[k + i] = (r[k + i] - c * b) % p
-        return PolyFp.make(p, q), PolyFp.make(p, r)
+        p, r = self.p, list(self.coeffs)
+        q = _reduce(r, other.coeffs, p, pow(other.lc(), -1, p))
+        return PolyFp.make(p, q), PolyFp.make(p, r[:other.degree])
 
     def __mod__(self, other: "PolyFp") -> "PolyFp":
         return self.divmod(other)[1]
@@ -681,21 +656,68 @@ class PolyFp:
         return poly_to_string(PolyQ.make(self.coeffs))
 
 
+# -- coefficient lists, low degree first, over Z/m (m a prime or a prime power)
+
+def _trimmed(cs, m: int) -> list[int]:
+    """The coefficients cs reduced mod m, trailing zeros dropped."""
+    out = [c % m for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _reduce(r: list[int], f, m: int, inv: int = 1) -> list[int]:
+    """Divide r by f in place and return the quotient, inv = 1/lc(f) mod m.
+    Lazy: one % per quotient coefficient and none in the inner loop, so the
+    remainder r[:deg f] is left unreduced."""
+    d = len(f) - 1
+    q = [0] * max(0, len(r) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + d] * inv % m
+        if c:
+            r[k:k + d] = [u - c * v for u, v in zip(r[k:k + d], f)]
+    return q
+
+
+def _product(a, b) -> list[int]:
+    """Schoolbook product with no %.  Zero coefficients of a are skipped, so
+    a sparse a, such as a power of x, costs O(len b) per nonzero term."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + len(b)] = [u + c * v for u, v in zip(out[i:i + len(b)], b)]
+    return out
+
+
+def zx_mulmod(a: list[int], b: list[int], f, m: int) -> list[int]:
+    """a * b mod (f, m), f monic: the product, the lazy reduction by f (one %
+    per leading coefficient) and one % per output coefficient, trimmed."""
+    out = _product(a, b)
+    _reduce(out, f, m)
+    return _trimmed(out[:len(f) - 1], m)
+
+
 def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:
-    while not g.is_zero():
-        f, g = g, f % g
-    return f if f.is_zero() else f.monic()
+    """Monic gcd (zero if both are zero); Euclid on coefficient lists."""
+    f._chk(g)
+    p, a, b = f.p, list(f.coeffs), list(g.coeffs)
+    while b:
+        _reduce(a, b, p, pow(b[-1], -1, p))
+        a, b = b, _trimmed(a[:len(b) - 1], p)
+    return PolyFp.make(p, a).monic() if a else PolyFp(p, ())
 
 
 def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
-    r = PolyFp.const(base.p, 1)
-    b = base % modulus
-    while n:
-        if n & 1:
-            r = (r * b) % modulus
-        b = (b * b) % modulus
-        n >>= 1
-    return r
+    """base^n mod modulus: left-to-right square and multiply on coefficient
+    lists through `zx_mulmod`.  The base is the sparse operand of each
+    multiply, so for the base x a multiply is a shift."""
+    p, f = base.p, modulus.monic().coeffs
+    b, r = list((base % modulus).coeffs), [1]
+    for bit in bin(n)[2:]:
+        r = zx_mulmod(r, r, f, p)
+        if bit == "1":
+            r = zx_mulmod(b, r, f, p)
+    return PolyFp.make(p, r)
 
 
 def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
@@ -768,82 +790,88 @@ def _squarefree_parts_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     return out
 
 
-def _ddf(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Distinct-degree factorization of a monic squarefree f."""
-    p = f.p
-    out = []
-    xq = PolyFp.x(p)
-    d = 0
-    rest = f
+def _frobenius_rows(f: PolyFp) -> list[list[int]]:
+    """The rows x^(i p) mod f, i < deg f, of the Frobenius map t -> t^p of
+    F_p[x]/(f), f monic: one x^p, then one `zx_mulmod` per row."""
+    p, rows = f.p, [[1]]
+    if f.degree > 1:
+        xp = list(polyfp_pow_mod(PolyFp.x(p), p, f).coeffs)
+        while len(rows) < f.degree:
+            rows.append(zx_mulmod(xp, rows[-1], f.coeffs, p))
+    return rows
+
+
+def _frobenius(t: list[int], rows: list[list[int]], p: int) -> list[int]:
+    """t^p mod f = sum of t_i * x^(i p) mod f, as t_i^p = t_i in F_p: n^2
+    multiply-adds from the rows of f, and no long power."""
+    out = [0] * len(rows)
+    for c, row in zip(t, rows):
+        if c:
+            out[:len(row)] = [u + c * v for u, v in zip(out, row)]
+    return _trimmed(out, p)
+
+
+def _ddf(f: PolyFp, rows: list[list[int]]) -> list[tuple[PolyFp, int]]:
+    """Distinct-degree factorization of a monic squarefree f: x^(p^d) mod f
+    advances by one application of the Frobenius rows of f, and its gcd with
+    the shrinking cofactor `rest` (which divides f) is the degree-d part."""
+    p, out, xq, d, rest = f.p, [], [0, 1], 0, f
     while rest.degree > 2 * d + 1:
         d += 1
-        xq = polyfp_pow_mod(xq, p, rest)
-        g = polyfp_gcd(xq - PolyFp.x(p), rest)
+        xq = _frobenius(xq, rows, p)
+        g = polyfp_gcd(PolyFp.make(p, xq) - PolyFp.x(p), rest)
         if g.degree > 0:
             out.append((g, d))
             rest = rest.divmod(g)[0]
-            xq = xq % rest
     if rest.degree > 0:
         out.append((rest, rest.degree))
     return out
 
 
-def _edf(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
-    """Cantor-Zassenhaus equal-degree splitting: f = product of irreducibles of degree d."""
-    p = f.p
-    if f.degree == d:
-        return [f.monic()]
-    e = (p**d - 1) // 2
+def _edf(g: PolyFp, d: int, f: PolyFp, rows: list[list[int]], rng: random.Random
+         ) -> list[PolyFp]:
+    """Cantor-Zassenhaus splitting of g | f, a product of irreducibles of
+    degree d, with the Frobenius rows of f.  As (p^d - 1)/2 = (p - 1)/2 *
+    (1 + p + ... + p^(d-1)), r^((p^d - 1)/2) is the norm r * r^p * ... *
+    r^(p^(d-1)) (d - 1 applications of the rows and d - 1 products mod f)
+    to the power (p - 1)/2 mod g, a power of log2(p) bits, not d log2(p)."""
+    p = g.p
+    if g.degree == d:
+        return [g]
     while True:
-        r = PolyFp.make(p, [rng.randrange(p) for _ in range(f.degree)])
-        if r.degree < 1:
-            continue
-        g = polyfp_gcd(r, f)
-        if 0 < g.degree < f.degree:
+        r = PolyFp.make(p, [rng.randrange(p) for _ in range(g.degree)])
+        h = polyfp_gcd(r, g)
+        if 0 < h.degree < g.degree:
             break
-        h = polyfp_pow_mod(r, e, f) - PolyFp.const(p, 1)
-        g = polyfp_gcd(h, f)
-        if 0 < g.degree < f.degree:
+        t = norm = list(r.coeffs)
+        for _ in range(d - 1):
+            t = _frobenius(t, rows, p)
+            norm = zx_mulmod(t, norm, f.coeffs, p)
+        h = polyfp_gcd(polyfp_pow_mod(PolyFp.make(p, norm), (p - 1) // 2, g)
+                       - PolyFp.const(p, 1), g)
+        if 0 < h.degree < g.degree:
             break
-    other = f.divmod(g)[0]
-    return _edf(g, d, rng) + _edf(other, d, rng)
+    return _edf(h, d, f, rows, rng) + _edf(g.divmod(h)[0], d, f, rows, rng)
 
 
 def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
                    ) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
-    """Cantor-Zassenhaus factorization; returns (unit, monic factors with multiplicity)."""
+    """Cantor-Zassenhaus factorization through the Frobenius matrix of each
+    squarefree part; returns (unit, monic irreducible factors with
+    multiplicity), re-verified by multiplying out."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     rng = rng or random.Random(0xCA2A)
     unit = f.lc()
-    f = f.monic()
     factors: list[tuple[PolyFp, int]] = []
-    for sqf, mult in _squarefree_parts_fp(f):
-        for part, d in _ddf(sqf):
-            for irr in _edf(part, d, rng):
-                factors.append((irr, mult))
+    for sqf, mult in _squarefree_parts_fp(f.monic()):
+        rows = _frobenius_rows(sqf)
+        for part, d in _ddf(sqf, rows):
+            factors.extend((h, mult) for h in _edf(part, d, sqf, rows, rng))
     factors.sort(key=factor_key)
+    if prod((h for h, m in factors for _ in range(m)), start=PolyFp.const(f.p, unit)) != f:
+        raise InternalError(f"factorization over F_{f.p} failed to reconstruct the input")
     return unit, tuple(factors)
-
-
-def is_irreducible_fp(f: PolyFp) -> bool:
-    """Irreducibility via gcds with x**(p**d) - x."""
-    if f.degree < 1:
-        return False
-    p, n = f.p, f.degree
-    f = f.monic()
-    xq = PolyFp.x(p)
-    for _ in range(n):
-        xq = polyfp_pow_mod(xq, p, f)
-    if xq != PolyFp.x(p) % f:
-        return False
-    for d in {n // q for q in factor_int(n).primes()} if n > 1 else set():
-        xq = PolyFp.x(p)
-        for _ in range(d):
-            xq = polyfp_pow_mod(xq, p, f)
-        if polyfp_gcd(xq - PolyFp.x(p), f).degree > 0:
-            return False
-    return True
 
 
 def polyfp_from_string(s: str, p: int) -> PolyFp:

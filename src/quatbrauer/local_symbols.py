@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import islice, zip_longest
 from math import gcd, isqrt
 
 from .errors import BudgetError, DomainError, InternalError
@@ -31,6 +32,7 @@ from .exact_arith import (
     polyfp_pow_mod,
     resultant,
     sqrt_fraction,
+    zx_mulmod,
 )
 
 WITNESS_PRIME_LIMIT = 10**5
@@ -274,33 +276,12 @@ def _polyfp_inverse(a: PolyFp, mod: PolyFp) -> PolyFp:
     return (s0 * PolyFp.const(a.p, inv)) % mod
 
 
-def _poly_coeffs_mod(f: PolyQ, m: int, length: int) -> list[int]:
-    out = []
-    for i in range(length):
-        c = f.coeffs[i] if i < len(f.coeffs) else Fraction(0)
-        out.append(c.numerator * pow(c.denominator, -1, m) % m)
-    return out
+def _poly_coeffs_mod(f: PolyQ, m: int) -> list[int]:
+    return [c.numerator * pow(c.denominator, -1, m) % m for c in f.coeffs]
 
 
-def _zx_mulmod(a: list[int], b: list[int], pi: list[int], m: int) -> list[int]:
-    """Multiply in (Z/m)[x] / (pi), pi monic of degree d = len(pi) - 1."""
-    d = len(pi) - 1
-    out = [0] * (2 * d - 1 if d > 0 else 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(d):
-                out[k - d + i] = (out[k - d + i] - c * pi[i]) % m
-    return [x % m for x in out[:d]]
-
-
-def _zx_sub(a, b, m):
-    return [(x - y) % m for x, y in zip(a, b)]
+def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return [(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _rational_reconstruct(a: int, m: int) -> Fraction | None:
@@ -336,37 +317,25 @@ def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
 
 
 class _LiftState:
-    """Per-sign-pattern Newton lifting of a square root mod (p^e, pi)."""
+    """Per-sign-pattern Newton lifting of a square root mod (p^e, pi); mods(e)
+    is (pi, value) mod p^e as coefficient lists, shared by all patterns."""
 
-    def __init__(self, root: PolyFp, pi: PolyQ, value: PolyQ):
-        self.p = root.p
-        self.pi = pi
-        self.value = value
-        self.exp = 1
-        d = pi.degree
-        self.r = list(root.coeffs) + [0] * (d - len(root.coeffs))
-        two_r = [2 * c % self.p for c in self.r]
-        pimod = polyfp_from_polyq(pi, self.p)
-        inv = _polyfp_inverse(PolyFp.make(self.p, two_r), pimod)
-        self.i = list(inv.coeffs) + [0] * (d - len(inv.coeffs))
+    def __init__(self, root: PolyFp, pim: PolyFp, mods):
+        self.p, self.mods, self.exp = root.p, mods, 1
+        self.r = list(root.coeffs)
+        self.i = list(_polyfp_inverse(root + root, pim).coeffs)
 
     def lift_to(self, exp: int) -> None:
-        d = self.pi.degree
         while self.exp < exp:
             self.exp = min(2 * self.exp, exp)
             m = self.p ** self.exp
-            pim = _poly_coeffs_mod(self.pi, m, d + 1)
-            cm = _poly_coeffs_mod(self.value, m, d)
+            pim, cm = self.mods(self.exp)
             # r <- r - (r^2 - c) * i  (i accurate to half precision suffices)
-            r2 = _zx_mulmod(self.r, self.r, pim, m)
-            err = _zx_sub(r2, cm, m)
-            corr = _zx_mulmod(err, self.i, pim, m)
-            self.r = _zx_sub(self.r, corr, m)
+            err = _zx_sub(zx_mulmod(self.r, self.r, pim, m), cm, m)
+            self.r = _zx_sub(self.r, zx_mulmod(err, self.i, pim, m), m)
             # i <- i * (2 - 2r * i)
-            two_r = [2 * c % m for c in self.r]
-            t = _zx_mulmod(two_r, self.i, pim, m)
-            two = [(2 if k == 0 else 0) - t[k] for k in range(d)]
-            self.i = _zx_mulmod(self.i, [x % m for x in two], pim, m)
+            t = zx_mulmod([2 * c for c in self.r], self.i, pim, m)
+            self.i = zx_mulmod(self.i, _zx_sub([2], t, m), pim, m)
 
     def reconstruct(self) -> PolyQ | None:
         m = self.p ** self.exp
@@ -466,11 +435,13 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
         cof = pim.divmod(h)[0]
         terms.append((_fq_sqrt(vp % h, h, rng) * cof * _polyfp_inverse(cof % h, h)) % pim)
     states = []
+    # pi and the value mod p0^e, once per exponent e for all sign patterns
+    mods = cache(lambda e: (_poly_coeffs_mod(pi, p0**e), _poly_coeffs_mod(value, p0**e)))
     # global sign is free: fix the first factor's sign
     for mask in range(1 << (len(moduli) - 1)):
         root = sum((-t if j and (mask >> (j - 1)) & 1 else t for j, t in enumerate(terms)),
                    PolyFp.const(p0, 0))
-        states.append(_LiftState(root, pi, value))
+        states.append(_LiftState(root, pim, mods))
 
     exp = 16
     witnesses_exhausted = False

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.polys import galoistools as gf
 from sympy.polys.domains import ZZ
 
+from quatbrauer import exact_arith
 from quatbrauer.errors import DomainError, InternalError, ParseError
 from quatbrauer.exact_arith import (
     MAX_POWER_SIZE,
@@ -19,21 +20,23 @@ from quatbrauer.exact_arith import (
     PolyQ,
     discriminant,
     factor_int,
+    factor_key,
     factor_poly_fp,
     factor_poly_q,
     factor_rational,
     fq_char,
-    is_irreducible_fp,
     is_irreducible_q,
     is_prime,
     poly_from_string,
     poly_gcd,
     poly_to_string,
     polyfp_from_string,
+    polyfp_pow_mod,
     polyfp_resultant,
     ratfunc_from_string,
     resultant,
     sqrt_fraction,
+    zx_mulmod,
 )
 
 
@@ -299,8 +302,9 @@ class TestPolyFp:
         assert facs == ((PolyFp.make(5, [2, 1]), 1), (PolyFp.make(5, [3, 1]), 1))
 
     def test_x2_plus_1_mod3_irreducible(self):
-        assert is_irreducible_fp(PolyFp.make(3, [1, 0, 1]))
-        assert not is_irreducible_fp(PolyFp.make(5, [1, 0, 1]))
+        f3 = PolyFp.make(3, [1, 0, 1])
+        assert _irreducible(f3) and factor_poly_fp(f3) == (1, ((f3, 1),))
+        assert not _irreducible(PolyFp.make(5, [1, 0, 1]))
 
     def test_x_cubed(self):
         unit, facs = factor_poly_fp(PolyFp.make(7, [0, 0, 0, 1]))
@@ -321,10 +325,97 @@ class TestPolyFp:
             unit, facs = factor_poly_fp(f, rng)
             prod = PolyFp.const(p, unit)
             for h, m in facs:
-                assert is_irreducible_fp(h) and h.is_monic()
+                assert _irreducible(h) and h.is_monic()
                 for _ in range(m):
                     prod = prod * h
             assert prod == f
+
+
+def _irreducible(h: PolyFp) -> bool:
+    """Irreducibility over F_p by sympy, an oracle independent of the package."""
+    return h.degree > 0 and gf.gf_irreducible_p([int(c) for c in reversed(h.coeffs)], h.p, ZZ)
+
+
+def _sympy_factors(f: PolyFp):
+    """factor_poly_fp's output shape from sympy's galoistools factoring."""
+    lc, facs = gf.gf_factor([int(c) for c in reversed(f.coeffs)], f.p, ZZ)
+    return int(lc), tuple(sorted(((PolyFp.make(f.p, [int(c) for c in reversed(g)]), k)
+                                  for g, k in facs), key=factor_key))
+
+
+def _random_monic(rng, p, n):
+    return PolyFp.make(p, [rng.randrange(p) for _ in range(n)] + [1])
+
+
+# (p, degree cap) of each tier of the F_p(x) benchmark sweep
+FACTOR_TIERS = ((3, 24), (11, 24), (10007, 16), (1000003, 12), (2**31 - 1, 10))
+
+
+class TestFactorPolyFpOracle:
+    @pytest.mark.parametrize("p,cap", FACTOR_TIERS)
+    def test_random_polynomials_match_sympy(self, p, cap):
+        rng = random.Random(p)
+        for n in range(1, cap + 1):
+            f = PolyFp.make(p, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+            assert factor_poly_fp(f) == _sympy_factors(f), f
+
+    @pytest.mark.parametrize("p,cap", FACTOR_TIERS)
+    def test_repeated_and_equal_degree_factors_match_sympy(self, p, cap):
+        rng = random.Random(p + 1)
+        for d in range(1, cap // 2 + 1):
+            # several distinct irreducibles of degree d, one of them squared:
+            # the equal-degree step must split them all
+            irr = []
+            for _ in range(100):
+                h = _random_monic(rng, p, d)
+                if (len(irr) + 2) * d <= cap and _irreducible(h) and h not in irr:
+                    irr.append(h)
+            f = irr[0]
+            for h in irr:
+                f = f * h
+            assert factor_poly_fp(f) == _sympy_factors(f), f
+
+    @pytest.mark.parametrize("p", [3, 11])
+    def test_pth_power_parts_match_sympy(self, p):
+        rng = random.Random(p + 2)
+        for _ in range(20):
+            # g(x^p) = h^p for h with the p-th roots of the coefficients of g,
+            # times a random part that may share factors with h
+            g = _random_monic(rng, p, rng.randint(1, 20 // p))
+            f = PolyFp.make(p, [g.coeffs[i // p] if i % p == 0 else 0
+                                for i in range(p * g.degree + 1)])
+            f = f * _random_monic(rng, p, rng.randint(0, 24 - f.degree))
+            assert factor_poly_fp(f) == _sympy_factors(f), f
+
+    @pytest.mark.parametrize("p,cap", FACTOR_TIERS)
+    def test_frobenius_rows_are_powers_of_x(self, p, cap):
+        rng = random.Random(p + 3)
+        for n in (2, cap // 2, cap):
+            f = _random_monic(rng, p, n)
+            rows = exact_arith._frobenius_rows(f)
+            assert len(rows) == n
+            for i, row in enumerate(rows):
+                assert PolyFp.make(p, row) == polyfp_pow_mod(PolyFp.x(p), i * p, f)
+
+    @pytest.mark.parametrize("m", [10007, 2**31 - 1, 7**40, 10007**9])
+    def test_kernel_matches_polynomial_remainder(self, m):
+        rng = random.Random(m % 1000)
+        for n in range(1, 18):
+            f = [rng.randrange(m) for _ in range(n)] + [1]
+            # zero coefficients in a exercise the sparse-operand skip
+            a = [rng.choice([0, rng.randrange(m)]) for _ in range(rng.randint(0, 2 * n))]
+            b = [rng.randrange(m) for _ in range(rng.randint(0, 2 * n))]
+            want = (PolyQ.make(a) * PolyQ.make(b)) % PolyQ.make(f)
+            assert tuple(zx_mulmod(a, b, f, m)) == \
+                PolyFp.make(m, [int(c) for c in want.coeffs]).coeffs
+
+    def test_wrong_factor_raises_internal_error(self, monkeypatch):
+        # an equal-degree step that returns a wrong factor is caught by the
+        # product check, not passed on
+        monkeypatch.setattr(exact_arith, "_edf",
+                            lambda g, *args: [g + PolyFp.const(g.p, 1)])
+        with pytest.raises(InternalError):
+            factor_poly_fp(PolyFp.make(5, [1, 0, 1]))
 
 
 def test_sqrt_fraction():

@@ -234,6 +234,22 @@ class TestSquareTester:
             assert not v.is_square and v.verified
             assert verify_nonsquare_certificate(c, v.witness)
 
+    def test_lift_reduces_once_per_exponent(self, monkeypatch):
+        # 11 in the Swinnerton-Dyer field lifts 128 sign patterns through six
+        # exponents; pi and the value are reduced once per exponent, shared
+        calls = []
+        reduce = local_symbols._poly_coeffs_mod
+
+        def counted(f, m):
+            calls.append(m)
+            return reduce(f, m)
+
+        monkeypatch.setattr(local_symbols, "_poly_coeffs_mod", counted)
+        c = NumberFieldElem.make(SWINNERTON_DYER, PolyQ.const(11))
+        v = is_square_in_number_field(c)
+        assert not v.is_square and v.verified
+        assert len(calls) == 12 and len(set(calls)) == 6, calls
+
     def test_squares_in_swinnerton_dyer_field(self):
         r = PolyQ.make([1, 1, 0, 1])
         for t in [(r * r) % SWINNERTON_DYER, PolyQ.const(3)]:
@@ -319,10 +335,10 @@ def _count_factorizations(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
 # under `python -O`, which strips `assert` statements.
 REJECTED_CERTIFICATE_SCRIPT = """
 import sys
-from quatbrauer import local_symbols
+from quatbrauer import exact_arith, local_symbols
 from quatbrauer.cli import main
 from quatbrauer.errors import InternalError
-from quatbrauer.exact_arith import PolyQ
+from quatbrauer.exact_arith import PolyFp, PolyQ
 
 assert False, "assert statements must be stripped"
 local_symbols.verify_nonsquare_certificate = lambda c, w: False
@@ -335,6 +351,14 @@ for pi, t in [([1, 0, 1], [3]), ([-2, 0, 0, 1], [0, 1])]:
         print("InternalError")
     else:
         print("verdict", verdict)
+# an F_p[x] factorization that does not multiply back to its input
+edf = exact_arith._edf
+exact_arith._edf = lambda g, *args: [g + PolyFp.const(g.p, 1)]
+try:
+    print("factors", exact_arith.factor_poly_fp(PolyFp.make(5, [1, 0, 1])))
+except InternalError:
+    print("InternalError")
+exact_arith._edf = edf
 print("exit", main(["qx", "residues", "-f", "x^3-2", "-g", "x"]))
 sys.exit(main(["qx", "residues", "-f", "x^2+1", "-g", "3"]))
 """
@@ -353,7 +377,7 @@ def test_rejected_certificate_under_python_O():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-O", "-c", REJECTED_CERTIFICATE_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout.splitlines()[:3] == ["InternalError", "InternalError", "exit 4"], \
+    assert out.stdout.splitlines()[:4] == ["InternalError"] * 3 + ["exit 4"], \
         out.stdout + out.stderr
     assert out.returncode == 4, out.stdout + out.stderr
     assert "internal error" in out.stderr
