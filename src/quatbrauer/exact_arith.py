@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import DomainError, InternalError, ParseError
 
@@ -131,8 +131,8 @@ class FactoredRational:
     probable: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        assert self.sign in (-1, 1)
-        assert all(e != 0 for _, e in self.factors)
+        if self.sign not in (-1, 1) or any(e == 0 for _, e in self.factors):
+            raise DomainError(f"malformed factorization {self.sign} {self.factors}")
 
     def value(self) -> Fraction:
         v = Fraction(self.sign)
@@ -187,7 +187,9 @@ def factor_rational(q: Fraction | int, rng: random.Random | None = None) -> Fact
 
 @dataclass(frozen=True)
 class PolyQ:
-    """Dense polynomial over Q, coefficients low degree first, trimmed."""
+    """Dense polynomial over Q, coefficients low degree first, trimmed.  The
+    ring operations clear denominators and run on integer numerators over one
+    common denominator; only their outputs are Fractions."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -226,11 +228,9 @@ class PolyQ:
         return self if c == 1 else PolyQ.make([a / c for a in self.coeffs])
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return PolyQ.make(a)
+        (a, da), (b, db) = _numerators(self), _numerators(other)
+        return _from_numerators([u * db + v * da for u, v in zip_longest(a, b, fillvalue=0)],
+                                da * db)
 
     def __neg__(self) -> "PolyQ":
         return PolyQ(tuple(-c for c in self.coeffs))
@@ -239,15 +239,8 @@ class PolyQ:
         return self + (-other)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero() or other.is_zero():
-            return PolyQ(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ.make(out)
+        (a, da), (b, db) = _numerators(self), _numerators(other)
+        return _from_numerators(_product(a, b), da * db)
 
     def scale(self, c) -> "PolyQ":
         return PolyQ.make([a * Fraction(c) for a in self.coeffs])
@@ -255,31 +248,18 @@ class PolyQ:
     def __pow__(self, n: int) -> "PolyQ":
         if n < 0:
             raise DomainError("negative power of a polynomial")
-        r, b = PolyQ.const(1), self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, PolyQ.const(1))
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
+        """(q, r), self = q * other + r and deg r < deg other, by pseudo-division
+        of the integer numerators (s * a = q * b + r, s a power of lc(b) and 1
+        for a monic integer b) and one Fraction per output coefficient."""
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d, lc = other.degree, other.lc()
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                r[k + i] -= c * b
-        return PolyQ.make(q), PolyQ.make(r)
+        (a, da), (b, db) = _numerators(self), _numerators(other)
+        q, s = _pseudo_reduce(a, b)
+        return (_from_numerators([c * db for c in q], s * da),
+                _from_numerators(a[:len(b) - 1], s * da))
 
     def __mod__(self, other: "PolyQ") -> "PolyQ":
         return self.divmod(other)[1]
@@ -297,6 +277,47 @@ class PolyQ:
         return poly_to_string(self)
 
 
+def _numerators(f: PolyQ) -> tuple[list[int], int]:
+    """(a, d): the integer numerators a of f over the common denominator d."""
+    d = lcm(*(c.denominator for c in f.coeffs))
+    return [c.numerator * (d // c.denominator) for c in f.coeffs], d
+
+
+def _from_numerators(a: list[int], d: int) -> PolyQ:
+    """The PolyQ a / d, trailing zeros of a dropped."""
+    while a and not a[-1]:
+        a.pop()
+    return PolyQ(tuple(Fraction(c, d) for c in a))
+
+
+def _pseudo_reduce(r: list[int], b: list[int]) -> tuple[list[int], int]:
+    """Pseudo-divide r by b over Z in place: returns (q, s) with s * r = q * b
+    + r[:deg b] afterwards.  s = lc(b)^k multiplies in only at a step whose
+    leading term lc(b) does not divide, so a monic b never scales."""
+    d, lc = len(b) - 1, b[-1]
+    q, s = [0] * max(0, len(r) - d), 1
+    for k in range(len(q) - 1, -1, -1):
+        c, t = divmod(r[k + d], lc)
+        if t:
+            c = r[k + d]
+            r[:k + d] = [u * lc for u in r[:k + d]]
+            q[k + 1:] = [u * lc for u in q[k + 1:]]
+            s *= lc
+        q[k] = c
+        if c:
+            r[k:k + d] = [u - c * v for u, v in zip(r[k:k + d], b)]
+    return q, s
+
+
+def power(base, n: int, one):
+    """base^n for n >= 0 (one when n = 0): left-to-right square and multiply
+    from the base, so n = 1 takes no product and n = 2 one."""
+    out = base if n else one
+    for bit in bin(n)[3:]:
+        out = out * out * base if bit == "1" else out * out
+    return out
+
+
 def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
     """Monic gcd over Q (monic of the nonzero one if the other is zero)."""
     while not g.is_zero():
@@ -308,15 +329,14 @@ def resultant(f: PolyQ, g: PolyQ) -> Fraction:
     """Resultant over Q via the Euclidean recursion."""
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial")
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    r = f % g
-    if r.is_zero():
-        return Fraction(0)
-    sign = -1 if (f.degree * g.degree) % 2 else 1
-    return sign * g.lc() ** (f.degree - r.degree) * resultant(g, r)
+    acc = Fraction(1)
+    while g.degree > 0:
+        r = f % g
+        if r.is_zero():
+            return Fraction(0)
+        acc *= (-1) ** (f.degree * g.degree) * g.lc() ** (f.degree - r.degree)
+        f, g = g, r
+    return acc * g.coeffs[0] ** f.degree
 
 
 def discriminant(f: PolyQ) -> Fraction:
@@ -368,7 +388,7 @@ class RatFuncQ:
         return isinstance(o, RatFuncQ) and self.num * o.den == o.num * self.den
 
 
-# -- text and sympy boundary -------------------------------------------------
+# -- text --------------------------------------------------------------------
 
 # A power whose exponent times the size of its base (coefficient bits plus one
 # per coefficient) exceeds MAX_POWER_SIZE is a ParseError, so that neither
@@ -475,17 +495,6 @@ def ratfunc_from_string(s: str) -> tuple[PolyQ, PolyQ]:
     return num.scale(1 / den.lc()), den.monic()
 
 
-def _to_sympy(f: PolyQ):
-    import sympy  # only Q[x] factoring needs sympy; its import dominates a CLI call
-    return sympy.Poly([sympy.Rational(c) for c in reversed(f.coeffs)] or [0],
-                      sympy.Symbol("x"), domain="QQ")
-
-
-def _from_sympy(p) -> PolyQ:
-    return PolyQ.make([Fraction(int(c.numerator), int(c.denominator))
-                       for c in reversed(p.all_coeffs())])
-
-
 def poly_to_string(f: PolyQ) -> str:
     if f.is_zero():
         return "0"
@@ -498,15 +507,9 @@ def poly_to_string(f: PolyQ) -> str:
             term = str(c) if c > 0 else f"- {-c}" if parts else str(c)
         else:
             xpow = "x" if i == 1 else f"x^{i}"
-            if abs(c) == 1:
-                mag = xpow
-            else:
-                mag = f"{abs(c)}*{xpow}"
+            mag = xpow if abs(c) == 1 else f"{abs(c)}*{xpow}"
             term = mag if c > 0 else (f"- {mag}" if parts else f"-{mag}")
-        if parts and c > 0:
-            parts.append("+ " + term)
-        else:
-            parts.append(term)
+        parts.append("+ " + term if parts and c > 0 else term)
     return " ".join(parts)
 
 
@@ -520,10 +523,7 @@ class FactorizationQ:
     factors: tuple[tuple[PolyQ, int], ...]
 
     def value(self) -> PolyQ:
-        prod = PolyQ.const(self.unit)
-        for f, m in self.factors:
-            prod = prod * f**m
-        return prod
+        return prod((f**m for f, m in self.factors), start=PolyQ.const(self.unit))
 
 
 def factor_key(fm):
@@ -534,11 +534,11 @@ def factor_key(fm):
 
 
 def factor_poly_q(f: PolyQ) -> FactorizationQ:
-    """Exact factorization into monic irreducibles over Q.
+    """Exact factorization into monic irreducibles over Q, unit lc(f).
 
-    Delegates to sympy's Zassenhaus-style machinery (squarefree split,
-    mod-p factorization, Hensel lifting, recombination) and re-verifies the
-    product before returning.
+    sympy's `dup_zz_factor` (squarefree split, mod-p factorization, Hensel
+    lifting, recombination) factors the integer numerators of f; content *
+    prod g^m is multiplied back in integers before the factors are made monic.
     """
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
@@ -547,20 +547,21 @@ def factor_poly_q(f: PolyQ) -> FactorizationQ:
             f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
     if f.degree == 0:
         return FactorizationQ(f.coeffs[0], ())
-    unit_s, facs_s = _to_sympy(f).factor_list()
-    unit = Fraction(int(unit_s.numerator), int(unit_s.denominator))
-    factors = []
-    for g, m in facs_s:
-        gq = _from_sympy(g)
-        if not gq.is_monic():
-            unit *= gq.lc() ** m
-            gq = gq.monic()
-        factors.append((gq, int(m)))
-    factors.sort(key=factor_key)
-    result = FactorizationQ(unit, tuple(factors))
-    if result.value() != f:
+    # only Q[x] factoring needs sympy; its import dominates a CLI call
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_factor
+    a, _ = _numerators(f)
+    content, facs = dup_zz_factor([ZZ(c) for c in reversed(a)], ZZ)
+    check, factors = [int(content)], []
+    for g, m in facs:
+        g = [int(c) for c in reversed(g)]
+        for _ in range(m):
+            check = _product(check, g)
+        factors.append((PolyQ(tuple(Fraction(c, g[-1]) for c in g)), int(m)))
+    if check != a:
         raise InternalError("factorization failed to reconstruct input")
-    return result
+    factors.sort(key=factor_key)
+    return FactorizationQ(f.lc(), tuple(factors))
 
 
 def is_irreducible_q(f: PolyQ) -> bool:
@@ -721,21 +722,20 @@ def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
 
 
 def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
-    """Resultant over F_p via the Euclidean recursion, as an integer in [0, p);
-    0 when f or g is zero."""
+    """Resultant over F_p via the Euclidean recursion on coefficient lists,
+    as an integer in [0, p); 0 when f or g is zero."""
     if f.is_zero() or g.is_zero():
         return 0
-    p, acc = f.p, 1
-    while f.degree > 0 and g.degree > 0:
-        r = f % g
-        if r.is_zero():
+    p, acc, a, b = f.p, 1, list(f.coeffs), list(g.coeffs)
+    while len(b) > 1:  # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
+        _reduce(a, b, p, pow(b[-1], -1, p))
+        r = _trimmed(a[:len(b) - 1], p)
+        if not r:
             return 0
-        sign = -1 if (f.degree * g.degree) % 2 else 1
-        acc = acc * sign * pow(g.lc(), f.degree - r.degree, p) % p
-        f, g = g, r
-    if f.degree == 0:
-        return acc * pow(f.coeffs[0], g.degree, p) % p
-    return acc * pow(g.coeffs[0], f.degree, p) % p
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+        acc = acc * sign * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return acc * pow(b[0], len(a) - 1, p) % p
 
 
 def fq_char(t: PolyFp, h: PolyFp) -> int:

@@ -30,6 +30,7 @@ from .exact_arith import (
     polyfp_from_polyq,
     polyfp_gcd,
     polyfp_pow_mod,
+    power,
     resultant,
     sqrt_fraction,
     zx_mulmod,
@@ -165,7 +166,8 @@ class NumberFieldElem:
         return self.value.is_zero()
 
     def __mul__(self, other: "NumberFieldElem") -> "NumberFieldElem":
-        assert self.modulus == other.modulus
+        if self.modulus != other.modulus:
+            raise DomainError("product of elements of different number fields")
         return NumberFieldElem(self.modulus, (self.value * other.value) % self.modulus)
 
     def inverse(self) -> "NumberFieldElem":
@@ -183,15 +185,8 @@ class NumberFieldElem:
         return NumberFieldElem(self.modulus, s0.scale(1 / r0.coeffs[0]) % self.modulus)
 
     def __pow__(self, n: int) -> "NumberFieldElem":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = NumberFieldElem(self.modulus, PolyQ.const(1))
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self if n >= 0 else self.inverse(), abs(n),
+                     NumberFieldElem(self.modulus, PolyQ.const(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +312,13 @@ def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
 
 
 class _LiftState:
-    """Per-sign-pattern Newton lifting of a square root mod (p^e, pi); mods(e)
-    is (pi, value) mod p^e as coefficient lists, shared by all patterns."""
+    """Per-sign-pattern Newton lifting of a square root r mod (p^e, pi), from
+    r and 1/(2r) mod (p, pi); mods(e) is (pi, value) mod p^e as coefficient
+    lists, shared by all patterns."""
 
-    def __init__(self, root: PolyFp, pim: PolyFp, mods):
+    def __init__(self, root: PolyFp, inv: PolyFp, mods):
         self.p, self.mods, self.exp = root.p, mods, 1
-        self.r = list(root.coeffs)
-        self.i = list(_polyfp_inverse(root + root, pim).coeffs)
+        self.r, self.i = list(root.coeffs), list(inv.coeffs)
 
     def lift_to(self, exp: int) -> None:
         while self.exp < exp:
@@ -430,18 +425,23 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
             best = (p, moduli)
     p0, moduli = best
     pim, vp = polyfp_from_polyq(pi, p0), polyfp_from_polyq(value, p0)
-    terms = []  # CRT: the root mod h, times the idempotent of h in F_p[x]/(pi)
+    # CRT: the root s mod h and 1/(2s) mod h, times the idempotent of h in
+    # F_p[x]/(pi); a sign pattern flips both, so no pattern inverts anything
+    terms = []
     for h in moduli:
         cof = pim.divmod(h)[0]
-        terms.append((_fq_sqrt(vp % h, h, rng) * cof * _polyfp_inverse(cof % h, h)) % pim)
+        idem = cof * _polyfp_inverse(cof % h, h)
+        s = _fq_sqrt(vp % h, h, rng)
+        terms.append(((s * idem) % pim, (_polyfp_inverse(s + s, h) * idem) % pim))
     states = []
+    zero = PolyFp.const(p0, 0)
     # pi and the value mod p0^e, once per exponent e for all sign patterns
     mods = cache(lambda e: (_poly_coeffs_mod(pi, p0**e), _poly_coeffs_mod(value, p0**e)))
     # global sign is free: fix the first factor's sign
     for mask in range(1 << (len(moduli) - 1)):
-        root = sum((-t if j and (mask >> (j - 1)) & 1 else t for j, t in enumerate(terms)),
-                   PolyFp.const(p0, 0))
-        states.append(_LiftState(root, pim, mods))
+        signed = [(-r, -i) if j and (mask >> (j - 1)) & 1 else (r, i)
+                  for j, (r, i) in enumerate(terms)]
+        states.append(_LiftState(*(sum(col, zero) for col in zip(*signed)), mods))
 
     exp = 16
     witnesses_exhausted = False

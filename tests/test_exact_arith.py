@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys import galoistools as gf
 from sympy.polys.domains import ZZ
@@ -65,6 +65,12 @@ class TestFactorInt:
     def test_negative(self):
         fz = factor_int(-45)
         assert fz.sign == -1 and fz.factors == ((3, 2), (5, 1))
+
+    @pytest.mark.parametrize("sign,factors", [(0, ()), (2, ()), (1, ((2, 0),)),
+                                              (-1, ((3, 1), (5, 0)))])
+    def test_malformed_factorization_rejected(self, sign, factors):
+        with pytest.raises(DomainError):
+            FactoredRational(sign, factors)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -286,6 +292,95 @@ class TestFactorPolyQ:
                 f = f * PolyQ.make([rng.randint(-4, 4)
                                     for _ in range(rng.randint(1, 3))] + [1])
             assert factor_poly_q(f).value() == f
+
+
+# -- the integer path of Q[x] against sympy's QQ[x] ---------------------------
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+NONZERO = RATIONALS.filter(lambda c: c != 0)
+# possibly zero; any degree up to 8
+POLYS = st.lists(RATIONALS, max_size=9)
+# nonzero: rational, non-monic and negative leading coefficients
+DIVISORS = st.builds(lambda cs, lc: cs + [lc], st.lists(RATIONALS, max_size=5), NONZERO)
+
+
+def _qq(f: PolyQ):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(f.coeffs)] or [0], X, domain="QQ")
+
+
+def _from_qq(p) -> PolyQ:
+    return PolyQ.make([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+def _sympy_factorization(f: PolyQ):
+    """(unit, monic factors sorted by factor_key) from sympy's factor_list."""
+    unit, facs = sympy.factor_list(_qq(f).as_expr(), X)
+    unit, out = Fraction(int(unit.p), int(unit.q)), []
+    for g, m in facs:
+        g = _from_qq(sympy.Poly(g, X, domain="QQ"))
+        unit *= g.lc() ** m
+        out.append((g.monic(), m))
+    return unit, tuple(sorted(out, key=factor_key))
+
+
+class TestIntegerPathOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, POLYS)
+    @example([], [1, 2])
+    @example([Fraction(1, 3), -2], [Fraction(-5, 7), 0, Fraction(3, 2)])
+    def test_ring_operations_match_sympy(self, a, b):
+        f, g = PolyQ.make(a), PolyQ.make(b)
+        assert f * g == _from_qq(_qq(f).mul(_qq(g)))
+        assert f + g == _from_qq(_qq(f).add(_qq(g)))
+        assert f - g == _from_qq(_qq(f).sub(_qq(g)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(POLYS, DIVISORS)
+    @example([], [3, -2])                                  # zero dividend
+    @example([1, 2], [0, 0, Fraction(2, 3)])               # deg a < deg b
+    @example([5, 0, 0, 7, 1], [1, 0, 1])                   # monic integer divisor
+    @example([1, 1, 1, 1, 1, 1], [1, 0, -3])               # negative lc
+    @example([Fraction(1, 2), 0, 0, 0, 0, 3], [Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4)])
+    def test_divmod_matches_sympy(self, a, b):
+        f, g = PolyQ.make(a), PolyQ.make(b)
+        q, r = f.divmod(g)
+        want_q, want_r = _qq(f).div(_qq(g))
+        assert (q, r) == (_from_qq(want_q), _from_qq(want_r))
+        assert f % g == r
+
+    @settings(max_examples=60, deadline=None)
+    @given(NONZERO, st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+                                       st.integers(-5, 5).filter(bool),
+                                       st.integers(1, 2)), min_size=1, max_size=3))
+    @example(Fraction(-7, 6), [([1, 2], 2, 1), ([-1, 0, 3], 1, 1)])
+    def test_factor_matches_sympy(self, content, parts):
+        # content times non-monic factors, some repeated: degree at most 18
+        f = PolyQ.const(content)
+        for cs, lc, m in parts:
+            f = f * PolyQ.make(cs + [lc]) ** m
+        fz = factor_poly_q(f)
+        assert (fz.unit, fz.factors) == _sympy_factorization(f)
+        assert fz.value() == f and fz.unit == f.lc()
+
+    def test_wrong_factor_raises_internal_error(self, monkeypatch):
+        from sympy.polys import factortools
+        monkeypatch.setattr(factortools, "dup_zz_factor",
+                            lambda f, K: (K.one, [([K.one, K.zero, K(2)], 1)]))
+        with pytest.raises(InternalError):
+            factor_poly_q(PolyQ.make([1, 0, 1]))
+
+    @pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (5, 3), (6, 3), (8, 3)])
+    def test_power_products(self, monkeypatch, e, products):
+        base = PolyQ.make([Fraction(-1, 2), 1, 3])
+        want = PolyQ.const(1)
+        for _ in range(e):
+            want = want * base
+        calls = []
+        mul = PolyQ.__mul__
+        monkeypatch.setattr(PolyQ, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert base ** e == want
+        assert len(calls) == products
 
 
 class TestPolyFp:
@@ -511,3 +606,38 @@ class TestNormLegendre:
     def test_resultant_zero_on_common_factor(self, p, a, b, c):
         fa, fb, fc = (PolyFp.make(p, cs + [1]) for cs in (a, b, c))
         assert polyfp_resultant(fa * fc, fb * fc) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(CHAR_PRIMES), *[st.lists(st.integers(0, 2**31), max_size=9)] * 2)
+    @example(7, [3], [5])
+    @example(7, [3], [1, 2, 1])
+    @example(11, [1, 2, 1], [4])
+    def test_resultant_matches_sylvester_determinant(self, p, a, b):
+        fa, fb = PolyFp.make(p, a), PolyFp.make(p, b)
+        if fa.is_zero() or fb.is_zero():
+            assert polyfp_resultant(fa, fb) == 0
+        else:
+            assert polyfp_resultant(fa, fb) == _sylvester_det(fa.coeffs, fb.coeffs, p)
+
+
+def _sylvester_det(f, g, p):
+    """Res(f, g) mod p as the determinant of the Sylvester matrix of the
+    coefficient lists f, g (low degree first), by elimination mod p."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)] + \
+        [[0] * i + list(g[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    det = 1
+    for col in range(m + n):
+        piv = next((r for r in range(col, m + n) if rows[r][col] % p), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, m + n):
+            c = rows[r][col] * inv % p
+            if c:
+                rows[r] = [(u - c * v) % p for u, v in zip(rows[r], rows[col])]
+    return det % p

@@ -132,6 +132,28 @@ class TestNumberFieldElem:
         e = NumberFieldElem.make(GAUSS, PolyQ.make([0, 0, 1]))  # x^2 = -1
         assert e.value == PolyQ.const(-1)
 
+    def test_product_across_fields_rejected(self):
+        a = NumberFieldElem.make(GAUSS, PolyQ.make([1, 1]))
+        with pytest.raises(DomainError):
+            a * NumberFieldElem.make(SQRT2, PolyQ.make([1, 1]))
+
+    @pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
+    def test_power_products(self, monkeypatch, e, products):
+        # left-to-right square and multiply from the base: no product for
+        # e = 1, one for e = 2, three for e = 5
+        base = PolyQ.make([1, 1, Fraction(1, 2)])
+        want = PolyQ.const(1)
+        for _ in range(e):
+            want = want * base % CBRT2
+        calls = []
+        mul = NumberFieldElem.__mul__
+        monkeypatch.setattr(NumberFieldElem, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        assert (NumberFieldElem.make(CBRT2, base) ** e).value == want
+        assert len(calls) == products
+        inv = NumberFieldElem.make(CBRT2, base).inverse()
+        assert (NumberFieldElem.make(CBRT2, base) ** -e).value == (inv ** e).value
+
     def test_inverse_random(self):
         rng = random.Random(10)
         for _ in range(30):
@@ -250,6 +272,23 @@ class TestSquareTester:
         assert not v.is_square and v.verified
         assert len(calls) == 12 and len(set(calls)) == 6, calls
 
+    def test_lift_inverts_once_per_factor(self, monkeypatch):
+        # 11 in the Swinnerton-Dyer field: pi has 8 factors mod the lifting
+        # prime, so 8 idempotents and 8 inverses of 2s mod h; none of the 128
+        # sign patterns inverts anything
+        calls = []
+        inverse = local_symbols._polyfp_inverse
+
+        def counted(a, mod):
+            calls.append(mod.degree)
+            return inverse(a, mod)
+
+        monkeypatch.setattr(local_symbols, "_polyfp_inverse", counted)
+        c = NumberFieldElem.make(SWINNERTON_DYER, PolyQ.const(11))
+        v = is_square_in_number_field(c)
+        assert not v.is_square and v.verified
+        assert len(calls) == 16 and max(calls) < SWINNERTON_DYER.degree, calls
+
     def test_squares_in_swinnerton_dyer_field(self):
         r = PolyQ.make([1, 1, 0, 1])
         for t in [(r * r) % SWINNERTON_DYER, PolyQ.const(3)]:
@@ -337,7 +376,7 @@ REJECTED_CERTIFICATE_SCRIPT = """
 import sys
 from quatbrauer import exact_arith, local_symbols
 from quatbrauer.cli import main
-from quatbrauer.errors import InternalError
+from quatbrauer.errors import DomainError, InternalError
 from quatbrauer.exact_arith import PolyFp, PolyQ
 
 assert False, "assert statements must be stripped"
@@ -359,6 +398,24 @@ try:
 except InternalError:
     print("InternalError")
 exact_arith._edf = edf
+# a Q[x] factorization that does not multiply back to its input
+from sympy.polys import factortools
+zz_factor = factortools.dup_zz_factor
+factortools.dup_zz_factor = lambda f, K: (K.one, [([K.one, K.zero, K(2)], 1)])
+try:
+    print("factors", exact_arith.factor_poly_q(PolyQ.make([1, 0, 1])))
+except InternalError:
+    print("InternalError")
+factortools.dup_zz_factor = zz_factor
+# malformed inputs are refused with or without assert statements
+gauss = local_symbols.NumberFieldElem.make(PolyQ.make([1, 0, 1]), PolyQ.make([1, 1]))
+sqrt2 = local_symbols.NumberFieldElem.make(PolyQ.make([-2, 0, 1]), PolyQ.make([1, 1]))
+for bad in (lambda: gauss * sqrt2, lambda: exact_arith.FactoredRational(0, ()),
+            lambda: exact_arith.FactoredRational(1, ((2, 0),))):
+    try:
+        print("accepted", bad())
+    except DomainError:
+        print("DomainError")
 print("exit", main(["qx", "residues", "-f", "x^3-2", "-g", "x"]))
 sys.exit(main(["qx", "residues", "-f", "x^2+1", "-g", "3"]))
 """
@@ -377,7 +434,8 @@ def test_rejected_certificate_under_python_O():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-O", "-c", REJECTED_CERTIFICATE_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout.splitlines()[:4] == ["InternalError"] * 3 + ["exit 4"], \
+    assert out.stdout.splitlines()[:8] == \
+        ["InternalError"] * 4 + ["DomainError"] * 3 + ["exit 4"], \
         out.stdout + out.stderr
     assert out.returncode == 4, out.stdout + out.stderr
     assert "internal error" in out.stderr
