@@ -93,9 +93,6 @@ class BrauerClassQ:
         # index equals exponent over number fields (AHBN)
         return self.exponent()
 
-    def local_orders(self) -> tuple[tuple[PlaceQ, int], ...]:
-        return tuple((p, v.denominator) for p, v in self.invariants)
-
     def to_json(self) -> dict:
         return {"invariants": [{"place": str(p), "inv": str(v)}
                                for p, v in self.invariants]}

@@ -271,10 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     q1.add_argument("-g", required=True)
     q1.set_defaults(func=cmd_qx_residues)
     q2 = qsub.add_parser("isom")
-    q2.add_argument("-f1", required=True)
-    q2.add_argument("-g1", required=True)
-    q2.add_argument("-f2", required=True)
-    q2.add_argument("-g2", required=True)
+    for entry in ("-f1", "-g1", "-f2", "-g2"):
+        q2.add_argument(entry, required=True)
     q2.set_defaults(func=cmd_qx_isom)
     q3 = qsub.add_parser("specialize")
     q3.add_argument("-f", required=True)
@@ -291,10 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     f1.set_defaults(func=cmd_ffx_residues)
     f2 = fsub.add_parser("isom")
     f2.add_argument("--char", type=int, required=True)
-    f2.add_argument("-f1", required=True)
-    f2.add_argument("-g1", required=True)
-    f2.add_argument("-f2", required=True)
-    f2.add_argument("-g2", required=True)
+    for entry in ("-f1", "-g1", "-f2", "-g2"):
+        f2.add_argument(entry, required=True)
     f2.set_defaults(func=cmd_ffx_isom)
 
     ps = sub.add_parser("selftest", help="run the seeded property suites")

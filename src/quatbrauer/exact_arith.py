@@ -242,6 +242,13 @@ class PolyQ:
         (a, da), (b, db) = _numerators(self), _numerators(other)
         return _from_numerators(_product(a, b), da * db)
 
+    def mulmod(self, other: "PolyQ", m: "PolyQ") -> "PolyQ":
+        """self * other mod m on integer numerators, one Fraction per coefficient."""
+        (a, da), (b, db), (c, _) = _numerators(self), _numerators(other), _numerators(m)
+        r = _product(a, b)
+        s = _pseudo_reduce(r, c)[1]  # reduces r in place
+        return _from_numerators(r[:len(c) - 1], s * da * db)
+
     def scale(self, c) -> "PolyQ":
         return PolyQ.make([a * Fraction(c) for a in self.coeffs])
 
@@ -337,12 +344,6 @@ def resultant(f: PolyQ, g: PolyQ) -> Fraction:
         acc *= (-1) ** (f.degree * g.degree) * g.lc() ** (f.degree - r.degree)
         f, g = g, r
     return acc * g.coeffs[0] ** f.degree
-
-
-def discriminant(f: PolyQ) -> Fraction:
-    d = f.degree
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc()
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,12 +563,6 @@ def factor_poly_q(f: PolyQ) -> FactorizationQ:
         raise InternalError("factorization failed to reconstruct input")
     factors.sort(key=factor_key)
     return FactorizationQ(f.lc(), tuple(factors))
-
-
-def is_irreducible_q(f: PolyQ) -> bool:
-    if f.degree < 1:
-        return False
-    return [m for _, m in factor_poly_q(f).factors] == [1]
 
 
 # ---------------------------------------------------------------------------

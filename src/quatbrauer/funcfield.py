@@ -6,7 +6,7 @@ the degree place at infinity of F_p(x).  The tame symbol of (f, g) at a
 place is returned as (base, exponent) terms whose bases are units there;
 each base field reduces them into its own residue field and decides the
 square class: `funcfield_fp` by the norm-Legendre character, `funcfield_q`
-by the certified square test in Q[x]/(pi).
+by the certified square test in Q[x]/(pi), both on `odd_tame_bases`.
 """
 
 from __future__ import annotations
@@ -150,3 +150,13 @@ def tame_terms(f: FactoredFunc, g: FactoredFunc, v: Place) -> list[tuple[Poly, i
         terms += [(fac, m * vg) for fac, m in f.factors if fac != v.modulus]
         terms += [(fac, -m * vf) for fac, m in g.factors if fac != v.modulus]
     return terms
+
+
+def odd_tame_bases(v: Place, *pairs: tuple[FactoredFunc, FactoredFunc]) -> list[Poly]:
+    """The bases whose tame-term exponents, summed over all (f, g) pairs at v,
+    are odd.  Their product is that of the pairs' tame symbols up to squares,
+    as prod b^e = prod b^(e mod 2) * (prod b^(e div 2))^2; equal bases merge."""
+    exps: dict[Poly, int] = {}
+    for base, e in (t for f, g in pairs for t in tame_terms(f, g, v)):
+        exps[base] = exps.get(base, 0) + e
+    return [base for base, e in exps.items() if e % 2]

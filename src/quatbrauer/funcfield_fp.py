@@ -10,10 +10,11 @@ Reciprocity (product of all residues = +1) is checked on every class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DomainError, InternalError
 from .exact_arith import PolyFp, fq_char
-from .funcfield import FactoredFunc, Place, places, tame_terms
+from .funcfield import FactoredFunc, Place, odd_tame_bases, places
 
 FactoredFuncFp = FactoredFunc  # the name callers of this module import
 
@@ -22,15 +23,11 @@ def residue_fp(f: FactoredFunc, g: FactoredFunc, v: Place) -> int:
     """Tame residue character value at v: the quadratic character of
     (-1)^(v(f)v(g)) f^v(g) g^(-v(f)) in the residue field F_p[x]/(h).
 
-    The character is multiplicative, so each tame term with an odd exponent
-    counts fq_char(base, h); a constant c counts (c^deg h / p).  At infinity
-    h = x and only -1 and the constants appear."""
+    The character is multiplicative, so each odd tame base counts
+    fq_char(base, h); a constant c counts (c^deg h / p).  At infinity h = x
+    and only -1 and the constants appear."""
     h = PolyFp.x(f.p) if v.modulus is None else v.modulus
-    value = 1
-    for base, e in tame_terms(f, g, v):
-        if e % 2:
-            value *= fq_char(base, h)
-    return value
+    return prod(fq_char(base, h) for base in odd_tame_bases(v, (f, g)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Quaternion algebras over Q(x): tame residues, specialization, isomorphism.
 
-The decision procedure works in two steps.  Residue characters at every
-finite place (monic irreducible polynomial) are compared first; equal
-residues mean the difference class is constant, and a single specialization
-at a unit point then decides the constant part inside Br(Q) via its local
-invariant vector.
+The decision procedure works in two steps.  Residues at every finite place
+(monic irreducible polynomial) are compared first, by exponent parity, with
+one certified square test per place whose odd tame bases survive; equal
+residues mean the difference class is constant, and one specialization at a
+unit point then decides it inside Br(Q) via its local invariant vector.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from itertools import count
 
 from .brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from .errors import DomainError
-from .exact_arith import PolyQ, RatFuncQ
-from .funcfield import FactoredFunc, Place, places, tame_terms
+from .exact_arith import PolyQ, RatFuncQ, sqrt_fraction
+from .funcfield import FactoredFunc, Place, odd_tame_bases, places, tame_terms
 from .local_symbols import (
     NumberFieldElem,
     SquareClassVerdict,
@@ -80,15 +80,21 @@ def residue_at(D: QuaternionFF, v: Place,
     return ResidueCharacter(v, t, verdict.is_square, verdict)
 
 
+def _square_class(v: Place, *algebras: QuaternionFF) -> NumberFieldElem | None:
+    """The product of the algebras' tame symbols at v up to squares: the odd
+    tame bases multiplied in Q[x]/(pi), or None when that is a rational square
+    (the empty product included), which needs no certificate."""
+    acc = NumberFieldElem.make(v.modulus, PolyQ.const(1))
+    for base in odd_tame_bases(v, *((D.f, D.g) for D in algebras)):
+        acc = acc * NumberFieldElem.make(v.modulus, base)
+    rational_square = acc.value.degree == 0 and sqrt_fraction(acc.value.coeffs[0]) is not None
+    return None if rational_square else acc
+
+
 def ramification_set(D: QuaternionFF,
                      rng: random.Random | None = None) -> list[ResidueCharacter]:
     """Nontrivial residue characters; only places dividing f or g can ramify."""
-    out = []
-    for v in D.places():
-        ch = residue_at(D, v, rng)
-        if not ch.trivial:
-            out.append(ch)
-    return out
+    return [ch for ch in (residue_at(D, v, rng) for v in D.places()) if not ch.trivial]
 
 
 def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
@@ -134,20 +140,17 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
                      rng: random.Random | None = None) -> IsomorphismVerdict:
     """Decide isomorphism of two quaternion algebras over Q(x).
 
-    Step 1 compares residue characters at every place dividing any entry;
-    a mismatch is a witness.  Step 2 (equal residues) specializes both at
-    the smallest common unit point and compares the constant classes in
-    Br(Q) as local invariant vectors.
+    Step 1 compares residues at every place dividing any entry: t1/t2 lies in
+    the square class `_square_class(v, D1, D2)`, and a nonsquare one is a
+    witness, reported with both tame symbols.  Step 2 (equal residues)
+    specializes both at the smallest common unit point and compares the
+    constant classes in Br(Q) as local invariant vectors.
     """
     for v in places(D1.f, D1.g, D2.f, D2.g):
-        t1, t2 = tame_symbol(D1, v), tame_symbol(D2, v)
-        ratio = t1 * t2  # t1/t2 up to the square t2^2
-        if ratio.value == PolyQ.const(1):
-            continue
-        verdict = is_square_in_number_field(ratio, rng=rng)
-        if not verdict.is_square:
+        ratio = _square_class(v, D1, D2)
+        if ratio is not None and not is_square_in_number_field(ratio, rng=rng).is_square:
             return IsomorphismVerdict(
-                False, witness_place=v, witness_symbols=(t1, t2),
+                False, witness_place=v, witness_symbols=(tame_symbol(D1, v), tame_symbol(D2, v)),
                 citations=("Faddeev exact sequence (residue comparison)",))
     alpha = next(_unit_points([D1.f, D1.g, D2.f, D2.g]))
     c1 = class_of_quaternion(specialize(D1, alpha))
@@ -168,7 +171,8 @@ def is_division_qx(D: QuaternionFF, rng: random.Random | None = None
     """A quaternion over Q(x) is division iff its class is nonzero: some
     residue is nontrivial, or the constant specialization is nonzero."""
     for v in D.places():
-        if not residue_at(D, v, rng).trivial:
+        c = _square_class(v, D)
+        if c is not None and not is_square_in_number_field(c, rng=rng).is_square:
             return True, f"ramified at {v}"
     alpha = next(_unit_points([D.f, D.g]))
     cls = class_of_quaternion(specialize(D, alpha))

@@ -168,7 +168,7 @@ class NumberFieldElem:
     def __mul__(self, other: "NumberFieldElem") -> "NumberFieldElem":
         if self.modulus != other.modulus:
             raise DomainError("product of elements of different number fields")
-        return NumberFieldElem(self.modulus, (self.value * other.value) % self.modulus)
+        return NumberFieldElem(self.modulus, self.value.mulmod(other.value, self.modulus))
 
     def inverse(self) -> "NumberFieldElem":
         """Extended Euclid in Q[x]; requires the value to be a unit mod pi."""
@@ -344,7 +344,7 @@ class _LiftState:
 
 
 def verify_square_certificate(c: NumberFieldElem, root: PolyQ) -> bool:
-    return (root * root - c.value) % c.modulus == PolyQ.make([])
+    return (NumberFieldElem.make(c.modulus, root) ** 2).value == c.value
 
 
 def verify_nonsquare_certificate(c: NumberFieldElem, w: NonsquareWitness) -> bool:

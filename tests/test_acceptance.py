@@ -12,6 +12,8 @@ import random
 import time
 from fractions import Fraction
 
+import sympy
+
 from oracles import hilbert_oracle
 from quatbrauer.brauer_q import (
     BrauerClassQ,
@@ -25,10 +27,8 @@ from quatbrauer.errors import BudgetError
 from quatbrauer.exact_arith import (
     PolyFp,
     PolyQ,
-    discriminant,
     factor_poly_q,
     factor_rational,
-    is_irreducible_q,
     is_prime,
 )
 from quatbrauer.funcfield import Place
@@ -48,6 +48,13 @@ from quatbrauer.local_symbols import (
     verify_nonsquare_certificate,
     verify_square_certificate,
 )
+
+
+def _sympy_poly(f: PolyQ) -> sympy.Poly:
+    """f as a sympy polynomial over QQ, the oracle for irreducibility and
+    discriminants."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                      sympy.Symbol("x"), domain="QQ")
 
 
 def report(n: int, title: str, t0: float, bound: float) -> None:
@@ -135,7 +142,7 @@ def _random_irreducible(rng: random.Random, max_deg: int) -> PolyQ:
     while True:
         d = rng.randint(1, max_deg)
         f = PolyQ.make([rng.randint(-6, 6) for _ in range(d)] + [1])
-        if is_irreducible_q(f):
+        if _sympy_poly(f).is_irreducible:
             return f
 
 
@@ -217,10 +224,10 @@ def _unramified_odd_prime(pi: PolyQ) -> int:
     """An odd prime q with sqrt(q) provably outside Q[x]/(pi): q ramifies in
     Q(sqrt(q)) but is unramified in the field since q does not divide
     disc(pi)."""
-    disc = discriminant(pi)
-    assert disc != 0 and disc.denominator == 1
+    disc = sympy.discriminant(_sympy_poly(pi))
+    assert disc != 0 and disc.is_Integer
     q = 3
-    while disc.numerator % q == 0 or not is_prime(q):
+    while int(disc) % q == 0 or not is_prime(q):
         q += 2
     return q
 

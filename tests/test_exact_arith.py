@@ -18,14 +18,12 @@ from quatbrauer.exact_arith import (
     FactoredRational,
     PolyFp,
     PolyQ,
-    discriminant,
     factor_int,
     factor_key,
     factor_poly_fp,
     factor_poly_q,
     factor_rational,
     fq_char,
-    is_irreducible_q,
     is_prime,
     poly_from_string,
     poly_gcd,
@@ -141,16 +139,6 @@ class TestPolyQ:
         g = PolyQ.make([1, 1]) * PolyQ.make([5, 1])
         assert resultant(f, g) == 0
         assert resultant(PolyQ.make([1, 0, 1]), PolyQ.make([5, 1])) != 0
-
-    def test_discriminant_quadratic(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            b, c = rng.randint(-9, 9), rng.randint(-9, 9)
-            assert discriminant(PolyQ.make([c, b, 1])) == b * b - 4 * c
-
-    def test_discriminant_depressed_cubic(self):
-        for p, q in [(-1, 0), (2, 3), (0, 1), (-4, 1)]:
-            assert discriminant(PolyQ.make([q, p, 0, 1])) == -4 * p**3 - 27 * q * q
 
     def test_evaluate(self):
         f = PolyQ.make([1, -2, 1])  # (x-1)^2
@@ -275,7 +263,8 @@ class TestFactorPolyQ:
         assert fz.factors == ((PolyQ.x(), 1), (PolyQ.make([1, 1]), 1))
 
     def test_x4_plus_1_irreducible(self):
-        assert is_irreducible_q(poly_from_string("x^4 + 1"))
+        f = poly_from_string("x^4 + 1")
+        assert factor_poly_q(f).factors == ((f, 1),)
 
     def test_multiplicities(self):
         f = PolyQ.make([1, 1]) ** 3 * PolyQ.make([2, 0, 1])

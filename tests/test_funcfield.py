@@ -11,10 +11,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatbrauer.errors import DomainError
-from quatbrauer.exact_arith import PolyFp, PolyQ, polyfp_pow_mod
-from quatbrauer.funcfield import MAX_DEGREE, FactoredFunc, Place, places
+from quatbrauer.exact_arith import PolyFp, PolyQ, fq_char, polyfp_pow_mod
+from quatbrauer.funcfield import (
+    MAX_DEGREE,
+    FactoredFunc,
+    Place,
+    odd_tame_bases,
+    places,
+    tame_terms,
+)
 from quatbrauer.funcfield_fp import residue_fp
 from quatbrauer.funcfield_q import QuaternionFF, tame_symbol
 
@@ -153,3 +162,61 @@ class TestTameSymbolOracle:
                 assert residue_fp(f, g, v) == want, (f, g, v)
                 checked += 1
         assert checked > 80
+
+
+class TestOddTameBases:
+    def test_equal_constants_and_minus_ones_cancel(self):
+        # -1 enters as the sign term and as either constant: one base at x
+        v = Place(PolyQ.x())
+        minus_one = FactoredFunc.from_constant(-1)
+        x = FactoredFunc.from_poly(PolyQ.x())
+        assert odd_tame_bases(v, (minus_one, minus_one)) == []
+        terms = tame_terms(minus_one, minus_one * x, v)
+        assert [e for b, e in terms if b == PolyQ.const(-1)] == [0, 1, 0]
+        assert odd_tame_bases(v, (minus_one, minus_one * x)) == [PolyQ.const(-1)]
+        assert odd_tame_bases(v, (minus_one, minus_one * x), (minus_one * x, minus_one)) == []
+
+    def test_squared_factor_drops_out(self):
+        v = Place(PolyQ.x())
+        f = FactoredFunc.from_poly(PolyQ.x())
+        g = FactoredFunc.from_poly(PolyQ.make([1, 1]) * PolyQ.make([1, 1]) * PolyQ.const(3))
+        assert odd_tame_bases(v, (f, g)) == [PolyQ.const(3)]
+
+
+FP_PRIMES = st.sampled_from([3, 5, 7, 11, 13])
+
+
+@st.composite
+def fp_pairs(draw):
+    """(f, g) over F_p with constants that often coincide or are -1."""
+    p = draw(FP_PRIMES)
+    consts = st.sampled_from([1, p - 1, 2, p - 2])
+
+    def entry():
+        out = FactoredFunc.from_constant(draw(consts), p)
+        for cs, m in draw(st.lists(st.tuples(st.lists(st.integers(0, p - 1), min_size=1,
+                                                      max_size=3), st.integers(-2, 3)),
+                                   max_size=3)):
+            f = PolyFp.make(p, cs + [1])
+            if m:
+                part = FactoredFunc.from_poly(f, random.Random(0))
+                out = out * (part if m > 0 else part.inverse())
+        return out
+
+    return entry(), entry()
+
+
+@settings(max_examples=80, deadline=None)
+@given(fp_pairs())
+@example((FactoredFunc.from_constant(4, 5), FactoredFunc.from_constant(4, 5)))
+@example((FactoredFunc.from_constant(2, 7) * FactoredFunc.from_poly(PolyFp.make(7, [0, 1])),
+          FactoredFunc.from_constant(2, 7)))
+def test_residue_fp_is_product_over_raw_odd_terms(pair):
+    f, g = pair
+    for v in places(f, g) + [Place(None)]:
+        h = PolyFp.x(f.p) if v.modulus is None else v.modulus
+        want = 1
+        for base, e in tame_terms(f, g, v):
+            if e % 2:
+                want *= fq_char(base, h)
+        assert residue_fp(f, g, v) == want, (f, g, v)

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from quatbrauer import funcfield_q
 from quatbrauer.brauer_q import BrauerClassQ, class_of_quaternion
 from quatbrauer.errors import DomainError
 from quatbrauer.exact_arith import PolyQ, poly_from_string
-from quatbrauer.funcfield import Place
+from quatbrauer.funcfield import Place, places
 from quatbrauer.funcfield_q import (
     FactoredFunc,
     QuaternionFF,
@@ -22,7 +25,7 @@ from quatbrauer.funcfield_q import (
     specialize,
     tame_symbol,
 )
-from quatbrauer.local_symbols import REAL, PlaceQ
+from quatbrauer.local_symbols import REAL, PlaceQ, is_square_in_number_field
 
 
 def ff(s):
@@ -161,6 +164,99 @@ class TestIsomorphism:
         v = is_isomorphic_qx(alg(-1, -1), alg(2, 5))
         assert any("Albert" in c or "Faddeev" in c or "specialization" in c
                    for c in v.citations)
+
+
+def _reference_isomorphism(D1, D2):
+    """(isomorphic, witness place) by the rule without exponent parity: a
+    certified square test of t1 * t2 at every place where it is not 1, then
+    the constant classes at the first integer 0, 1, -1, 2, ... where all four
+    entries are units."""
+    for v in places(D1.f, D1.g, D2.f, D2.g):
+        ratio = tame_symbol(D1, v) * tame_symbol(D2, v)
+        if ratio.value != PolyQ.const(1) and not is_square_in_number_field(ratio).is_square:
+            return False, v
+    for n in range(100):
+        alpha = (n + 1) // 2 * (1 if n % 2 else -1)
+        try:
+            q1, q2 = specialize(D1, alpha), specialize(D2, alpha)
+        except DomainError:
+            continue
+        return class_of_quaternion(q1) == class_of_quaternion(q2), None
+    raise AssertionError("no common unit point")
+
+
+# places that are shared, squared or absent; constants that coincide or are -1
+POOL = ["x", "x + 1", "x - 3", "x^2 + 1", "x^2 - 2", "x^2 + x + 1", "x^3 - 2"]
+CONSTANTS = [1, -1, 2, -2, 3, -3, 5, 6, 12, Fraction(1, 2), Fraction(-5, 3)]
+ENTRIES = st.builds(
+    lambda c, facs: FactoredFunc.from_constant(c) * FactoredFunc.from_poly(
+        poly_from_string("*".join(f"({q})^{m}" for q, m in facs) or "1")),
+    st.sampled_from(CONSTANTS),
+    st.lists(st.tuples(st.sampled_from(POOL), st.integers(1, 3)), max_size=3,
+             unique_by=lambda t: t[0]))
+
+
+def _second(D1, kind, e1, e2):
+    """The second algebra of a pair, built from the first by `kind`."""
+    if kind == "swap":
+        return QuaternionFF(D1.g, D1.f)
+    if kind == "square_twist":
+        return QuaternionFF(D1.f, D1.g * e1 * e1)
+    if kind == "twist":
+        return QuaternionFF(D1.f, D1.g * e1)
+    if kind == "minus_one":
+        return QuaternionFF(FactoredFunc.from_constant(-1) * D1.f, D1.g)
+    return QuaternionFF(e1, e2)
+
+
+class TestParityOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(ENTRIES, ENTRIES, ENTRIES, ENTRIES,
+           st.sampled_from(["swap", "square_twist", "twist", "minus_one", "other"]))
+    @example(ff(-1), ff(-1), ff(-1), ff(-1), "minus_one")
+    @example(ff(3), ff("x"), ff(12), ff(1), "twist")
+    def test_verdict_and_witness_match_reference(self, f, g, e1, e2, kind):
+        D1 = QuaternionFF(f, g)
+        D2 = _second(D1, kind, e1, e2)
+        verdict = is_isomorphic_qx(D1, D2)
+        assert (verdict.isomorphic, verdict.witness_place) == _reference_isomorphism(D1, D2)
+        if verdict.witness_place is not None:
+            v = verdict.witness_place
+            assert verdict.witness_symbols == (tame_symbol(D1, v), tame_symbol(D2, v))
+
+
+class TestCallCounts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"square": 0, "tame": []}
+        square, tame = funcfield_q.is_square_in_number_field, funcfield_q.tame_symbol
+
+        def counting_square(c, rng=None):
+            calls["square"] += 1
+            return square(c, rng=rng)
+
+        def counting_tame(D, v):
+            calls["tame"].append(str(v))
+            return tame(D, v)
+
+        monkeypatch.setattr(funcfield_q, "is_square_in_number_field", counting_square)
+        monkeypatch.setattr(funcfield_q, "tame_symbol", counting_tame)
+        return calls
+
+    def test_swap_needs_no_square_test(self, calls):
+        assert is_isomorphic_qx(alg("x", "x + 1"), alg("x + 1", "x")).isomorphic
+        assert calls == {"square": 0, "tame": []}
+
+    def test_square_twist_needs_no_square_test(self, calls):
+        D1 = alg("(x^2 + 1)*(x - 3)^2", "5*(x^3 - 2)")
+        D2 = alg("(x^2 + 1)*(x - 3)^2", "5*(x^3 - 2)*(x + 7)^2")
+        assert is_isomorphic_qx(D1, D2).isomorphic
+        assert calls == {"square": 0, "tame": []}
+
+    def test_prime_twist_tests_once_and_reads_symbols_at_the_witness(self, calls):
+        verdict = is_isomorphic_qx(alg("x", 3), alg("x", 5))
+        assert not verdict.isomorphic
+        assert calls == {"square": 1, "tame": ["x", "x"]}
 
 
 class TestDivision:

@@ -8,12 +8,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from oracles import hilbert_oracle
 from quatbrauer import local_symbols
 from quatbrauer.errors import BudgetError, DomainError, InternalError
-from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational, is_irreducible_q
+from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational
 from quatbrauer.local_symbols import (
     REAL,
     NonsquareWitness,
@@ -123,6 +126,7 @@ class TestHilbert:
 GAUSS = PolyQ.make([1, 0, 1])        # x^2 + 1
 SQRT2 = PolyQ.make([-2, 0, 1])       # x^2 - 2
 CBRT2 = PolyQ.make([-2, 0, 0, 1])    # x^3 - 2
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 # degree 16: Q(sqrt 2, sqrt 3, sqrt 5, sqrt 7); pi factors mod every prime
 SWINNERTON_DYER = PolyQ.make([int(c) for c in reversed(swinnerton_dyer_poly(4).as_poly().all_coeffs())])
 
@@ -136,6 +140,18 @@ class TestNumberFieldElem:
         a = NumberFieldElem.make(GAUSS, PolyQ.make([1, 1]))
         with pytest.raises(DomainError):
             a * NumberFieldElem.make(SQRT2, PolyQ.make([1, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RATIONALS, max_size=5), st.lists(RATIONALS, max_size=6),
+           st.lists(RATIONALS, max_size=6))
+    @example([Fraction(-2, 3), 0, Fraction(1, 5)], [Fraction(3, 2), Fraction(-9, 4)],
+             [Fraction(5, 6), 0, Fraction(7, 3), Fraction(-10, 9)])
+    def test_product_matches_reduced_polyq_product(self, low, a, b):
+        # a monic modulus with rational coefficients; values with rational
+        # coefficients and content other than 1, reduced or not
+        pi = PolyQ.make(low + [1])
+        x, y = NumberFieldElem(pi, PolyQ.make(a)), NumberFieldElem(pi, PolyQ.make(b))
+        assert (x * y).value == (x.value * y.value) % pi
 
     @pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)])
     def test_power_products(self, monkeypatch, e, products):
@@ -331,7 +347,8 @@ class TestSquareTester:
         while count < 25:
             pi = PolyQ.make([rng.randint(-6, 6)
                              for _ in range(rng.randint(2, 4))] + [1])
-            if not is_irreducible_q(pi):
+            if not sympy.Poly([int(c) for c in reversed(pi.coeffs)],
+                              sympy.Symbol("x")).is_irreducible:
                 continue
             r = PolyQ.make([rng.randint(-9, 9) for _ in range(pi.degree)])
             if r.is_zero():
@@ -417,6 +434,8 @@ for bad in (lambda: gauss * sqrt2, lambda: exact_arith.FactoredRational(0, ()),
     except DomainError:
         print("DomainError")
 print("exit", main(["qx", "residues", "-f", "x^3-2", "-g", "x"]))
+# a residue comparison whose odd tame bases, 3 * 5, need a certificate
+print("exit", main(["qx", "isom", "-f1", "x^2+1", "-g1", "3", "-f2", "x^2+1", "-g2", "5"]))
 sys.exit(main(["qx", "residues", "-f", "x^2+1", "-g", "3"]))
 """
 
@@ -434,8 +453,8 @@ def test_rejected_certificate_under_python_O():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-O", "-c", REJECTED_CERTIFICATE_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
-    assert out.stdout.splitlines()[:8] == \
-        ["InternalError"] * 4 + ["DomainError"] * 3 + ["exit 4"], \
+    assert out.stdout.splitlines()[:9] == \
+        ["InternalError"] * 4 + ["DomainError"] * 3 + ["exit 4"] * 2, \
         out.stdout + out.stderr
     assert out.returncode == 4, out.stdout + out.stderr
     assert "internal error" in out.stderr
