@@ -46,7 +46,7 @@ def _funcfield(s: str) -> FactoredFunc:
     if num.is_zero():
         raise DomainError(f"{s!r} is zero, not a unit of Q(x)")
     f = FactoredFunc.from_poly(num)
-    if den.degree > 0 or den.coeffs[0] != 1:
+    if den.degree > 0:
         f = f * FactoredFunc.from_poly(den).inverse()
     return f
 

@@ -5,7 +5,8 @@ with values produced here: reduced rationals, certified prime factorizations,
 and monic irreducible polynomial factorizations over Q and over F_p.
 
 Canonical forms are used throughout so that equality of values is structural
-equality: rationals are reduced with positive denominator, polynomial
+equality: rationals are reduced with positive denominator, Q[x] polynomials
+are integer numerators over one coprime positive denominator, polynomial
 factorizations carry monic irreducible factors sorted by (degree, coeffs).
 """
 
@@ -135,16 +136,7 @@ class FactoredRational:
             raise DomainError(f"malformed factorization {self.sign} {self.factors}")
 
     def value(self) -> Fraction:
-        v = Fraction(self.sign)
-        for p, e in self.factors:
-            v *= Fraction(p) ** e
-        return v
-
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
+        return prod((Fraction(p) ** e for p, e in self.factors), start=Fraction(self.sign))
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -187,70 +179,84 @@ def factor_rational(q: Fraction | int, rng: random.Random | None = None) -> Fact
 
 @dataclass(frozen=True)
 class PolyQ:
-    """Dense polynomial over Q, coefficients low degree first, trimmed.  The
-    ring operations clear denominators and run on integer numerators over one
-    common denominator; only their outputs are Fractions."""
+    """Dense polynomial over Q: integer numerators `nums`, low degree first,
+    trimmed, over one denominator `den` > 0 with gcd(den, *nums) = 1, so that
+    equal polynomials have equal fields and hash alike (zero is ((), 1)).
+    The ring operations run on the numerators; `reduced` is the one
+    constructor that brings a result into this form, and `coeffs` reads the
+    coefficients as Fractions."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def make(coeffs) -> "PolyQ":
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return PolyQ(tuple(cs))
+        d = lcm(*(c.denominator for c in cs))
+        return PolyQ.reduced([c.numerator * (d // c.denominator) for c in cs], d)
+
+    @staticmethod
+    def reduced(nums: list[int], den: int = 1) -> "PolyQ":
+        """nums / den in canonical form, den nonzero; trims the list nums in place."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        return PolyQ(tuple(n // g for n in nums), den // g)
 
     @staticmethod
     def const(c) -> "PolyQ":
-        return PolyQ.make([c])
+        c = Fraction(c)  # already in lowest terms with a positive denominator
+        return PolyQ((c.numerator,), c.denominator) if c else PolyQ(())
 
     @staticmethod
     def x() -> "PolyQ":
-        return PolyQ.make([0, 1])
+        return PolyQ((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def lc(self) -> Fraction:
         if self.is_zero():
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.lc() == 1
+        return not self.is_zero() and self.nums[-1] == self.den
 
     def monic(self) -> "PolyQ":
-        c = self.lc()
-        return self if c == 1 else PolyQ.make([a / c for a in self.coeffs])
+        return self if self.is_monic() else PolyQ.reduced(list(self.nums), self.nums[-1])
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        (a, da), (b, db) = _numerators(self), _numerators(other)
-        return _from_numerators([u * db + v * da for u, v in zip_longest(a, b, fillvalue=0)],
-                                da * db)
+        da, db = self.den, other.den
+        return PolyQ.reduced([u * db + v * da for u, v in
+                              zip_longest(self.nums, other.nums, fillvalue=0)], da * db)
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
+        return PolyQ(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
         return self + (-other)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        (a, da), (b, db) = _numerators(self), _numerators(other)
-        return _from_numerators(_product(a, b), da * db)
+        return PolyQ.reduced(_product(self.nums, other.nums), self.den * other.den)
 
     def mulmod(self, other: "PolyQ", m: "PolyQ") -> "PolyQ":
-        """self * other mod m on integer numerators, one Fraction per coefficient."""
-        (a, da), (b, db), (c, _) = _numerators(self), _numerators(other), _numerators(m)
-        r = _product(a, b)
-        s = _pseudo_reduce(r, c)[1]  # reduces r in place
-        return _from_numerators(r[:len(c) - 1], s * da * db)
+        """self * other mod m: the product of the numerators, pseudo-reduced by m's."""
+        r = _product(self.nums, other.nums)
+        s = _pseudo_reduce(r, m.nums)[1]  # reduces r in place
+        return PolyQ.reduced(r[:len(m.nums) - 1], s * self.den * other.den)
 
     def scale(self, c) -> "PolyQ":
-        return PolyQ.make([a * Fraction(c) for a in self.coeffs])
+        c = Fraction(c)
+        return PolyQ.reduced([n * c.numerator for n in self.nums], self.den * c.denominator)
 
     def __pow__(self, n: int) -> "PolyQ":
         if n < 0:
@@ -259,42 +265,29 @@ class PolyQ:
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         """(q, r), self = q * other + r and deg r < deg other, by pseudo-division
-        of the integer numerators (s * a = q * b + r, s a power of lc(b) and 1
-        for a monic integer b) and one Fraction per output coefficient."""
+        of the numerators (s * a = q * b + r, s a power of lc(b) and 1 for a
+        monic integer b)."""
         if other.is_zero():
             raise DomainError("polynomial division by zero")
-        (a, da), (b, db) = _numerators(self), _numerators(other)
+        a, b = list(self.nums), other.nums
         q, s = _pseudo_reduce(a, b)
-        return (_from_numerators([c * db for c in q], s * da),
-                _from_numerators(a[:len(b) - 1], s * da))
+        return (PolyQ.reduced([c * other.den for c in q], s * self.den),
+                PolyQ.reduced(a[:len(b) - 1], s * self.den))
 
     def __mod__(self, other: "PolyQ") -> "PolyQ":
         return self.divmod(other)[1]
 
     def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
+        x, acc = Fraction(x), Fraction(0)
+        for n in reversed(self.nums):
+            acc = acc * x + n
+        return acc / self.den
 
     def derivative(self) -> "PolyQ":
-        return PolyQ.make([i * c for i, c in enumerate(self.coeffs)][1:])
+        return PolyQ.reduced([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def __str__(self) -> str:
         return poly_to_string(self)
-
-
-def _numerators(f: PolyQ) -> tuple[list[int], int]:
-    """(a, d): the integer numerators a of f over the common denominator d."""
-    d = lcm(*(c.denominator for c in f.coeffs))
-    return [c.numerator * (d // c.denominator) for c in f.coeffs], d
-
-
-def _from_numerators(a: list[int], d: int) -> PolyQ:
-    """The PolyQ a / d, trailing zeros of a dropped."""
-    while a and not a[-1]:
-        a.pop()
-    return PolyQ(tuple(Fraction(c, d) for c in a))
 
 
 def _pseudo_reduce(r: list[int], b: list[int]) -> tuple[list[int], int]:
@@ -343,7 +336,7 @@ def resultant(f: PolyQ, g: PolyQ) -> Fraction:
             return Fraction(0)
         acc *= (-1) ** (f.degree * g.degree) * g.lc() ** (f.degree - r.degree)
         f, g = g, r
-    return acc * g.coeffs[0] ** f.degree
+    return acc * g.lc() ** f.degree
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,8 +493,7 @@ def poly_to_string(f: PolyQ) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeffs[i]
+    for i, c in reversed(list(enumerate(f.coeffs))):
         if c == 0:
             continue
         if i == 0:
@@ -547,19 +539,18 @@ def factor_poly_q(f: PolyQ) -> FactorizationQ:
         raise DomainError(
             f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
     if f.degree == 0:
-        return FactorizationQ(f.coeffs[0], ())
+        return FactorizationQ(f.lc(), ())
     # only Q[x] factoring needs sympy; its import dominates a CLI call
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_factor
-    a, _ = _numerators(f)
-    content, facs = dup_zz_factor([ZZ(c) for c in reversed(a)], ZZ)
+    content, facs = dup_zz_factor([ZZ(c) for c in reversed(f.nums)], ZZ)
     check, factors = [int(content)], []
     for g, m in facs:
         g = [int(c) for c in reversed(g)]
         for _ in range(m):
             check = _product(check, g)
-        factors.append((PolyQ(tuple(Fraction(c, g[-1]) for c in g)), int(m)))
-    if check != a:
+        factors.append((PolyQ.reduced(g, g[-1]), int(m)))
+    if tuple(check) != f.nums:
         raise InternalError("factorization failed to reconstruct input")
     factors.sort(key=factor_key)
     return FactorizationQ(f.lc(), tuple(factors))
@@ -649,7 +640,7 @@ class PolyFp:
         return PolyFp.make(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __str__(self) -> str:
-        return poly_to_string(PolyQ.make(self.coeffs))
+        return poly_to_string(PolyQ(self.coeffs))  # trimmed integers over 1
 
 
 # -- coefficient lists, low degree first, over Z/m (m a prime or a prime power)
@@ -745,14 +736,18 @@ def fq_char(t: PolyFp, h: PolyFp) -> int:
     return 1 if pow(n, (h.p - 1) // 2, h.p) == 1 else -1
 
 
+def coeffs_mod(f: PolyQ, m: int) -> list[int]:
+    """The coefficients of f mod m, m coprime to the denominator, low degree
+    first and untrimmed: the numerators times den^-1 mod m."""
+    inv = pow(f.den, -1, m)
+    return [n * inv % m for n in f.nums]
+
+
 def polyfp_from_polyq(f: PolyQ, p: int) -> PolyFp:
-    """Reduce mod p; fails if p divides a coefficient denominator."""
-    cs = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise DomainError(f"prime {p} divides a denominator of {f}")
-        cs.append(c.numerator * pow(c.denominator, -1, p) % p)
-    return PolyFp.make(p, cs)
+    """Reduce mod p; fails if p divides the denominator."""
+    if f.den % p == 0:
+        raise DomainError(f"prime {p} divides a denominator of {f}")
+    return PolyFp.make(p, coeffs_mod(f, p))
 
 
 def _pth_root_fp(f: PolyFp) -> PolyFp:

@@ -73,9 +73,6 @@ def residue_at(D: QuaternionFF, v: Place,
     """The residue character of D at v: trivial iff the tame symbol is a
     square in the residue field (decided with a certificate)."""
     t = tame_symbol(D, v)
-    if t.value == PolyQ.const(1):
-        return ResidueCharacter(v, t, True,
-                                SquareClassVerdict(True, root=PolyQ.const(1), verified=True))
     verdict = is_square_in_number_field(t, rng=rng)
     return ResidueCharacter(v, t, verdict.is_square, verdict)
 
@@ -87,7 +84,7 @@ def _square_class(v: Place, *algebras: QuaternionFF) -> NumberFieldElem | None:
     acc = NumberFieldElem.make(v.modulus, PolyQ.const(1))
     for base in odd_tame_bases(v, *((D.f, D.g) for D in algebras)):
         acc = acc * NumberFieldElem.make(v.modulus, base)
-    rational_square = acc.value.degree == 0 and sqrt_fraction(acc.value.coeffs[0]) is not None
+    rational_square = acc.value.degree == 0 and sqrt_fraction(acc.value.lc()) is not None
     return None if rational_square else acc
 
 
@@ -168,16 +165,16 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
 
 def is_division_qx(D: QuaternionFF, rng: random.Random | None = None
                    ) -> tuple[bool, str]:
-    """A quaternion over Q(x) is division iff its class is nonzero: some
-    residue is nontrivial, or the constant specialization is nonzero."""
-    for v in D.places():
-        c = _square_class(v, D)
-        if c is not None and not is_square_in_number_field(c, rng=rng).is_square:
-            return True, f"ramified at {v}"
-    alpha = next(_unit_points([D.f, D.g]))
-    cls = class_of_quaternion(specialize(D, alpha))
-    if not cls.is_zero():
-        return True, f"nonzero constant class {cls} at x = {alpha}"
+    """A quaternion over Q(x) is division iff its class is nonzero, that is
+    iff it is not isomorphic to the split algebra (1, 1): some residue is
+    nontrivial, or the constant specialization is nonzero."""
+    one = FactoredFunc.from_constant(1)
+    verdict = is_isomorphic_qx(D, QuaternionFF(one, one), rng)
+    alpha = verdict.specialization_point
+    if verdict.witness_place is not None:
+        return True, f"ramified at {verdict.witness_place}"
+    if verdict.witness_invariants is not None:
+        return True, f"nonzero constant class {verdict.witness_invariants} at x = {alpha}"
     return False, f"split: unramified everywhere and trivial class at x = {alpha}"
 
 

@@ -23,6 +23,7 @@ from .errors import BudgetError, DomainError, InternalError
 from .exact_arith import (
     PolyFp,
     PolyQ,
+    coeffs_mod,
     factor_poly_fp,
     factor_rational,
     fq_char,
@@ -182,7 +183,7 @@ class NumberFieldElem:
             s0, s1 = s1, s0 - q * s1
         if r0.degree != 0:
             raise DomainError("value shares a factor with the modulus")
-        return NumberFieldElem(self.modulus, s0.scale(1 / r0.coeffs[0]) % self.modulus)
+        return NumberFieldElem(self.modulus, s0.scale(1 / r0.lc()) % self.modulus)
 
     def __pow__(self, n: int) -> "NumberFieldElem":
         return power(self if n >= 0 else self.inverse(), abs(n),
@@ -271,10 +272,6 @@ def _polyfp_inverse(a: PolyFp, mod: PolyFp) -> PolyFp:
     return (s0 * PolyFp.const(a.p, inv)) % mod
 
 
-def _poly_coeffs_mod(f: PolyQ, m: int) -> list[int]:
-    return [c.numerator * pow(c.denominator, -1, m) % m for c in f.coeffs]
-
-
 def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:
     return [(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)]
 
@@ -301,9 +298,7 @@ def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
     stays a unit."""
     r1 = resultant(pi, pi.derivative())
     screen = (abs(r1.numerator) * r1.denominator *
-              abs(norm.numerator) * norm.denominator)
-    for c in pi.coeffs + value.coeffs:
-        screen *= c.denominator
+              abs(norm.numerator) * norm.denominator * pi.den * value.den)
     p = 2
     while True:
         p += 1
@@ -334,13 +329,8 @@ class _LiftState:
 
     def reconstruct(self) -> PolyQ | None:
         m = self.p ** self.exp
-        coeffs = []
-        for c in self.r:
-            f = _rational_reconstruct(c, m)
-            if f is None:
-                return None
-            coeffs.append(f)
-        return PolyQ.make(coeffs)
+        coeffs = [_rational_reconstruct(c, m) for c in self.r]
+        return None if None in coeffs else PolyQ.make(coeffs)
 
 
 def verify_square_certificate(c: NumberFieldElem, root: PolyQ) -> bool:
@@ -356,7 +346,7 @@ def verify_nonsquare_certificate(c: NumberFieldElem, w: NonsquareWitness) -> boo
     irreducible factor of h, as (Res(h, t) / p) is multiplicative in h."""
     p, h = w.prime, w.factor
     if p == 2 or h.p != p or not is_prime(p) or not h.is_monic() or \
-            any(q.denominator % p == 0 for q in c.modulus.coeffs + c.value.coeffs):
+            c.modulus.den * c.value.den % p == 0:
         return False
     pim = polyfp_from_polyq(c.modulus, p)
     if pim.degree != c.modulus.degree or polyfp_gcd(pim, pim.derivative()).degree > 0 \
@@ -402,7 +392,7 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
 
     # constants that are already rational squares need no p-adic work
     if value.degree == 0:
-        r = sqrt_fraction(value.coeffs[0])
+        r = sqrt_fraction(value.lc())
         if r is not None:
             return SquareClassVerdict(True, root=PolyQ.const(r), verified=True)
 
@@ -436,7 +426,7 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
     states = []
     zero = PolyFp.const(p0, 0)
     # pi and the value mod p0^e, once per exponent e for all sign patterns
-    mods = cache(lambda e: (_poly_coeffs_mod(pi, p0**e), _poly_coeffs_mod(value, p0**e)))
+    mods = cache(lambda e: (coeffs_mod(pi, p0**e), coeffs_mod(value, p0**e)))
     # global sign is free: fix the first factor's sign
     for mask in range(1 << (len(moduli) - 1)):
         signed = [(-r, -i) if j and (mask >> (j - 1)) & 1 else (r, i)

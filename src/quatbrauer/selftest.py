@@ -35,48 +35,55 @@ def _random_rational(rng: random.Random, bound: int = 10**4) -> Fraction:
     return Fraction(n, d)
 
 
-def suite_product_formula(rng: random.Random, cases: int) -> SuiteResult:
+def _suite(name: str, cases: int, case) -> SuiteResult:
+    """Run the generator `case()` `cases` times, collecting the failures it
+    yields; an InternalError it raises fails that case, and the rest still run."""
     failures = []
-    for _ in range(cases):
+    for i in range(cases):
+        try:
+            failures.extend(case())
+        except InternalError as exc:
+            failures.append(f"case {i}: internal error: {exc}")
+    return SuiteResult(name, cases, failures)
+
+
+def suite_product_formula(rng: random.Random, cases: int) -> SuiteResult:
+    def case():
         a, b = _random_rational(rng), _random_rational(rng)
         prod = 1
         for v in support_places(a, b):
             prod *= hilbert(a, b, v)
         if prod != 1:
-            failures.append(f"product formula fails for ({a}, {b})")
-    return SuiteResult("hilbert product formula", cases, failures)
+            yield f"product formula fails for ({a}, {b})"
+    return _suite("hilbert product formula", cases, case)
 
 
 def suite_steinberg(rng: random.Random, cases: int) -> SuiteResult:
-    failures = []
-    for _ in range(cases):
+    def case():
         a = _random_rational(rng, 100)
         if a in (0, 1):
-            continue
+            return
         for v in support_places(a, a * (1 - a) if a != 1 else a):
             if hilbert(a, -a, v) != 1:
-                failures.append(f"(a, -a) != 1 at {v} for a = {a}")
+                yield f"(a, -a) != 1 at {v} for a = {a}"
             if a != 1 and hilbert(a, 1 - a, v) != 1:
-                failures.append(f"(a, 1-a) != 1 at {v} for a = {a}")
-    return SuiteResult("steinberg relations", cases, failures)
+                yield f"(a, 1-a) != 1 at {v} for a = {a}"
+    return _suite("steinberg relations", cases, case)
 
 
 def suite_fp_reciprocity(rng: random.Random, cases: int) -> SuiteResult:
-    failures = []
-    for _ in range(cases):
+    def case():
+        # class_fp checks reciprocity itself: a violation is an InternalError
         p = rng.choice([3, 5, 7, 11])
         f = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
         g = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
-        try:
-            class_fp(FactoredFunc.from_poly(f, rng), FactoredFunc.from_poly(g, rng))
-        except InternalError:
-            failures.append(f"reciprocity violated for ({f}, {g}) over F_{p}")
-    return SuiteResult("F_p(x) reciprocity", cases, failures)
+        class_fp(FactoredFunc.from_poly(f, rng), FactoredFunc.from_poly(g, rng))
+        yield from ()
+    return _suite("F_p(x) reciprocity", cases, case)
 
 
 def suite_factor_roundtrip(rng: random.Random, cases: int) -> SuiteResult:
-    failures = []
-    for _ in range(cases):
+    def case():
         nfac = rng.randint(2, 4)
         prod = PolyQ.const(rng.choice([1, 2, -3, Fraction(1, 2)]))
         for _ in range(nfac):
@@ -84,13 +91,12 @@ def suite_factor_roundtrip(rng: random.Random, cases: int) -> SuiteResult:
             prod = prod * PolyQ.make([rng.randint(-4, 4) for _ in range(d)] + [1])
         fz = factor_poly_q(prod)
         if fz.value() != prod:
-            failures.append(f"round-trip failed for {prod}")
-    return SuiteResult("Q[x] factorization round-trip", cases, failures)
+            yield f"round-trip failed for {prod}"
+    return _suite("Q[x] factorization round-trip", cases, case)
 
 
 def suite_fp_factor_roundtrip(rng: random.Random, cases: int) -> SuiteResult:
-    failures = []
-    for _ in range(cases):
+    def case():
         p = rng.choice([3, 5, 7, 13])
         f = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(2, 8))] + [1])
         unit, facs = factor_poly_fp(f, rng)
@@ -99,32 +105,31 @@ def suite_fp_factor_roundtrip(rng: random.Random, cases: int) -> SuiteResult:
             for _ in range(m):
                 prod = prod * h
         if prod != f:
-            failures.append(f"CZ round-trip failed for {f} over F_{p}")
-    return SuiteResult("F_p[x] factorization round-trip", cases, failures)
+            yield f"CZ round-trip failed for {f} over F_{p}"
+    return _suite("F_p[x] factorization round-trip", cases, case)
 
 
 def suite_square_tester(rng: random.Random, cases: int) -> SuiteResult:
-    failures = []
     pi = PolyQ.make([1, 0, 1])  # x^2 + 1
-    for _ in range(cases):
+
+    def case():
         r = PolyQ.make([rng.randint(-9, 9), rng.randint(-9, 9)])
         if r.is_zero():
-            continue
+            return
         c = NumberFieldElem.make(pi, (r * r) % pi)
         verdict = is_square_in_number_field(c, rng=rng)
         if not verdict.is_square:
-            failures.append(f"square {r}^2 mod {pi} not recognized")
-    return SuiteResult("number-field square recognition", cases, failures)
+            yield f"square {r}^2 mod {pi} not recognized"
+    return _suite("number-field square recognition", cases, case)
 
 
 def suite_quaternion_parity(rng: random.Random, cases: int) -> SuiteResult:
-    failures = []
-    for _ in range(cases):
+    def case():
         a, b = _random_rational(rng, 100), _random_rational(rng, 100)
         cls = class_of_quaternion(QuaternionQ.make(a, b))
         if len(cls.invariants) % 2:
-            failures.append(f"odd ramification support for ({a}, {b})")
-    return SuiteResult("quaternion support parity", cases, failures)
+            yield f"odd ramification support for ({a}, {b})"
+    return _suite("quaternion support parity", cases, case)
 
 
 def run_selftest(seed: int = 0, cases: int = 50) -> list[SuiteResult]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from quatbrauer import funcfield_q, local_symbols
+from quatbrauer import exact_arith, funcfield_q, local_symbols
 from quatbrauer.cli import main
 
 
@@ -245,6 +245,23 @@ def test_selftest_json(capsys):
     data = run_json(capsys, "--seed", "1", "selftest", "--cases", "5")
     assert data["passed"] is True
     assert len(data["suites"]) == 7
+
+
+def test_selftest_reports_internal_errors_as_failures(capsys, monkeypatch):
+    # an equal-degree split that returns a wrong factor makes factor_poly_fp
+    # raise InternalError inside three suites; each records it and the run
+    # still prints every suite
+    monkeypatch.setattr(exact_arith, "_edf",
+                        lambda g, *args: [g + exact_arith.PolyFp.const(g.p, 1)])
+    code, out, err = run(capsys, "selftest", "--cases", "20")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "[FAIL] F_p[x] factorization round-trip (20 cases)" in lines
+    assert "[FAIL] F_p(x) reciprocity (20 cases)" in lines
+    assert "[PASS] Q[x] factorization round-trip (10 cases)" in lines
+    assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 7
+    assert "internal error: factorization over F_" in out
+    assert lines[-1] == "selftest seed=0: FAILURES"
 
 
 # The package loads sympy only to factor over Q; a process that runs the

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -370,6 +371,49 @@ class TestIntegerPathOracle:
         monkeypatch.setattr(PolyQ, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         assert base ** e == want
         assert len(calls) == products
+
+
+class TestCanonicalForm:
+    """PolyQ keeps integer numerators over one positive denominator, trimmed
+    and coprime, so equal values have equal fields and equal hashes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, st.integers(0, 3))
+    @example([], 2)
+    @example([Fraction(-1, 6), Fraction(3, 4), Fraction(5, 12)], 0)
+    def test_fields_are_canonical(self, cs, zeros):
+        f = PolyQ.make(cs + [0] * zeros)
+        want = list(cs)
+        while want and want[-1] == 0:
+            want.pop()
+        assert f.coeffs == tuple(want)
+        assert all(type(n) is int for n in f.nums) and type(f.den) is int
+        assert f.den > 0 and gcd(f.den, *f.nums) == 1
+        assert not f.nums or f.nums[-1] != 0
+        if not want:
+            assert (f.nums, f.den) == ((), 1) and f.is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, DIVISORS)
+    @example([0, 1], [2])  # x / 2 * 2 and x * 3 / 3
+    def test_equal_values_compare_and_hash_equal(self, cs, ds):
+        f, g, x = PolyQ.make(cs), PolyQ.make(ds), PolyQ.x()
+        ways = [PolyQ.make(cs + [0, 0]),
+                -(-f),
+                f.scale(Fraction(1, 2)) * PolyQ.const(2),
+                (f * PolyQ.const(3)).divmod(PolyQ.const(3))[0],
+                f + g - g,
+                (f * g).divmod(g)[0],
+                (f * x).divmod(x)[0],
+                PolyQ.reduced([c.numerator * 7 * (27720 // c.denominator) for c in f.coeffs],
+                              7 * 27720)]  # 27720 = lcm(1, ..., 12)
+        for h in ways:
+            assert h == f and hash(h) == hash(f) and (h.nums, h.den) == (f.nums, f.den)
+        assert len({f, *ways}) == 1
+
+    @given(st.lists(st.integers(-50, 50), max_size=6), st.integers(-30, 30).filter(bool))
+    def test_reduced_agrees_with_make(self, nums, den):
+        assert PolyQ.reduced(list(nums), den) == PolyQ.make([Fraction(n, den) for n in nums])
 
 
 class TestPolyFp:

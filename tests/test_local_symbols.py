@@ -276,13 +276,13 @@ class TestSquareTester:
         # 11 in the Swinnerton-Dyer field lifts 128 sign patterns through six
         # exponents; pi and the value are reduced once per exponent, shared
         calls = []
-        reduce = local_symbols._poly_coeffs_mod
+        reduce = local_symbols.coeffs_mod
 
         def counted(f, m):
             calls.append(m)
             return reduce(f, m)
 
-        monkeypatch.setattr(local_symbols, "_poly_coeffs_mod", counted)
+        monkeypatch.setattr(local_symbols, "coeffs_mod", counted)
         c = NumberFieldElem.make(SWINNERTON_DYER, PolyQ.const(11))
         v = is_square_in_number_field(c)
         assert not v.is_square and v.verified
