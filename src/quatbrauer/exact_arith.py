@@ -33,6 +33,13 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # 10**3; lower bounds gained nothing.
 TRIAL_DIVISION_BOUND = 10**3
 
+# Primes at which `irreducible_factors_q` reduces a polynomial to try to prove
+# it irreducible before it calls sympy, whose import costs a process about
+# 0.4 s.  On the benchmark's qx_isom and cli cases the proofs end at 3, 5, 7
+# or 11 for every witness h, and at 17 for 4 of 96 `qx residues` processes;
+# 19 would spare no further process.
+IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
+
 
 # ---------------------------------------------------------------------------
 # primality and integer factorization
@@ -319,9 +326,13 @@ def power(base, n: int, one):
 
 
 def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
-    """Monic gcd over Q (monic of the nonzero one if the other is zero)."""
+    """Monic gcd over Q (monic of the nonzero one if the other is zero), by
+    primitive remainders: each remainder is cut to its integer numerators
+    over their content, so the coefficients do not grow from step to step."""
     while not g.is_zero():
-        f, g = g, f % g
+        r = f % g
+        c = gcd(*r.nums)
+        f, g = g, PolyQ(tuple(n // c for n in r.nums))
     return f if f.is_zero() else f.monic()
 
 
@@ -526,6 +537,14 @@ def factor_key(fm):
     return (f.degree, tuple(f.coeffs))
 
 
+def _check_degree_cap(f: PolyQ) -> None:
+    if f.is_zero():
+        raise DomainError("cannot factor the zero polynomial")
+    if f.degree > DEFAULT_DEGREE_CAP:
+        raise DomainError(
+            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
+
+
 def factor_poly_q(f: PolyQ) -> FactorizationQ:
     """Exact factorization into monic irreducibles over Q, unit lc(f).
 
@@ -533,11 +552,7 @@ def factor_poly_q(f: PolyQ) -> FactorizationQ:
     lifting, recombination) factors the integer numerators of f; content *
     prod g^m is multiplied back in integers before the factors are made monic.
     """
-    if f.is_zero():
-        raise DomainError("cannot factor the zero polynomial")
-    if f.degree > DEFAULT_DEGREE_CAP:
-        raise DomainError(
-            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
+    _check_degree_cap(f)
     if f.degree == 0:
         return FactorizationQ(f.lc(), ())
     # only Q[x] factoring needs sympy; its import dominates a CLI call
@@ -554,6 +569,50 @@ def factor_poly_q(f: PolyQ) -> FactorizationQ:
         raise InternalError("factorization failed to reconstruct input")
     factors.sort(key=factor_key)
     return FactorizationQ(f.lc(), tuple(factors))
+
+
+def squarefree_parts_q(f: PolyQ) -> list[tuple[PolyQ, int]]:
+    """Yun's squarefree decomposition: the monic, squarefree, pairwise coprime
+    parts a_i, with their multiplicities i, of f = lc(f) * prod a_i^i."""
+    _check_degree_cap(f)
+    b = f.monic()
+    db = b.derivative()
+    a = poly_gcd(b, db)
+    b, c = b.divmod(a)[0], db.divmod(a)[0]
+    out, i = [], 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        a = poly_gcd(b, d)
+        b, c = b.divmod(a)[0], d.divmod(a)[0]
+        if a.degree > 0:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def irreducible_factors_q(f: PolyQ) -> list[PolyQ]:
+    """The monic irreducible factors of a monic squarefree f, sorted.
+
+    A factor of f of degree k reduces to factors of total degree k of f mod
+    p, for every prime p that divides no denominator of f.  So the degrees
+    possible over Q lie in the subset sums of the factor degrees mod each
+    such p, and f is irreducible once those sets, over the primes of
+    IRREDUCIBILITY_PRIMES, share only 0 and deg f.  Otherwise `factor_poly_q`
+    splits f; x^4 + 1, reducible mod every prime, always takes that path."""
+    n = f.degree
+    if n < 2:
+        return [f]
+    common = (2 << n) - 1  # bit k set: a factor of degree k is still possible
+    for p in IRREDUCIBILITY_PRIMES:
+        if f.den % p:
+            sums = 1
+            for h, m in factor_poly_fp(polyfp_from_polyq(f, p))[1]:
+                for _ in range(m):
+                    sums |= sums << h.degree
+            common &= sums
+            if common == 1 | 1 << n:
+                return [f]
+    return [g for g, _ in factor_poly_q(f).factors]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """The function-field core shared by F_p(x) and Q(x).
 
-A nonzero element of K(x), K = F_p or Q, is kept factored: a constant times
-powers of monic irreducibles.  A place is a monic irreducible modulus, or
-the degree place at infinity of F_p(x).  The tame symbol of (f, g) at a
-place is returned as (base, exponent) terms whose bases are units there;
-each base field reduces them into its own residue field and decides the
-square class: `funcfield_fp` by the norm-Legendre character, `funcfield_q`
-by the certified square test in Q[x]/(pi), both on `odd_tame_bases`.
+A nonzero element of K(x) is kept factored: a constant times powers of
+monic polynomials.  Over F_p these are irreducible (Cantor-Zassenhaus);
+over Q they are only squarefree and pairwise coprime (Yun's split and
+factor refinement, no sympy), so one factor may hold several places, all
+with its exponent.  A place is a monic irreducible modulus, or the degree
+place at infinity of F_p(x); over Q a monic squarefree modulus on a
+`common_basis` of the entries stands for all its irreducible factors at
+once.  The tame symbol of (f, g) at a place is returned as (base, exponent)
+terms whose bases are units there; each base field reduces them into its
+own residue field and decides the square class: `funcfield_fp` by the
+norm-Legendre character, `funcfield_q` by the certified square test in
+Q[x]/(h), both on `odd_tame_bases`.  Only `places` names every irreducible
+place of a Q(x) element, with `irreducible_factors_q`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact_arith import PolyFp, PolyQ, factor_key, factor_poly_fp, factor_poly_q, is_prime
+from .exact_arith import (
+    PolyFp,
+    PolyQ,
+    factor_key,
+    factor_poly_fp,
+    irreducible_factors_q,
+    is_prime,
+    poly_gcd,
+    squarefree_parts_q,
+)
 
 MAX_CHAR = 2**31
 MAX_DEGREE = 64  # F_p(x) entries of higher degree are refused before factoring
@@ -27,7 +42,10 @@ Poly = PolyQ | PolyFp
 @dataclass(frozen=True)
 class Place:
     """A place of K(x): a monic irreducible polynomial, or None for the
-    degree place at infinity of F_p(x)."""
+    degree place at infinity of F_p(x).  Over Q the modulus may also be a
+    monic squarefree h on the entries' common basis: every irreducible
+    factor of h has the same valuations and tame terms, so one place h
+    stands for all of them."""
 
     modulus: Poly | None
 
@@ -53,11 +71,16 @@ def _field(p: int) -> str:
 
 @dataclass(frozen=True)
 class FactoredFunc:
-    """A nonzero element of K(x)^x: constant * prod(irreducible ** exponent).
+    """A nonzero element of K(x)^x: constant * prod(factor ** exponent).
 
-    p = 0 means K = Q and a Fraction constant; otherwise K = F_p and the
-    constant lies in [1, p).  Factors are monic irreducible with nonzero
-    exponents, sorted by degree, then coefficients."""
+    p = 0 means K = Q, a Fraction constant, and factors that are monic,
+    squarefree and pairwise coprime; otherwise K = F_p, the constant lies in
+    [1, p) and the factors are monic irreducible.  Exponents are nonzero;
+    factors are sorted by degree, then coefficients.  Over Q, `from_poly`,
+    products and inverses keep one factor per exponent (the squarefree
+    decomposition), so that == compares functions; the finer factors that
+    `common_basis` and `split_at` return serve the residue computations
+    only.  `str` prints irreducible factors over both fields."""
 
     constant: Fraction | int
     factors: tuple[tuple[Poly, int], ...]
@@ -69,8 +92,7 @@ class FactoredFunc:
         if f.is_zero():
             raise DomainError(f"zero is not a unit of {_field(p)}")
         if not p:
-            fz = factor_poly_q(f)
-            return FactoredFunc(fz.unit, fz.factors)
+            return FactoredFunc(f.lc(), tuple(sorted(squarefree_parts_q(f), key=factor_key)))
         _check_char(p)
         if f.degree > MAX_DEGREE:
             raise DomainError(f"degree {f.degree} exceeds the F_p(x) cap {MAX_DEGREE}")
@@ -91,10 +113,18 @@ class FactoredFunc:
     def __mul__(self, other: "FactoredFunc") -> "FactoredFunc":
         if self.p != other.p:
             raise DomainError("characteristic mismatch")
-        exps = dict(self.factors)
-        for f, m in other.factors:
+        # on a common basis equal factors are the only ones that merge
+        a, b = (self, other) if self.p else common_basis(self, other)[1]
+        exps = dict(a.factors)
+        for f, m in b.factors:
             exps[f] = exps.get(f, 0) + m
-        facs = tuple(sorted(((f, m) for f, m in exps.items() if m != 0), key=factor_key))
+        facs = [(f, m) for f, m in exps.items() if m != 0]
+        if not self.p:
+            groups: dict[int, PolyQ] = {}
+            for f, m in facs:
+                groups[m] = groups[m] * f if m in groups else f
+            facs = [(f, m) for m, f in groups.items()]
+        facs = tuple(sorted(facs, key=factor_key))
         c = self.constant * other.constant
         return FactoredFunc(c % self.p if self.p else c, facs, self.p)
 
@@ -102,13 +132,27 @@ class FactoredFunc:
         c = pow(self.constant, -1, self.p) if self.p else 1 / self.constant
         return FactoredFunc(c, tuple((f, -m) for f, m in self.factors), self.p)
 
+    def split_at(self, v: Place) -> tuple["FactoredFunc", int]:
+        """(self with v's modulus split out of the factor it divides, v(self)).
+
+        The modulus is irreducible or on a common basis with self.  Over Q
+        a factor h that it divides properly becomes modulus * (h / modulus),
+        both with h's exponent; over F_p and at infinity nothing splits."""
+        pi = v.modulus
+        if pi is None:
+            return self, -sum(f.degree * m for f, m in self.factors)
+        for i, (f, m) in enumerate(self.factors):  # sorted: f == pi comes first
+            if f == pi:
+                return self, m
+            if not self.p and f.degree > pi.degree:
+                q, r = f.divmod(pi)
+                if r.is_zero():
+                    facs = self.factors[:i] + ((pi, m), (q, m)) + self.factors[i + 1:]
+                    return FactoredFunc(self.constant, tuple(sorted(facs, key=factor_key))), m
+        return self, 0
+
     def valuation(self, v: Place) -> int:
-        if v.modulus is None:
-            return -sum(f.degree * m for f, m in self.factors)
-        for f, m in self.factors:
-            if f == v.modulus:
-                return m
-        return 0
+        return self.split_at(v)[1]
 
     def value_at(self, alpha) -> Fraction | int:
         """Exact value at a point of K; the point must not be a zero or pole."""
@@ -121,15 +165,52 @@ class FactoredFunc:
         return acc
 
     def __str__(self) -> str:
+        facs = self.factors if self.p else sorted(
+            ((pi, m) for f, m in self.factors for pi in irreducible_factors_q(f)), key=factor_key)
         parts = [str(self.constant)]
-        for f, m in self.factors:
+        for f, m in facs:
             parts.append(f"({f})^{m}" if m != 1 else f"({f})")
         return " * ".join(parts)
 
 
+def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc]]:
+    """Factor refinement of Q(x) entries (Bach, Driscoll and Shallit 1993):
+    a monic, squarefree, pairwise coprime basis of the entries' factors, as
+    places, and each entry rewritten as its constant times powers of them.
+
+    Each factor a joins the basis by gcds g with the elements b in turn; b
+    gives way to g and b/g, a goes on as a/g.  As a and b are squarefree,
+    g, a/g and b/g are pairwise coprime, and g's exponent in each entry is
+    the sum of a's and b's."""
+    basis: list[tuple[PolyQ, list[int]]] = []
+    for i, e in enumerate(entries):
+        for a, m in e.factors:
+            va = [0] * len(entries)
+            va[i] = m
+            refined = []
+            for b, vb in basis:
+                if a.degree == 0 or (g := b if a == b else poly_gcd(a, b)).degree == 0:
+                    refined.append((b, vb))
+                    continue
+                refined.append((g, [x + y for x, y in zip(va, vb)]))
+                if g != b:
+                    refined.append((b.divmod(g)[0], vb))
+                a = a.divmod(g)[0]
+            if a.degree > 0:
+                refined.append((a, va))
+            basis = refined
+    rewritten = [FactoredFunc(e.constant, tuple(sorted(((h, v[i]) for h, v in basis if v[i]),
+                                                       key=factor_key)))
+                 for i, e in enumerate(entries)]
+    return [Place(h) for h, _ in basis], rewritten
+
+
 def places(*entries: FactoredFunc) -> list[Place]:
-    """The finite places dividing any of the entries, sorted."""
+    """The finite places dividing any of the entries, sorted; over Q each
+    squarefree factor is split into irreducibles."""
     mods = {f for e in entries for f, _ in e.factors}
+    if entries and not entries[0].p:
+        mods = {pi for f in mods for pi in irreducible_factors_q(f)}
     return sorted((Place(m) for m in mods), key=Place.sort_key)
 
 
@@ -138,13 +219,13 @@ def tame_terms(f: FactoredFunc, g: FactoredFunc, v: Place) -> list[tuple[Poly, i
     pairs whose product it is.
 
     Every base is a unit at v: -1, the two constants and, at a finite place,
-    the factors other than v's own.  At infinity only -1 and the constants
-    appear, the factors being monic."""
+    the factors other than v's own, after `split_at`.  At infinity only -1
+    and the constants appear, the factors being monic."""
     if f.p != g.p:
         raise DomainError("characteristic mismatch")
     p = f.p
     const = (lambda c: PolyFp.const(p, c)) if p else PolyQ.const
-    vf, vg = f.valuation(v), g.valuation(v)
+    (f, vf), (g, vg) = f.split_at(v), g.split_at(v)
     terms = [(const(-1), vf * vg), (const(f.constant), vg), (const(g.constant), -vf)]
     if v.modulus is not None:
         terms += [(fac, m * vg) for fac, m in f.factors if fac != v.modulus]

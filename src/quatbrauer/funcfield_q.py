@@ -1,10 +1,14 @@
 """Quaternion algebras over Q(x): tame residues, specialization, isomorphism.
 
-The decision procedure works in two steps.  Residues at every finite place
-(monic irreducible polynomial) are compared first, by exponent parity, with
-one certified square test per place whose odd tame bases survive; equal
-residues mean the difference class is constant, and one specialization at a
-unit point then decides it inside Br(Q) via its local invariant vector.
+The decision procedure works in two steps.  Residues are compared first,
+not per irreducible place but per element h of a coprime basis of the four
+entries: the irreducible factors of h share valuations and tame terms, so
+one certified square test in the etale algebra Q[x]/(h) compares the
+residues at all of them, by exponent parity, whenever odd tame bases
+survive.  Only an h whose ratio is a nonsquare is split into its places, to
+name the witness.  Equal residues mean the difference class is constant,
+and one specialization at a unit point then decides it inside Br(Q) via
+its local invariant vector.
 """
 
 from __future__ import annotations
@@ -16,13 +20,20 @@ from itertools import count
 
 from .brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from .errors import DomainError
-from .exact_arith import PolyQ, RatFuncQ, sqrt_fraction
-from .funcfield import FactoredFunc, Place, odd_tame_bases, places, tame_terms
+from .exact_arith import PolyQ, RatFuncQ, irreducible_factors_q, sqrt_fraction
+from .funcfield import FactoredFunc, Place, common_basis, odd_tame_bases, places, tame_terms
 from .local_symbols import (
     NumberFieldElem,
     SquareClassVerdict,
     is_square_in_number_field,
 )
+
+
+# A basis element h of higher degree is split into its places before it is
+# tested: the lift in Q[x]/(h) needs 2^(k-1) sign patterns for the k <= deg h
+# factors of h mod p.  With a square ratio and sympy loaded, the lift costs at
+# most 1.7x the split up to k = 8 and doubles with each further factor.
+MAX_BASIS_TEST_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ def residue_at(D: QuaternionFF, v: Place,
 
 def _square_class(v: Place, *algebras: QuaternionFF) -> NumberFieldElem | None:
     """The product of the algebras' tame symbols at v up to squares: the odd
-    tame bases multiplied in Q[x]/(pi), or None when that is a rational square
+    tame bases multiplied in Q[x]/(h), or None when that is a rational square
     (the empty product included), which needs no certificate."""
     acc = NumberFieldElem.make(v.modulus, PolyQ.const(1))
     for base in odd_tame_bases(v, *((D.f, D.g) for D in algebras)):
@@ -124,6 +135,23 @@ class IsomorphismVerdict:
         return out
 
 
+def _nonsquare_places(c: NumberFieldElem, rng: random.Random | None) -> list[Place]:
+    """The places pi | h where c, a unit of Q[x]/(h), is a nonsquare in the
+    component Q[x]/(pi).
+
+    One square test in Q[x]/(h) settles them all when c is a square.  A
+    nonsquare is split to name its places, and so is an h of degree above
+    MAX_BASIS_TEST_DEGREE before any test; an irreducible h is one place."""
+    tested = c.modulus.degree <= MAX_BASIS_TEST_DEGREE
+    if tested and is_square_in_number_field(c, rng=rng).is_square:
+        return []
+    pis = irreducible_factors_q(c.modulus)
+    if tested and len(pis) == 1:
+        return [Place(c.modulus)]
+    return [Place(pi) for pi in pis if not is_square_in_number_field(
+        NumberFieldElem.make(pi, c.value), rng=rng).is_square]
+
+
 def _unit_points(entries: list[FactoredFunc]):
     """Integers ordered 0, 1, -1, 2, -2, ... at which every entry is a unit."""
     for n in count():
@@ -137,18 +165,27 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
                      rng: random.Random | None = None) -> IsomorphismVerdict:
     """Decide isomorphism of two quaternion algebras over Q(x).
 
-    Step 1 compares residues at every place dividing any entry: t1/t2 lies in
-    the square class `_square_class(v, D1, D2)`, and a nonsquare one is a
-    witness, reported with both tame symbols.  Step 2 (equal residues)
-    specializes both at the smallest common unit point and compares the
-    constant classes in Br(Q) as local invariant vectors.
+    Step 1 compares residues on the common basis of the four entries: at
+    each basis element h, t1/t2 lies in the square class
+    `_square_class(h, E1, E2)` of Q[x]/(h).  Where that is a nonsquare, it
+    is a nonsquare in some components Q[x]/(pi), and those pi are witnesses;
+    the smallest over all h, in `Place.sort_key` order, is reported with
+    both tame symbols.  Step 2 (equal residues) specializes both at the
+    smallest common unit point and compares the constant classes in Br(Q)
+    as local invariant vectors.
     """
-    for v in places(D1.f, D1.g, D2.f, D2.g):
-        ratio = _square_class(v, D1, D2)
-        if ratio is not None and not is_square_in_number_field(ratio, rng=rng).is_square:
-            return IsomorphismVerdict(
-                False, witness_place=v, witness_symbols=(tame_symbol(D1, v), tame_symbol(D2, v)),
-                citations=("Faddeev exact sequence (residue comparison)",))
+    basis, (f1, g1, f2, g2) = common_basis(D1.f, D1.g, D2.f, D2.g)
+    E1, E2 = QuaternionFF(f1, g1), QuaternionFF(f2, g2)
+    witnesses = []
+    for v in basis:
+        ratio = _square_class(v, E1, E2)
+        if ratio is not None:
+            witnesses += _nonsquare_places(ratio, rng)
+    if witnesses:
+        v = min(witnesses, key=Place.sort_key)
+        return IsomorphismVerdict(
+            False, witness_place=v, witness_symbols=(tame_symbol(D1, v), tame_symbol(D2, v)),
+            citations=("Faddeev exact sequence (residue comparison)",))
     alpha = next(_unit_points([D1.f, D1.g, D2.f, D2.g]))
     c1 = class_of_quaternion(specialize(D1, alpha))
     c2 = class_of_quaternion(specialize(D2, alpha))

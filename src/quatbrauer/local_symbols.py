@@ -1,13 +1,16 @@
-"""Local computations over Q and over number fields Q[x]/(pi).
+"""Local computations over Q and over Q[x]/(pi), pi monic squarefree.
 
 Provides Legendre and Hilbert symbols at every place of Q and a certified
-square test in number fields.  The square test goes norm first: a prime p
-where the norm Res(pi, t) is a nonresidue certifies a nonsquare without any
-factoring.  Otherwise it lifts first, p-adic square-root reconstruction at a
-prime where pi has few factors, and then alternates the lift with a growing
-search for a witness: a prime p and a factor h of pi mod p where the
-element's norm-Legendre character (Res(h, t) / p) is -1.  Every verdict it
-returns carries an exactly re-verifiable certificate.
+square test in number fields and, for reducible pi, in the etale algebra
+Q[x]/(pi), the product of the number fields of pi's irreducible factors,
+where an element is a square iff it is one in every factor.  The square
+test goes norm first: a prime p where the norm Res(pi, t) is a nonresidue
+certifies a nonsquare without any factoring.  Otherwise it lifts first,
+p-adic square-root reconstruction at a prime where pi has few factors, and
+then alternates the lift with a growing search for a witness: a prime p and
+a factor h of pi mod p where the element's norm-Legendre character
+(Res(h, t) / p) is -1.  Every verdict it returns carries an exactly
+re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ def support_places(a, b) -> list[PlaceQ]:
 
 @dataclass(frozen=True)
 class NumberFieldElem:
-    """An element of Q[x]/(pi), pi monic irreducible, value reduced mod pi."""
+    """An element of Q[x]/(pi), pi monic squarefree, value reduced mod pi: a
+    number field for irreducible pi, else a product of number fields."""
 
     modulus: PolyQ
     value: PolyQ
@@ -295,8 +299,13 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
 
 def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
     """Odd primes where pi stays squarefree and the value, of norm `norm`,
-    stays a unit."""
+    stays a unit.  No prime qualifies when pi is not squarefree or the value
+    is a zero divisor; that raises DomainError instead."""
     r1 = resultant(pi, pi.derivative())
+    if r1 == 0:
+        raise DomainError(f"modulus {pi} is not squarefree")
+    if norm == 0:
+        raise DomainError(f"{value} is a zero divisor mod {pi}")
     screen = (abs(r1.numerator) * r1.denominator *
               abs(norm.numerator) * norm.denominator * pi.den * value.den)
     p = 2
@@ -383,7 +392,8 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
     over all residue sign patterns at the one with the fewest factors.  Then
     alternate rational reconstruction with a witness search over further
     good primes, the batch growing with the lift precision.  Raises
-    BudgetError if neither side certifies within the budget.
+    BudgetError if neither side certifies within the budget, and
+    DomainError if pi is not squarefree or c is a zero divisor.
     """
     if c.is_zero():
         raise DomainError("square test needs a nonzero element")

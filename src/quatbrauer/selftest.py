@@ -15,6 +15,7 @@ from .errors import InternalError
 from .exact_arith import PolyFp, PolyQ, factor_poly_fp, factor_poly_q
 from .funcfield import FactoredFunc
 from .funcfield_fp import class_fp
+from .funcfield_q import QuaternionFF, is_isomorphic_qx
 from .local_symbols import NumberFieldElem, hilbert, is_square_in_number_field, support_places
 
 
@@ -132,6 +133,26 @@ def suite_quaternion_parity(rng: random.Random, cases: int) -> SuiteResult:
     return _suite("quaternion support parity", cases, case)
 
 
+def suite_qx_isomorphism(rng: random.Random, cases: int) -> SuiteResult:
+    def entry():
+        # products of small monic polynomials, often reducible or repeated,
+        # so that the entries' common basis has to be refined
+        out = FactoredFunc.from_constant(rng.choice([1, -1, 2, -3, 5, Fraction(1, 2)]))
+        for _ in range(rng.randint(1, 3)):
+            part = FactoredFunc.from_poly(
+                PolyQ.make([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))] + [1]))
+            out = out * (part if rng.random() < 0.7 else part.inverse())
+        return out
+
+    def case():
+        f, g, h = entry(), entry(), entry()
+        D = QuaternionFF(f, g)
+        for E in (QuaternionFF(g, f), QuaternionFF(f, g * h * h)):
+            if not is_isomorphic_qx(D, E, rng).isomorphic:
+                yield f"{D} and {E} are not found isomorphic"
+    return _suite("Q(x) isomorphism invariances", cases, case)
+
+
 def run_selftest(seed: int = 0, cases: int = 50) -> list[SuiteResult]:
     rng = random.Random(seed)
     return [
@@ -142,4 +163,5 @@ def run_selftest(seed: int = 0, cases: int = 50) -> list[SuiteResult]:
         suite_fp_factor_roundtrip(random.Random(rng.random()), cases),
         suite_square_tester(random.Random(rng.random()), max(5, cases // 10)),
         suite_quaternion_parity(random.Random(rng.random()), cases),
+        suite_qx_isomorphism(random.Random(rng.random()), max(10, cases // 2)),
     ]

@@ -244,7 +244,7 @@ def test_selftest_small(capsys):
 def test_selftest_json(capsys):
     data = run_json(capsys, "--seed", "1", "selftest", "--cases", "5")
     assert data["passed"] is True
-    assert len(data["suites"]) == 7
+    assert len(data["suites"]) == 8
 
 
 def test_selftest_reports_internal_errors_as_failures(capsys, monkeypatch):
@@ -259,7 +259,7 @@ def test_selftest_reports_internal_errors_as_failures(capsys, monkeypatch):
     assert "[FAIL] F_p[x] factorization round-trip (20 cases)" in lines
     assert "[FAIL] F_p(x) reciprocity (20 cases)" in lines
     assert "[PASS] Q[x] factorization round-trip (10 cases)" in lines
-    assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 7
+    assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 8
     assert "internal error: factorization over F_" in out
     assert lines[-1] == "selftest seed=0: FAILURES"
 
@@ -294,3 +294,35 @@ def test_hilbert_brq_ffx_do_not_import_sympy():
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result == {"loaded_on_import": False, "codes": [0, 0, 0], "loaded": []}, result
+
+
+# qx isom names a place only at a witness, and proves most witness places
+# irreducible mod small primes, so these runs must not load sympy either: a
+# swap and a square twist of entries with a reducible squarefree factor, and
+# a prime twist with odd places x and x^3 - 2, whose witness x has degree 1
+QX_F = "(x^2 + 1)*(x - 3)^2*(x^2 - 2)"
+QX_G = "5*(x^3 - 2)/(x + 4)"
+QX_TWIST = "x*(x^2 + 1)^2*(x^3 - 2)^3"
+QX_SYMPY_FREE = [["qx", "isom", "-f1", QX_F, "-g1", QX_G, "-f2", QX_G, "-g2", QX_F],
+                 ["qx", "isom", "-f1", QX_F, "-g1", QX_G,
+                  "-f2", QX_F, "-g2", f"{QX_G}*(x^2 + x - 1)^2*(x + 4)^4/9"],
+                 ["qx", "isom", "-f1", QX_TWIST, "-g1", "3", "-f2", QX_TWIST, "-g2", "15"]]
+
+
+def test_qx_isom_without_a_sympy_split_does_not_import_sympy():
+    argvs = [["--json"] + argv for argv in QX_SYMPY_FREE]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", SYMPY_FREE_SCRIPT, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result == {"loaded_on_import": False, "codes": [0, 0, 0], "loaded": []}, result
+
+
+def test_qx_isom_verdicts_of_the_sympy_free_runs(capsys):
+    swap, square_twist, prime_twist = (run_json(capsys, *argv) for argv in QX_SYMPY_FREE)
+    assert swap["isomorphic"] is True and square_twist["isomorphic"] is True
+    assert prime_twist["isomorphic"] is False and prime_twist["witness_place"] == "x"
+    assert prime_twist["witness_symbols"] == ["1/3", "1/15"]

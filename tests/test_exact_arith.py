@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -25,6 +25,7 @@ from quatbrauer.exact_arith import (
     factor_poly_q,
     factor_rational,
     fq_char,
+    irreducible_factors_q,
     is_prime,
     poly_from_string,
     poly_gcd,
@@ -35,6 +36,7 @@ from quatbrauer.exact_arith import (
     ratfunc_from_string,
     resultant,
     sqrt_fraction,
+    squarefree_parts_q,
     zx_mulmod,
 )
 
@@ -353,6 +355,17 @@ class TestIntegerPathOracle:
         assert (fz.unit, fz.factors) == _sympy_factorization(f)
         assert fz.value() == f and fz.unit == f.lc()
 
+    @settings(max_examples=150, deadline=None)
+    @given(POLYS, POLYS, POLYS)
+    @example([], [], [])
+    @example([Fraction(1, 2), 3], [], [-2, 0, Fraction(5, 3)])
+    @example([-7, 0, 0, 0, 0, 0, 0, 0, 11], [5, 0, 0, 0, 0, 0, 0, 13], [1, 40, -40, 1])
+    def test_gcd_matches_sympy(self, a, b, c):
+        # two cofactors times a common factor; zeros and rational coefficients
+        f, g = PolyQ.make(a) * PolyQ.make(c), PolyQ.make(b) * PolyQ.make(c)
+        want = _from_qq(_qq(f).gcd(_qq(g)))
+        assert poly_gcd(f, g) == (want if want.is_zero() else want.monic())
+
     def test_wrong_factor_raises_internal_error(self, monkeypatch):
         from sympy.polys import factortools
         monkeypatch.setattr(factortools, "dup_zz_factor",
@@ -371,6 +384,56 @@ class TestIntegerPathOracle:
         monkeypatch.setattr(PolyQ, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
         assert base ** e == want
         assert len(calls) == products
+
+
+class TestSquarefreeAndIrreducible:
+    @settings(max_examples=60, deadline=None)
+    @given(NONZERO, st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=2),
+                                       st.integers(-5, 5).filter(bool),
+                                       st.integers(1, 4)), max_size=3))
+    @example(Fraction(2), [([1], 1, 4)])
+    @example(Fraction(-1, 3), [([1, 1], 1, 2), ([1, 2, 1], 1, 1)])  # (x+1)^4, merged powers
+    def test_squarefree_parts_match_sympy(self, content, parts):
+        f = PolyQ.const(content)
+        for cs, lc, m in parts:
+            f = f * PolyQ.make(cs + [lc]) ** m
+        _, want = sympy.sqf_list(_qq(f).as_expr(), X)
+        want = sorted(((_from_qq(sympy.Poly(g, X, domain="QQ")).monic(), m) for g, m in want),
+                      key=lambda gm: gm[1])
+        assert squarefree_parts_q(f) == want
+        assert prod((g**m for g, m in want), start=PolyQ.const(f.lc())) == f
+
+    def test_squarefree_parts_refuse_the_degree_cap(self):
+        with pytest.raises(DomainError, match="exceeds"):
+            squarefree_parts_q(PolyQ.make([1, 1]) ** (exact_arith.DEFAULT_DEGREE_CAP + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4), min_size=1, max_size=3))
+    def test_irreducible_factors_match_factor_poly_q(self, parts):
+        f = PolyQ.const(1)
+        for cs in parts:
+            f = f * PolyQ.make(cs + [1])
+        for g, _ in squarefree_parts_q(f):
+            assert irreducible_factors_q(g) == [h for h, _ in factor_poly_q(g).factors]
+
+    @pytest.mark.parametrize("s", ["x^3 - 2", "x^4 + x + 1", "x^5 - x - 1",
+                                   "x^6 + x^3 + 1/2", "x^2 + 1/3"])
+    def test_irreducible_proved_without_sympy(self, monkeypatch, s):
+        monkeypatch.setattr(exact_arith, "factor_poly_q", None)
+        f = poly_from_string(s).monic()
+        assert irreducible_factors_q(f) == [f]
+
+    @pytest.mark.parametrize("s", ["x^4 + 1", "(x^2 - 2)*(x^2 + 1)", "(x - 1)*(x^3 - 2)"])
+    def test_unproved_polynomials_go_to_sympy(self, monkeypatch, s):
+        # x^4 + 1 is irreducible but splits mod every prime, and a reducible
+        # polynomial has no irreducibility proof
+        calls = []
+        factor = exact_arith.factor_poly_q
+        monkeypatch.setattr(exact_arith, "factor_poly_q",
+                            lambda f: calls.append(f) or factor(f))
+        f = poly_from_string(s)
+        assert irreducible_factors_q(f) == [h for h, _ in factor(f).factors]
+        assert calls == [f]
 
 
 class TestCanonicalForm:

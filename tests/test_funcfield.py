@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatbrauer.errors import DomainError
-from quatbrauer.exact_arith import PolyFp, PolyQ, fq_char, polyfp_pow_mod
+from quatbrauer.exact_arith import PolyFp, PolyQ, factor_key, fq_char, poly_gcd, polyfp_pow_mod
 from quatbrauer.funcfield import (
     MAX_DEGREE,
     FactoredFunc,
     Place,
+    common_basis,
     odd_tame_bases,
     places,
     tame_terms,
@@ -97,6 +98,82 @@ class TestFactoredFunc:
         v = Place(PolyFp.make(5, [1, 0, 1, 1]))
         assert str(Place(None)) == "inf"
         assert sorted([Place(None), v], key=Place.sort_key) == [v, Place(None)]
+
+
+def _pool_exponents(rng, n):
+    """n random {pool place: exponent} maps, some places shared."""
+    return [{q: rng.choice([-2, -1, 1, 2, 3]) for q in rng.sample(Q_POOL, rng.randint(0, 3))}
+            for _ in range(n)]
+
+
+def _from_exponents(exps, c=1) -> FactoredFunc:
+    out = FactoredFunc.from_constant(c)
+    for q, e in exps.items():
+        part = FactoredFunc.from_poly(q**abs(e))
+        out = out * (part if e > 0 else part.inverse())
+    return out
+
+
+def _assert_q_invariant(F: FactoredFunc):
+    hs = [h for h, _ in F.factors]
+    assert all(h.is_monic() and poly_gcd(h, h.derivative()).degree == 0 for h in hs)
+    assert all(poly_gcd(a, b).degree == 0 for i, a in enumerate(hs) for b in hs[i + 1:])
+    assert all(m != 0 for _, m in F.factors)
+    assert list(F.factors) == sorted(F.factors, key=factor_key)
+
+
+class TestQInvariant:
+    def test_products_stay_squarefree_and_coprime(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            (e1, e2), c = _pool_exponents(rng, 2), Fraction(rng.choice([-3, 1, 2]), 5)
+            F = _from_exponents(e1, c) * _from_exponents(e2)
+            _assert_q_invariant(F)
+            assert F.constant == c
+            for q in Q_POOL:
+                assert F.valuation(Place(q)) == e1.get(q, 0) + e2.get(q, 0)
+
+    def test_from_poly_splits_only_squarefree_parts(self):
+        x, x1, x2 = PolyQ.x(), PolyQ.make([1, 1]), PolyQ.make([1, 0, 1])
+        F = FactoredFunc.from_poly(PolyQ.const(-2) * x * x1**2 * x2 * x2)
+        assert F.constant == -2 and F.factors == ((x, 1), (x1 * x2, 2))
+
+    def test_equal_functions_have_equal_forms(self):
+        # however a function is built, products and inverses keep one factor
+        # per exponent, and str prints its irreducible factors
+        x, x1, x2 = PolyQ.x(), PolyQ.make([1, 1]), PolyQ.make([1, 0, 1])
+        built = [FactoredFunc.from_poly(x * x1 * x2**2),
+                 FactoredFunc.from_poly(x) * FactoredFunc.from_poly(x1 * x2**2),
+                 FactoredFunc.from_poly(x * x2) * FactoredFunc.from_poly(x1 * x2),
+                 FactoredFunc.from_poly(x * x2**3) * FactoredFunc.from_poly(x2).inverse()
+                 * FactoredFunc.from_poly(x1)]
+        assert all(F == built[0] for F in built)
+        assert built[0].factors == ((x * x1, 1), (x2, 2))
+        assert {str(F) for F in built} == {"1 * (x) * (x + 1) * (x^2 + 1)^2"}
+        assert str(FactoredFunc.from_poly(x * x - PolyQ.const(1))) == "1 * (x - 1) * (x + 1)"
+
+    def test_common_basis_rewrites_each_entry(self):
+        rng = random.Random(73)
+        for _ in range(30):
+            exps = _pool_exponents(rng, 4)
+            entries = [_from_exponents(e, i + 1) for i, e in enumerate(exps)]
+            basis, rewritten = common_basis(*entries)
+            _assert_q_invariant(FactoredFunc(1, tuple(sorted(((v.modulus, 1) for v in basis),
+                                                             key=factor_key))))
+            for e, r, ex in zip(entries, rewritten, exps):
+                _assert_q_invariant(r)
+                assert r.constant == e.constant
+                assert {h for h, _ in r.factors} <= {v.modulus for v in basis}
+                for q in Q_POOL:
+                    assert r.valuation(Place(q)) == ex.get(q, 0)
+
+    def test_split_at_an_irreducible_place(self):
+        x, x1, x2 = PolyQ.x(), PolyQ.make([1, 1]), PolyQ.make([1, 0, 1])
+        F = FactoredFunc.from_poly(x * x1 * x2) * FactoredFunc.from_poly(x * x1 * x2)
+        G, m = F.split_at(Place(x1))
+        assert m == 2 and G.factors == ((x1, 2), (x * x2, 2))
+        assert F.split_at(Place(PolyQ.make([-1, 1]))) == (F, 0)
+        assert F.split_at(Place(None)) == (F, -8)
 
 
 class TestDegreeCap:

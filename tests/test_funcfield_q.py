@@ -1,5 +1,6 @@
 """Tests for quaternion algebras over Q(x)."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,11 +10,20 @@ from hypothesis import strategies as st
 
 from quatbrauer import funcfield_q
 from quatbrauer.brauer_q import BrauerClassQ, class_of_quaternion
+from quatbrauer.cli import _funcfield
 from quatbrauer.errors import DomainError
-from quatbrauer.exact_arith import PolyQ, poly_from_string
+from quatbrauer.exact_arith import (
+    PolyQ,
+    factor_key,
+    factor_poly_fp,
+    factor_poly_q,
+    poly_from_string,
+    polyfp_from_polyq,
+)
 from quatbrauer.funcfield import Place, places
 from quatbrauer.funcfield_q import (
     FactoredFunc,
+    IsomorphismVerdict,
     QuaternionFF,
     RatFuncQ,
     is_division_qx,
@@ -223,6 +233,159 @@ class TestParityOracle:
         if verdict.witness_place is not None:
             v = verdict.witness_place
             assert verdict.witness_symbols == (tame_symbol(D1, v), tame_symbol(D2, v))
+
+
+def _fully_factored(e: FactoredFunc) -> FactoredFunc:
+    """e with each squarefree factor split into irreducibles by sympy."""
+    exps: dict[PolyQ, int] = {}
+    for h, m in e.factors:
+        for pi, k in factor_poly_q(h).factors:
+            exps[pi] = exps.get(pi, 0) + k * m
+    return FactoredFunc(e.constant, tuple(sorted(exps.items(), key=factor_key)))
+
+
+def _per_place_verdict(D1, D2) -> IsomorphismVerdict:
+    """The decision place by place on fully factored entries: the first
+    irreducible place in sort order where the ratio of the residues is a
+    nonsquare is the witness; else the classes at the first unit point."""
+    F1 = QuaternionFF(_fully_factored(D1.f), _fully_factored(D1.g))
+    F2 = QuaternionFF(_fully_factored(D2.f), _fully_factored(D2.g))
+    entries = [F1.f, F1.g, F2.f, F2.g]
+    for v in sorted({Place(pi) for e in entries for pi, _ in e.factors}, key=Place.sort_key):
+        ratio = funcfield_q._square_class(v, F1, F2)
+        if ratio is not None and not is_square_in_number_field(ratio).is_square:
+            return IsomorphismVerdict(
+                False, witness_place=v, witness_symbols=(tame_symbol(F1, v), tame_symbol(F2, v)),
+                citations=("Faddeev exact sequence (residue comparison)",))
+    alpha = next(a for a in (Fraction((n + 1) // 2 * (1 if n % 2 else -1)) for n in range(100))
+                 if all(pi.evaluate(a) != 0 for e in entries for pi, _ in e.factors))
+    diff = class_of_quaternion(specialize(F1, alpha)) + class_of_quaternion(specialize(F2, alpha))
+    if diff.is_zero():
+        return IsomorphismVerdict(True, specialization_point=alpha, citations=(
+            "Faddeev exact sequence", "specialization homomorphism", "Albert-Hasse-Brauer-Noether"))
+    return IsomorphismVerdict(False, witness_invariants=diff, specialization_point=alpha,
+                              citations=("specialization homomorphism", "Albert-Hasse-Brauer-Noether"))
+
+
+# irreducible places of degree 1 to 4, x^4 + 1 among them
+DIFF_POOL = ["x", "x + 1", "x - 2", "x + 3", "x^2 + 1", "x^2 - 2", "x^2 + x + 1", "x^2 - 3",
+             "x^3 - 2", "x^3 - x - 1", "x^4 + 1", "x^4 - 2*x + 3"]
+DIFF_CONSTANTS = ["1", "-1", "2", "-3", "5", "6", "1/2", "-5/3"]
+
+
+def _diff_entry(rng) -> str:
+    """A rational function as CLI text: a constant times powers of up to
+    three pool places."""
+    parts = [f"({q})^{rng.choice((-2, -1, 1, 1, 2, 3))}"
+             for q in rng.sample(DIFF_POOL, rng.randint(1, 3))]
+    return "*".join([f"({rng.choice(DIFF_CONSTANTS)})"] + parts)
+
+
+def _diff_pair(rng, kind):
+    """A pair of algebras, as CLI entry strings, related by `kind`."""
+    f, g = _diff_entry(rng), _diff_entry(rng)
+    if kind == "prime_twist":
+        # several odd places in f, often sharing one squarefree factor
+        f = "*".join([f"({rng.choice(DIFF_CONSTANTS)})"] + [
+            f"({q})^{rng.choice((1, 1, 3, 2))}" for q in rng.sample(DIFF_POOL, rng.randint(2, 4))])
+        return (f, g), (f, f"{rng.choice((3, 5, 7, 11, 13))}*{g}")
+    if kind == "x4_plus_1":
+        f = f"(x^4 + 1)^{rng.choice((1, 3))}*{f}"
+        return (f, g), (f, f"{rng.choice((-1, 2, 3, -6))}*{g}")
+    if kind == "swap":
+        return (f, g), (g, f)
+    if kind == "square_twist":
+        return (f, g), (f, f"{g}*({rng.choice(DIFF_POOL)})^2*({rng.choice(DIFF_CONSTANTS)})^2")
+    return (f, g), (_diff_entry(rng), _diff_entry(rng))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_common_basis_json_matches_the_per_place_decision(seed):
+    rng = random.Random(seed)
+    kinds = []
+    for kind in ["prime_twist"] * 6 + ["x4_plus_1"] * 3 + ["swap", "square_twist", "other"] * 2:
+        while True:
+            (f1, g1), (f2, g2) = _diff_pair(rng, kind)
+            try:
+                D1 = QuaternionFF(_funcfield(f1), _funcfield(g1))
+                D2 = QuaternionFF(_funcfield(f2), _funcfield(g2))
+                break
+            except DomainError:  # a numerator or denominator above the degree cap
+                continue
+        got = json.dumps(is_isomorphic_qx(D1, D2, random.Random(seed)).to_json(), sort_keys=True)
+        want = json.dumps(_per_place_verdict(D1, D2).to_json(), sort_keys=True)
+        assert got == want, (kind, f1, g1, f2, g2)
+        kinds.append((kind, json.loads(got).get("witness_place")))
+    # the draws reach witnesses of every kind
+    assert any(w is not None for k, w in kinds if k == "prime_twist")
+    assert any(w is not None for k, w in kinds if k == "x4_plus_1")
+
+
+def test_witness_on_a_reducible_basis_element_is_its_smallest_failing_place():
+    # f has one squarefree factor h = (x - 2)(x^2 + 1); the ratio of the
+    # residues at h is x + 2, a square mod x - 2 (it is 4) but not mod
+    # x^2 + 1 (2 + i has norm 5); at x + 2 the ratio f(-2) = 100 is a square
+    f = "-5*(x - 2)*(x^2 + 1)"
+    D1 = QuaternionFF(_funcfield(f), _funcfield("7"))
+    D2 = QuaternionFF(_funcfield(f), _funcfield("7*(x + 2)"))
+    assert [str(h) for h, _ in D1.f.factors] == ["x^3 - 2*x^2 + x - 2"]
+    verdict = is_isomorphic_qx(D1, D2)
+    assert str(verdict.witness_place) == "x^2 + 1"
+    assert verdict.to_json() == _per_place_verdict(D1, D2).to_json()
+    # with 3 in place of x + 2 both components fail and x - 2 is the witness
+    D3 = QuaternionFF(_funcfield(f), _funcfield("21"))
+    assert str(is_isomorphic_qx(D1, D3).witness_place) == "x - 2"
+
+
+def test_basis_element_with_many_places_is_split_before_its_test(monkeypatch):
+    # one squarefree factor with 16 linear places: the ratio x^2 mod h is a
+    # square, but its lift in Q[x]/(h) could need 2^15 sign patterns, so h,
+    # of degree above 8, is split and each place is tested on its own
+    h = "*".join(f"(x - {i})" for i in range(1, 17))
+    D1 = QuaternionFF(_funcfield(h), _funcfield("3"))
+    D2 = QuaternionFF(_funcfield(h), _funcfield(f"3*(x^2 + {h})"))
+    assert len(D1.f.factors) == 1
+    degrees, square = [], funcfield_q.is_square_in_number_field
+
+    def recording(c, rng=None):
+        degrees.append(c.modulus.degree)
+        return square(c, rng=rng)
+
+    monkeypatch.setattr(funcfield_q, "is_square_in_number_field", recording)
+    assert is_isomorphic_qx(D1, D2).to_json() == _per_place_verdict(D1, D2).to_json()
+    # h's 16 places one by one; the one test of degree 16 is at the
+    # irreducible place x^2 + h of D2's second entry
+    assert degrees.count(1) == 16 and set(degrees) == {1, 16}
+
+
+# Irreducible (Eisenstein at 29) of degree 11: it is x^11 mod 3, 5, 7 and
+# 11, and (x - 1)(x - 2)...(x - 11) mod 13, 17, 19 and 23, the first primes
+# where it stays squarefree.  A square test that reaches the lift in
+# Q[x]/(WIDE) has 11 factors at each candidate prime: 2^10 sign patterns.
+WIDE = ("x^11 - 36902747805*x^10 - 33761385735*x^9 + 26197444350*x^8 - 16549946490*x^7"
+        " - 42635685015*x^6 - 11789335635*x^5 - 15726237450*x^4 - 22308138930*x^3"
+        " + 2609059530*x^2 + 27432036555*x + 45582575115")
+
+
+def test_irreducible_place_with_a_wide_lift_gets_a_verdict():
+    pi = poly_from_string(WIDE)
+    assert factor_poly_q(pi).factors == ((pi, 1),)
+    for p in (13, 17, 19, 23):
+        assert len(factor_poly_fp(polyfp_from_polyq(pi, p))[1]) == 11
+    # g = 1 / (x (x + pi)): the residue at pi is the class of x (x + pi) = x^2,
+    # a square that only the lift certifies
+    g = (ff("x") * FactoredFunc.from_poly(pi + PolyQ.x())).inverse()
+    D = QuaternionFF(FactoredFunc.from_poly(pi), g)
+    res = residue_at(D, Place(pi))
+    assert res.trivial and res.verdict.verified and str(res.verdict.root) in ("x", "-x")
+    # pi is a basis element of degree above 8: split, found irreducible and
+    # tested with no limit on the lift; the witness is x, where the residue
+    # of D is the class of pi(0), not a square
+    D1 = QuaternionFF(FactoredFunc.from_poly(pi), ff(1))
+    assert funcfield_q._nonsquare_places(funcfield_q._square_class(Place(pi), D1, D), None) == []
+    verdict = is_isomorphic_qx(D1, D)
+    assert str(verdict.witness_place) == "x"
+    assert verdict.to_json() == _per_place_verdict(D1, D).to_json()
 
 
 class TestCallCounts:

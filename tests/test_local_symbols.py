@@ -189,6 +189,95 @@ class TestNumberFieldElem:
             NumberFieldElem.make(PolyQ.make([1, 0, 2]), PolyQ.x())
 
 
+# (x^2 - 2)(x^2 + 1): Q[x]/(pi) is Q(sqrt 2) x Q(i), where 2 and -1 are
+# each a square in one factor only
+ETALE = SQRT2 * GAUSS
+CYCLOTOMIC8 = PolyQ.make([1, 0, 0, 0, 1])  # x^4 + 1, reducible mod every prime
+
+
+class TestEtaleModuli:
+    def test_inverse(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            v = PolyQ.make([rng.randint(-9, 9) for _ in range(4)])
+            if v.is_zero() or v == SQRT2 or v == GAUSS:
+                continue
+            e = NumberFieldElem.make(ETALE, v)
+            assert (e * e.inverse()).value == PolyQ.const(1)
+
+    def test_zero_divisor_has_no_inverse(self):
+        with pytest.raises(DomainError):
+            NumberFieldElem.make(ETALE, SQRT2 * PolyQ.make([3, 1])).inverse()
+
+    @pytest.mark.parametrize("c", [2, -1, -2, 3])
+    def test_square_in_one_factor_only_is_a_nonsquare(self, c):
+        # 2 is a square only in Q(sqrt 2), -1 only in Q(i), -2 in neither
+        e = NumberFieldElem.make(ETALE, PolyQ.const(c))
+        v = is_square_in_number_field(e, rng=random.Random(c))
+        assert not v.is_square and v.verified
+        assert verify_nonsquare_certificate(e, v.witness)
+
+    def test_witness_factor_need_not_be_irreducible_mod_p(self):
+        # mod 7, pi = (x - 3)(x + 3)(x^2 + 1); -1 has character -1 at x - 3
+        # and +1 in F_49, so their product is a witness, and the product of
+        # the two linear factors is not
+        e = NumberFieldElem.make(ETALE, PolyQ.const(-1))
+        x_minus_3, x_plus_3 = PolyFp.make(7, [4, 1]), PolyFp.make(7, [3, 1])
+        h = x_minus_3 * PolyFp.make(7, [1, 0, 1])
+        assert verify_nonsquare_certificate(e, NonsquareWitness(7, h))
+        assert not verify_nonsquare_certificate(e, NonsquareWitness(7, x_minus_3 * x_plus_3))
+
+    def test_squares_are_recognized_with_a_root(self):
+        rng = random.Random(13)
+        for modulus in (ETALE, CYCLOTOMIC8):
+            for _ in range(6):
+                r = NumberFieldElem.make(modulus, PolyQ.make(
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]))
+                if r.is_zero():
+                    continue
+                c = r * r
+                v = is_square_in_number_field(c, rng=rng)
+                assert v.is_square and v.verified
+                assert verify_square_certificate(c, v.root)
+
+    @pytest.mark.parametrize("c,square", [(2, True), (-1, True), (-2, True), (3, False),
+                                          (-3, False), (6, False)])
+    def test_cyclotomic_field_of_8(self, c, square):
+        # Q(zeta_8) holds i and sqrt 2 = zeta + zeta^-1, but not sqrt 3
+        e = NumberFieldElem.make(CYCLOTOMIC8, PolyQ.const(c))
+        v = is_square_in_number_field(e, rng=random.Random(c))
+        assert v.is_square is square and v.verified
+        if square:
+            assert verify_square_certificate(e, v.root)
+        else:
+            assert verify_nonsquare_certificate(e, v.witness)
+
+
+NON_SQUAREFREE_SCRIPT = """
+from quatbrauer.errors import DomainError
+from quatbrauer.exact_arith import PolyQ
+from quatbrauer.local_symbols import NumberFieldElem, is_square_in_number_field
+
+for modulus, value in (([1, 2, 1], [3]), ([1, 2, 1], [1, 1, 1]), ([0, 1, 1], [0, 1])):
+    try:
+        is_square_in_number_field(NumberFieldElem.make(PolyQ.make(modulus), PolyQ.make(value)))
+    except DomainError as exc:
+        print(exc)
+"""
+
+
+def test_non_squarefree_modulus_and_zero_divisor_are_refused():
+    # no prime passes the good-prime screen for these; the test runs in a
+    # separate process so that a search that never ends fails on a timeout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", NON_SQUAREFREE_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout.splitlines() == ["modulus x^2 + 2*x + 1 is not squarefree"] * 2 + \
+        ["x is a zero divisor mod x^2 + x"], out.stdout + out.stderr
+
+
 class TestSquareTester:
     def test_minus_one_square_in_gauss_field(self):
         c = NumberFieldElem.make(GAUSS, PolyQ.const(-1))
