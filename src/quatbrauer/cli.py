@@ -170,9 +170,8 @@ def cmd_qx_specialize(args) -> int:
 
 def cmd_ffx_residues(args) -> int:
     p = args.char
-    rng = random.Random(args.seed)
-    f = FactoredFunc.from_poly(polyfp_from_string(args.f, p), rng)
-    g = FactoredFunc.from_poly(polyfp_from_string(args.g, p), rng)
+    f = FactoredFunc.from_poly(polyfp_from_string(args.f, p))
+    g = FactoredFunc.from_poly(polyfp_from_string(args.g, p))
     cls = class_fp(f, g)
     _emit(args, cls.to_json(),
           f"ramified places over F_{p}(x): {cls}")
@@ -181,11 +180,10 @@ def cmd_ffx_residues(args) -> int:
 
 def cmd_ffx_isom(args) -> int:
     p = args.char
-    rng = random.Random(args.seed)
 
     def pair(fs, gs):
-        return (FactoredFunc.from_poly(polyfp_from_string(fs, p), rng),
-                FactoredFunc.from_poly(polyfp_from_string(gs, p), rng))
+        return (FactoredFunc.from_poly(polyfp_from_string(fs, p)),
+                FactoredFunc.from_poly(polyfp_from_string(gs, p)))
 
     verdict = is_isomorphic_fpx(pair(args.f1, args.g1), pair(args.f2, args.g2))
     human = "isomorphic" if verdict.isomorphic else \

@@ -12,6 +12,7 @@ factorizations carry monic irreducible factors sorted by (degree, coeffs).
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ TRIAL_DIVISION_BOUND = 10**3
 # or 11 for every witness h, and at 17 for 4 of 96 `qx residues` processes;
 # 19 would spare no further process.
 IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
+
+SPLIT_CACHE_SIZE = 256  # squarefree F_p[x] splits kept by `irreducible_factors_fp`
 
 
 # ---------------------------------------------------------------------------
@@ -814,15 +817,16 @@ def _pth_root_fp(f: PolyFp) -> PolyFp:
     return PolyFp.make(f.p, [f.coeffs[i] for i in range(0, len(f.coeffs), f.p)])
 
 
-def _squarefree_parts_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Squarefree decomposition over F_p, handling p-th power collapse."""
+def squarefree_parts_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
+    """Monic, squarefree, coprime a_i with f = lc(f) * prod a_i^i; p-th powers too."""
     p = f.p
     out: list[tuple[PolyFp, int]] = []
     if f.degree < 1:
         return out
+    f = f.monic()
     d = f.derivative()
     if d.is_zero():
-        return [(g, p * m) for g, m in _squarefree_parts_fp(_pth_root_fp(f))]
+        return [(g, p * m) for g, m in squarefree_parts_fp(_pth_root_fp(f))]
     c = polyfp_gcd(f, d)
     w = f.divmod(c)[0]
     i = 1
@@ -835,7 +839,7 @@ def _squarefree_parts_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
         i += 1
     if c.degree > 0:
         # c is the p-th power part left over after the Yun loop
-        out.extend((g, p * m) for g, m in _squarefree_parts_fp(_pth_root_fp(c)))
+        out.extend((g, p * m) for g, m in squarefree_parts_fp(_pth_root_fp(c)))
     return out
 
 
@@ -913,7 +917,7 @@ def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
     rng = rng or random.Random(0xCA2A)
     unit = f.lc()
     factors: list[tuple[PolyFp, int]] = []
-    for sqf, mult in _squarefree_parts_fp(f.monic()):
+    for sqf, mult in squarefree_parts_fp(f):
         rows = _frobenius_rows(sqf)
         for part, d in _ddf(sqf, rows):
             factors.extend((h, mult) for h in _edf(part, d, sqf, rows, rng))
@@ -921,6 +925,16 @@ def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
     if prod((h for h, m in factors for _ in range(m)), start=PolyFp.const(f.p, unit)) != f:
         raise InternalError(f"factorization over F_{f.p} failed to reconstruct the input")
     return unit, tuple(factors)
+
+
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def irreducible_factors_fp(h: PolyFp) -> tuple[PolyFp, ...]:
+    """The monic irreducible factors of a monic squarefree h, sorted; memoized
+    on h (and so on p), as the entries of a decision share most parts."""
+    unit, facs = factor_poly_fp(h)
+    if unit != 1 or any(m != 1 for _, m in facs):
+        raise DomainError(f"{h} is not monic and squarefree")
+    return tuple(g for g, _ in facs)
 
 
 def polyfp_from_string(s: str, p: int) -> PolyFp:

@@ -1,18 +1,16 @@
 """The function-field core shared by F_p(x) and Q(x).
 
 A nonzero element of K(x) is kept factored: a constant times powers of
-monic polynomials.  Over F_p these are irreducible (Cantor-Zassenhaus);
-over Q they are only squarefree and pairwise coprime (Yun's split and
-factor refinement, no sympy), so one factor may hold several places, all
-with its exponent.  A place is a monic irreducible modulus, or the degree
-place at infinity of F_p(x); over Q a monic squarefree modulus on a
-`common_basis` of the entries stands for all its irreducible factors at
-once.  The tame symbol of (f, g) at a place is returned as (base, exponent)
-terms whose bases are units there; each base field reduces them into its
-own residue field and decides the square class: `funcfield_fp` by the
-norm-Legendre character, `funcfield_q` by the certified square test in
-Q[x]/(h), both on `odd_tame_bases`.  Only `places` names every irreducible
-place of a Q(x) element, with `irreducible_factors_q`.
+monic, squarefree, pairwise coprime polynomials (Yun's split and factor
+refinement), over F_p and Q alike, so one factor may hold several places.
+A place is a monic irreducible modulus, or the degree place at infinity of
+F_p(x); a monic squarefree modulus on a `common_basis` of the entries
+stands for all its irreducible factors at once.  The tame symbol of (f, g)
+at a place is returned as (base, exponent) terms whose bases are units
+there; `funcfield_fp` decides their square class by the norm-Legendre
+character at each place of a basis element, `funcfield_q` by the certified
+square test in Q[x]/(h), both on `odd_tame_bases`.  Places are named only
+where needed, by `irreducible_factors_fp` or `irreducible_factors_q`.
 """
 
 from __future__ import annotations
@@ -26,10 +24,12 @@ from .exact_arith import (
     PolyFp,
     PolyQ,
     factor_key,
-    factor_poly_fp,
+    irreducible_factors_fp,
     irreducible_factors_q,
     is_prime,
     poly_gcd,
+    polyfp_gcd,
+    squarefree_parts_fp,
     squarefree_parts_q,
 )
 
@@ -42,10 +42,10 @@ Poly = PolyQ | PolyFp
 @dataclass(frozen=True)
 class Place:
     """A place of K(x): a monic irreducible polynomial, or None for the
-    degree place at infinity of F_p(x).  Over Q the modulus may also be a
-    monic squarefree h on the entries' common basis: every irreducible
-    factor of h has the same valuations and tame terms, so one place h
-    stands for all of them."""
+    degree place at infinity of F_p(x).  The modulus may also be a monic
+    squarefree h on the entries' common basis: every irreducible factor of
+    h has the same valuations and tame terms, so one place h stands for all
+    of them."""
 
     modulus: Poly | None
 
@@ -73,14 +73,12 @@ def _field(p: int) -> str:
 class FactoredFunc:
     """A nonzero element of K(x)^x: constant * prod(factor ** exponent).
 
-    p = 0 means K = Q, a Fraction constant, and factors that are monic,
-    squarefree and pairwise coprime; otherwise K = F_p, the constant lies in
-    [1, p) and the factors are monic irreducible.  Exponents are nonzero;
-    factors are sorted by degree, then coefficients.  Over Q, `from_poly`,
-    products and inverses keep one factor per exponent (the squarefree
-    decomposition), so that == compares functions; the finer factors that
-    `common_basis` and `split_at` return serve the residue computations
-    only.  `str` prints irreducible factors over both fields."""
+    p = 0 means K = Q and a Fraction constant; otherwise K = F_p and the
+    constant lies in [1, p).  The factors are monic, squarefree and pairwise
+    coprime, with nonzero exponents, sorted by degree, then coefficients.
+    `from_poly`, products and inverses keep one factor per exponent, so
+    that == compares functions; the finer factors of `common_basis` and
+    `split_at` serve residues only.  `str` prints irreducible factors."""
 
     constant: Fraction | int
     factors: tuple[tuple[Poly, int], ...]
@@ -91,13 +89,12 @@ class FactoredFunc:
         p = f.p if isinstance(f, PolyFp) else 0
         if f.is_zero():
             raise DomainError(f"zero is not a unit of {_field(p)}")
-        if not p:
-            return FactoredFunc(f.lc(), tuple(sorted(squarefree_parts_q(f), key=factor_key)))
-        _check_char(p)
-        if f.degree > MAX_DEGREE:
-            raise DomainError(f"degree {f.degree} exceeds the F_p(x) cap {MAX_DEGREE}")
-        unit, facs = factor_poly_fp(f, rng)
-        return FactoredFunc(unit, facs, p)
+        if p:
+            _check_char(p)
+            if f.degree > MAX_DEGREE:
+                raise DomainError(f"degree {f.degree} exceeds the F_p(x) cap {MAX_DEGREE}")
+        parts = squarefree_parts_fp(f) if p else squarefree_parts_q(f)
+        return FactoredFunc(f.lc(), tuple(sorted(parts, key=factor_key)), p)
 
     @staticmethod
     def from_constant(c, p: int = 0) -> "FactoredFunc":
@@ -114,17 +111,15 @@ class FactoredFunc:
         if self.p != other.p:
             raise DomainError("characteristic mismatch")
         # on a common basis equal factors are the only ones that merge
-        a, b = (self, other) if self.p else common_basis(self, other)[1]
+        a, b = common_basis(self, other)[1]
         exps = dict(a.factors)
         for f, m in b.factors:
             exps[f] = exps.get(f, 0) + m
-        facs = [(f, m) for f, m in exps.items() if m != 0]
-        if not self.p:
-            groups: dict[int, PolyQ] = {}
-            for f, m in facs:
+        groups: dict[int, Poly] = {}
+        for f, m in exps.items():
+            if m:
                 groups[m] = groups[m] * f if m in groups else f
-            facs = [(f, m) for m, f in groups.items()]
-        facs = tuple(sorted(facs, key=factor_key))
+        facs = tuple(sorted(((f, m) for m, f in groups.items()), key=factor_key))
         c = self.constant * other.constant
         return FactoredFunc(c % self.p if self.p else c, facs, self.p)
 
@@ -135,20 +130,21 @@ class FactoredFunc:
     def split_at(self, v: Place) -> tuple["FactoredFunc", int]:
         """(self with v's modulus split out of the factor it divides, v(self)).
 
-        The modulus is irreducible or on a common basis with self.  Over Q
-        a factor h that it divides properly becomes modulus * (h / modulus),
-        both with h's exponent; over F_p and at infinity nothing splits."""
+        The modulus is irreducible or on a common basis with self.  A factor
+        h that it divides properly becomes modulus * (h / modulus), both with
+        h's exponent; at infinity nothing splits."""
         pi = v.modulus
         if pi is None:
             return self, -sum(f.degree * m for f, m in self.factors)
         for i, (f, m) in enumerate(self.factors):  # sorted: f == pi comes first
             if f == pi:
                 return self, m
-            if not self.p and f.degree > pi.degree:
+            if f.degree > pi.degree:
                 q, r = f.divmod(pi)
                 if r.is_zero():
                     facs = self.factors[:i] + ((pi, m), (q, m)) + self.factors[i + 1:]
-                    return FactoredFunc(self.constant, tuple(sorted(facs, key=factor_key))), m
+                    return FactoredFunc(self.constant, tuple(sorted(facs, key=factor_key)),
+                                        self.p), m
         return self, 0
 
     def valuation(self, v: Place) -> int:
@@ -165,8 +161,8 @@ class FactoredFunc:
         return acc
 
     def __str__(self) -> str:
-        facs = self.factors if self.p else sorted(
-            ((pi, m) for f, m in self.factors for pi in irreducible_factors_q(f)), key=factor_key)
+        split = irreducible_factors_fp if self.p else irreducible_factors_q
+        facs = sorted(((pi, m) for f, m in self.factors for pi in split(f)), key=factor_key)
         parts = [str(self.constant)]
         for f, m in facs:
             parts.append(f"({f})^{m}" if m != 1 else f"({f})")
@@ -174,7 +170,7 @@ class FactoredFunc:
 
 
 def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc]]:
-    """Factor refinement of Q(x) entries (Bach, Driscoll and Shallit 1993):
+    """Factor refinement of K(x) entries (Bach, Driscoll and Shallit 1993):
     a monic, squarefree, pairwise coprime basis of the entries' factors, as
     places, and each entry rewritten as its constant times powers of them.
 
@@ -182,14 +178,15 @@ def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc
     gives way to g and b/g, a goes on as a/g.  As a and b are squarefree,
     g, a/g and b/g are pairwise coprime, and g's exponent in each entry is
     the sum of a's and b's."""
-    basis: list[tuple[PolyQ, list[int]]] = []
+    gcd = polyfp_gcd if entries[0].p else poly_gcd
+    basis: list[tuple[Poly, list[int]]] = []
     for i, e in enumerate(entries):
         for a, m in e.factors:
             va = [0] * len(entries)
             va[i] = m
             refined = []
             for b, vb in basis:
-                if a.degree == 0 or (g := b if a == b else poly_gcd(a, b)).degree == 0:
+                if a.degree == 0 or (g := b if a == b else gcd(a, b)).degree == 0:
                     refined.append((b, vb))
                     continue
                 refined.append((g, [x + y for x, y in zip(va, vb)]))
@@ -200,17 +197,15 @@ def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc
                 refined.append((a, va))
             basis = refined
     rewritten = [FactoredFunc(e.constant, tuple(sorted(((h, v[i]) for h, v in basis if v[i]),
-                                                       key=factor_key)))
+                                                       key=factor_key)), e.p)
                  for i, e in enumerate(entries)]
     return [Place(h) for h, _ in basis], rewritten
 
 
 def places(*entries: FactoredFunc) -> list[Place]:
-    """The finite places dividing any of the entries, sorted; over Q each
-    squarefree factor is split into irreducibles."""
-    mods = {f for e in entries for f, _ in e.factors}
-    if entries and not entries[0].p:
-        mods = {pi for f in mods for pi in irreducible_factors_q(f)}
+    """The finite places dividing any of the entries, sorted."""
+    split = irreducible_factors_fp if entries and entries[0].p else irreducible_factors_q
+    mods = {pi for e in entries for f, _ in e.factors for pi in split(f)}
     return sorted((Place(m) for m in mods), key=Place.sort_key)
 
 

@@ -4,7 +4,8 @@ Over a finite constant field the unramified 2-torsion is trivial, so a
 quaternion class IS its residue vector: tame residue characters at the
 finite places plus the place at infinity, with values +-1 given by the
 norm-Legendre character (Res(h, t) / p) of the residue field F_p[x]/(h).
-Reciprocity (product of all residues = +1) is checked on every class.
+Entries hold squarefree parts, split into places only where needed, and
+reciprocity (product of all residues = +1) is checked on every class.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import DomainError, InternalError
-from .exact_arith import PolyFp, fq_char
-from .funcfield import FactoredFunc, Place, odd_tame_bases, places
+from .exact_arith import PolyFp, fq_char, irreducible_factors_fp
+from .funcfield import FactoredFunc, Place, common_basis, odd_tame_bases
 
 FactoredFuncFp = FactoredFunc  # the name callers of this module import
 
@@ -51,9 +52,14 @@ class QuatClassFp:
 
 
 def class_fp(f: FactoredFunc, g: FactoredFunc) -> QuatClassFp:
-    """Residues at all places dividing f or g plus infinity; reciprocity
-    (product of all residue values = +1) is checked."""
-    support = [v for v in places(f, g) + [Place(None)] if residue_fp(f, g, v) == -1]
+    """Residues at the places of f, g and infinity, reciprocity checked; the
+    places of a basis element h share its odd tame bases (h cancels)."""
+    basis, (f, g) = common_basis(f, g)
+    support = sorted((Place(pi) for h in basis if (bases := odd_tame_bases(h, (f, g)))
+                      for pi in irreducible_factors_fp(h.modulus)
+                      if prod(fq_char(base, pi) for base in bases) == -1), key=Place.sort_key)
+    if residue_fp(f, g, Place(None)) == -1:
+        support.append(Place(None))
     if len(support) % 2:
         raise InternalError("tame residue reciprocity violated: arithmetic bug")
     return QuatClassFp(f.p, tuple(support))

@@ -31,7 +31,7 @@ from quatbrauer.exact_arith import (
     factor_rational,
     is_prime,
 )
-from quatbrauer.funcfield import Place
+from quatbrauer.funcfield import Place, places
 from quatbrauer.funcfield_fp import residue_fp
 from quatbrauer.funcfield_q import (
     FactoredFunc,
@@ -210,10 +210,9 @@ def test_criterion_6_fp_reciprocity(capsys):
             g = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 5))] + [1]), rng)
-            mods = {q for q, _ in f.factors} | {q for q, _ in g.factors}
             prod = 1
-            for m in mods:
-                prod *= residue_fp(f, g, Place(m))
+            for v in places(f, g):
+                prod *= residue_fp(f, g, v)
             prod *= residue_fp(f, g, Place(None))
             assert prod == 1, (p, f, g)
     with capsys.disabled():

@@ -25,6 +25,7 @@ from quatbrauer.exact_arith import (
     factor_poly_q,
     factor_rational,
     fq_char,
+    irreducible_factors_fp,
     irreducible_factors_q,
     is_prime,
     poly_from_string,
@@ -36,6 +37,7 @@ from quatbrauer.exact_arith import (
     ratfunc_from_string,
     resultant,
     sqrt_fraction,
+    squarefree_parts_fp,
     squarefree_parts_q,
     zx_mulmod,
 )
@@ -607,6 +609,52 @@ class TestFactorPolyFpOracle:
                             lambda g, *args: [g + PolyFp.const(g.p, 1)])
         with pytest.raises(InternalError):
             factor_poly_fp(PolyFp.make(5, [1, 0, 1]))
+
+
+class TestSplitFp:
+    @pytest.mark.parametrize("p", [3, 5, 11, 10007])
+    def test_squarefree_parts_match_sympy(self, p):
+        rng = random.Random(p + 4)
+        for _ in range(25):
+            # a p-th power part (zero derivative) for small p, repeated factors always
+            g = _random_monic(rng, p, rng.randint(1, 3))
+            f = PolyFp.const(p, rng.randrange(1, p)) * g * g * _random_monic(rng, p, 2)
+            if p * 2 <= 24:
+                f = prod([_random_monic(rng, p, 2)] * p, start=f)
+            _, want = gf.gf_sqf_list([int(c) for c in reversed(f.coeffs)], p, ZZ)
+            want = [(PolyFp.make(p, [int(c) for c in reversed(h)]), k) for h, k in want]
+            assert sorted(squarefree_parts_fp(f), key=lambda hm: hm[1]) == \
+                sorted(want, key=lambda hm: hm[1]), f
+
+    @pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
+    def test_irreducible_factors_fp_split_a_squarefree_product(self, p):
+        rng = random.Random(p + 5)
+        for _ in range(20):
+            f = _random_monic(rng, p, rng.randint(1, 8)) * _random_monic(rng, p, 3)
+            for h, _ in squarefree_parts_fp(f):
+                got = irreducible_factors_fp(h)
+                assert list(got) == sorted(got, key=lambda g: (g.degree, g.coeffs))
+                assert all(g.is_monic() and _irreducible(g) for g in got)
+                assert prod(got, start=PolyFp.const(p, 1)) == h
+
+    def test_same_coefficients_in_two_characteristics(self):
+        # x^2 + 1 is irreducible over F_3 and splits over F_5
+        irreducible_factors_fp.cache_clear()
+        f3, f5 = PolyFp.make(3, [1, 0, 1]), PolyFp.make(5, [1, 0, 1])
+        assert irreducible_factors_fp(f3) == (f3,)
+        assert irreducible_factors_fp(f5) == (PolyFp.make(5, [2, 1]), PolyFp.make(5, [3, 1]))
+        assert irreducible_factors_fp(f3) == (f3,)
+        info = irreducible_factors_fp.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_split_cache_is_bounded(self):
+        assert irreducible_factors_fp.cache_info().maxsize == exact_arith.SPLIT_CACHE_SIZE
+        assert exact_arith.SPLIT_CACHE_SIZE is not None
+
+    @pytest.mark.parametrize("coeffs", [[1, 2, 1], [2, 2]])  # (x + 1)^2, 2x + 2
+    def test_irreducible_factors_fp_refuse_non_squarefree_or_non_monic(self, coeffs):
+        with pytest.raises(DomainError):
+            irreducible_factors_fp(PolyFp.make(5, coeffs))
 
 
 def test_sqrt_fraction():

@@ -3,7 +3,8 @@
 `bench/spans.py` wraps functions by module and name; a refactor that moves
 or renames one of them would silently zero that layer's metrics.  This runs
 one Q(x) and one F_p(x) isomorphism through the CLI with the tracer
-installed and checks that every function-field layer recorded spans.
+installed and checks that every function-field layer recorded spans, and
+that the F_p(x) decision's splits reach the traced F_p[x] factoring.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from quatbrauer.cli import main
+from quatbrauer.exact_arith import irreducible_factors_fp
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -25,10 +27,12 @@ def _load_spans():
 
 def test_function_field_layers_are_traced():
     tracer = _load_spans().Tracer()
+    irreducible_factors_fp.cache_clear()  # a split cached by an earlier test makes no span
     tracer.install()
     try:
         with redirect_stdout(io.StringIO()):
             assert main(["qx", "isom", "-f1", "x", "-g1", "3", "-f2", "x", "-g2", "5"]) == 0
+            tracer.op = 1
             assert main(["ffx", "isom", "--char", "5", "-f1", "x", "-g1", "2",
                          "-f2", "x", "-g2", "4"]) == 0
     finally:
@@ -36,3 +40,5 @@ def test_function_field_layers_are_traced():
     layers = {span[2] for span in tracer.spans}
     assert {"funcfield_q.tame_symbol", "funcfield_q.is_isomorphic_qx",
             "funcfield_fp.residue_fp", "funcfield_fp.class_fp"} <= layers
+    # the places of an F_p(x) basis element are named by the traced factoring
+    assert "exact_arith.factor_poly_fp" in {span[2] for span in tracer.spans if span[5] == 1}
