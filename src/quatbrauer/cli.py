@@ -27,7 +27,7 @@ from .brauer_q import (
 )
 from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
-from .funcfield import FactoredFunc
+from .funcfield import FactoredFunc, check_char
 from .funcfield_fp import class_fp, is_isomorphic_fpx
 from .funcfield_q import QuaternionFF, is_isomorphic_qx, residue_at, specialize
 from .local_symbols import REAL, PlaceQ, hilbert, support_places
@@ -170,6 +170,7 @@ def cmd_qx_specialize(args) -> int:
 
 def cmd_ffx_residues(args) -> int:
     p = args.char
+    check_char(p)
     f = FactoredFunc.from_poly(polyfp_from_string(args.f, p))
     g = FactoredFunc.from_poly(polyfp_from_string(args.g, p))
     cls = class_fp(f, g)
@@ -180,6 +181,7 @@ def cmd_ffx_residues(args) -> int:
 
 def cmd_ffx_isom(args) -> int:
     p = args.char
+    check_char(p)
 
     def pair(fs, gs):
         return (FactoredFunc.from_poly(polyfp_from_string(fs, p)),

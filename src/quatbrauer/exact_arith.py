@@ -730,7 +730,7 @@ def _reduce(r: list[int], f, m: int, inv: int = 1) -> list[int]:
 
 def _product(a, b) -> list[int]:
     """Schoolbook product with no %.  Zero coefficients of a are skipped, so
-    a sparse a, such as a power of x, costs O(len b) per nonzero term."""
+    a sparse a costs O(len b) per nonzero term."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, c in enumerate(a):
         if c:
@@ -738,12 +738,63 @@ def _product(a, b) -> list[int]:
     return out
 
 
+class ZxRing:
+    """Z/m[x]/(f), f monic of degree n, m a prime or a prime power, by
+    Kronecker substitution: coefficients a_i in [0, m) pack into the integer
+    sum of a_i 2^(i w), so a product is one bigint multiply.  The slot width
+    w = 2 bitlen(m) + bitlen(2n) cannot carry: a product slot sums n products
+    below m^2, `fold` adds at most n - 1 more, and 2n m^2 < 2^w."""
+
+    def __init__(self, f, m: int):
+        self.f, self.m, self.n = f, m, len(f) - 1
+        self.w = w = 2 * m.bit_length() + (2 * self.n).bit_length()
+        self.top, self.mask = self.n * w, (1 << w) - 1  # top: bits of n slots
+        # packed x^(n+k) mod f for k < n - 1: x^n, then one shift and fold each
+        self.rows = [self.pack([-c for c in f[:-1]])]
+        while len(self.rows) < self.n - 1:
+            self.rows.append(self.fold(self.rows[-1] << w))
+
+    def pack(self, a) -> int:
+        """The packed residue of an integer list of any length and signs."""
+        m, w, v = self.m, self.w, 0
+        if len(a) > self.n:
+            _reduce(a := list(a), self.f, m)
+        for c in reversed(a[:self.n]):
+            v = v << w | c % m
+        return v
+
+    def unpack(self, v: int) -> list[int]:
+        """The trimmed coefficients mod m of a packed value of n slots."""
+        return _trimmed([v >> s & self.mask for s in range(0, self.top, self.w)], self.m)
+
+    def fold(self, v: int) -> int:
+        """The packed residue v mod f, v of at most 2n - 1 slots: high slots mod
+        m times their rows x^(n+k) mod f join the low half; its n slots go mod m."""
+        m, w, mask, out = self.m, self.w, self.mask, 0
+        hi, v = v >> self.top, v & ((1 << self.top) - 1)
+        for row, s in zip(self.rows, range(0, hi.bit_length(), w)):
+            v += (hi >> s & mask) % m * row
+        for s in range(self.top - w, -1, -w):
+            out = out << w | (v >> s & mask) % m
+        return out
+
+    def mul(self, a, b) -> list[int]:
+        return self.unpack(self.fold(self.pack(a) * self.pack(b)))
+
+    def pow(self, a, e: int) -> list[int]:
+        """a^e, left-to-right: each step squares the packed value.  The base x
+        packs to 2^w, so its multiply is a shift and its fold reads one slot."""
+        b, r = self.pack(a), self.pack([1])
+        for bit in bin(e)[2:]:
+            r = self.fold(r * r)
+            if bit == "1":
+                r = self.fold(r * b)
+        return self.unpack(r)
+
+
 def zx_mulmod(a: list[int], b: list[int], f, m: int) -> list[int]:
-    """a * b mod (f, m), f monic: the product, the lazy reduction by f (one %
-    per leading coefficient) and one % per output coefficient, trimmed."""
-    out = _product(a, b)
-    _reduce(out, f, m)
-    return _trimmed(out[:len(f) - 1], m)
+    """a * b mod (f, m), trimmed, f monic, a and b integer lists of any length."""
+    return ZxRing(f, m).mul(a, b)
 
 
 def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:
@@ -757,16 +808,9 @@ def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:
 
 
 def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
-    """base^n mod modulus: left-to-right square and multiply on coefficient
-    lists through `zx_mulmod`.  The base is the sparse operand of each
-    multiply, so for the base x a multiply is a shift."""
-    p, f = base.p, modulus.monic().coeffs
-    b, r = list((base % modulus).coeffs), [1]
-    for bit in bin(n)[2:]:
-        r = zx_mulmod(r, r, f, p)
-        if bit == "1":
-            r = zx_mulmod(b, r, f, p)
-    return PolyFp.make(p, r)
+    """base^n mod modulus by `ZxRing.pow`: one packed square per bit of n."""
+    base._chk(modulus)
+    return PolyFp(base.p, tuple(ZxRing(modulus.monic().coeffs, base.p).pow(base.coeffs, n)))
 
 
 def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
@@ -843,35 +887,31 @@ def squarefree_parts_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     return out
 
 
-def _frobenius_rows(f: PolyFp) -> list[list[int]]:
+def _frobenius_rows(f: PolyFp, ring: ZxRing | None = None) -> list[list[int]]:
     """The rows x^(i p) mod f, i < deg f, of the Frobenius map t -> t^p of
-    F_p[x]/(f), f monic: one x^p, then one `zx_mulmod` per row."""
-    p, rows = f.p, [[1]]
+    F_p[x]/(f), f monic, as lists: one x^p, then one product per row in ring."""
+    p, rows, ring = f.p, [[1]], ring or ZxRing(f.coeffs, f.p)
     if f.degree > 1:
-        xp = list(polyfp_pow_mod(PolyFp.x(p), p, f).coeffs)
+        xp = ring.pow([0, 1], p)
         while len(rows) < f.degree:
-            rows.append(zx_mulmod(xp, rows[-1], f.coeffs, p))
+            rows.append(ring.mul(xp, rows[-1]))
     return rows
 
 
-def _frobenius(t: list[int], rows: list[list[int]], p: int) -> list[int]:
-    """t^p mod f = sum of t_i * x^(i p) mod f, as t_i^p = t_i in F_p: n^2
-    multiply-adds from the rows of f, and no long power."""
-    out = [0] * len(rows)
-    for c, row in zip(t, rows):
-        if c:
-            out[:len(row)] = [u + c * v for u, v in zip(out, row)]
-    return _trimmed(out, p)
+def _frobenius(t: list[int], rows: list[int], ring: ZxRing) -> list[int]:
+    """t^p mod f = sum of t_i * x^(i p) mod f, as t_i^p = t_i in F_p: one
+    packed sum of n products below p^2 a slot (within the bound), one unpack."""
+    return ring.unpack(sum(c * row for c, row in zip(t, rows) if c))
 
 
-def _ddf(f: PolyFp, rows: list[list[int]]) -> list[tuple[PolyFp, int]]:
+def _ddf(f: PolyFp, rows: list[int], ring: ZxRing) -> list[tuple[PolyFp, int]]:
     """Distinct-degree factorization of a monic squarefree f: x^(p^d) mod f
     advances by one application of the Frobenius rows of f, and its gcd with
     the shrinking cofactor `rest` (which divides f) is the degree-d part."""
     p, out, xq, d, rest = f.p, [], [0, 1], 0, f
     while rest.degree > 2 * d + 1:
         d += 1
-        xq = _frobenius(xq, rows, p)
+        xq = _frobenius(xq, rows, ring)
         g = polyfp_gcd(PolyFp.make(p, xq) - PolyFp.x(p), rest)
         if g.degree > 0:
             out.append((g, d))
@@ -881,13 +921,13 @@ def _ddf(f: PolyFp, rows: list[list[int]]) -> list[tuple[PolyFp, int]]:
     return out
 
 
-def _edf(g: PolyFp, d: int, f: PolyFp, rows: list[list[int]], rng: random.Random
+def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random
          ) -> list[PolyFp]:
     """Cantor-Zassenhaus splitting of g | f, a product of irreducibles of
-    degree d, with the Frobenius rows of f.  As (p^d - 1)/2 = (p - 1)/2 *
-    (1 + p + ... + p^(d-1)), r^((p^d - 1)/2) is the norm r * r^p * ... *
-    r^(p^(d-1)) (d - 1 applications of the rows and d - 1 products mod f)
-    to the power (p - 1)/2 mod g, a power of log2(p) bits, not d log2(p)."""
+    degree d, in the ring of f with its packed Frobenius rows.  As (p^d - 1)/2
+    = (p - 1)/2 * (1 + p + ... + p^(d-1)), r^((p^d - 1)/2) is the norm r *
+    r^p * ... * r^(p^(d-1)) (d - 1 applications of the rows and d - 1
+    products mod f) to the power (p - 1)/2 mod g, log2(p) bits, not d log2(p)."""
     p = g.p
     if g.degree == d:
         return [g]
@@ -898,29 +938,30 @@ def _edf(g: PolyFp, d: int, f: PolyFp, rows: list[list[int]], rng: random.Random
             break
         t = norm = list(r.coeffs)
         for _ in range(d - 1):
-            t = _frobenius(t, rows, p)
-            norm = zx_mulmod(t, norm, f.coeffs, p)
+            t = _frobenius(t, rows, ring)
+            norm = ring.mul(t, norm)
         h = polyfp_gcd(polyfp_pow_mod(PolyFp.make(p, norm), (p - 1) // 2, g)
                        - PolyFp.const(p, 1), g)
         if 0 < h.degree < g.degree:
             break
-    return _edf(h, d, f, rows, rng) + _edf(g.divmod(h)[0], d, f, rows, rng)
+    return _edf(h, d, ring, rows, rng) + _edf(g.divmod(h)[0], d, ring, rows, rng)
 
 
 def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
                    ) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
     """Cantor-Zassenhaus factorization through the Frobenius matrix of each
-    squarefree part; returns (unit, monic irreducible factors with
-    multiplicity), re-verified by multiplying out."""
+    squarefree part, in one `ZxRing` per part; returns (unit, monic irreducible
+    factors with multiplicity), re-verified by multiplying out."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     rng = rng or random.Random(0xCA2A)
     unit = f.lc()
     factors: list[tuple[PolyFp, int]] = []
     for sqf, mult in squarefree_parts_fp(f):
-        rows = _frobenius_rows(sqf)
-        for part, d in _ddf(sqf, rows):
-            factors.extend((h, mult) for h in _edf(part, d, sqf, rows, rng))
+        ring = ZxRing(sqf.coeffs, f.p)
+        rows = [ring.pack(row) for row in _frobenius_rows(sqf, ring)]
+        for part, d in _ddf(sqf, rows, ring):
+            factors.extend((h, mult) for h in _edf(part, d, ring, rows, rng))
     factors.sort(key=factor_key)
     if prod((h for h, m in factors for _ in range(m)), start=PolyFp.const(f.p, unit)) != f:
         raise InternalError(f"factorization over F_{f.p} failed to reconstruct the input")

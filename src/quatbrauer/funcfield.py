@@ -58,7 +58,7 @@ class Place:
         return "inf" if self.modulus is None else str(self.modulus)
 
 
-def _check_char(p: int) -> None:
+def check_char(p: int) -> None:
     if p == 2:
         raise DomainError("characteristic 2 is unsupported")
     if p >= MAX_CHAR or not is_prime(p):
@@ -90,7 +90,7 @@ class FactoredFunc:
         if f.is_zero():
             raise DomainError(f"zero is not a unit of {_field(p)}")
         if p:
-            _check_char(p)
+            check_char(p)
             if f.degree > MAX_DEGREE:
                 raise DomainError(f"degree {f.degree} exceeds the F_p(x) cap {MAX_DEGREE}")
         parts = squarefree_parts_fp(f) if p else squarefree_parts_q(f)
@@ -99,7 +99,7 @@ class FactoredFunc:
     @staticmethod
     def from_constant(c, p: int = 0) -> "FactoredFunc":
         if p:
-            _check_char(p)
+            check_char(p)
             c %= p
         else:
             c = Fraction(c)

@@ -26,6 +26,7 @@ from .errors import BudgetError, DomainError, InternalError
 from .exact_arith import (
     PolyFp,
     PolyQ,
+    ZxRing,
     coeffs_mod,
     factor_poly_fp,
     factor_rational,
@@ -37,7 +38,6 @@ from .exact_arith import (
     power,
     resultant,
     sqrt_fraction,
-    zx_mulmod,
 )
 
 WITNESS_PRIME_LIMIT = 10**5
@@ -253,13 +253,9 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
         while t2 != one:
             t2 = (t2 * t2) % h
             i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = (b * b) % h
-        m = i
-        c = (b * b) % h
-        t = (t * c) % h
-        r = (r * b) % h
+        b = polyfp_pow_mod(c, 1 << (m - i - 1), h)
+        m, c = i, (b * b) % h
+        t, r = (t * c) % h, (r * b) % h
     return r
 
 
@@ -317,8 +313,8 @@ def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
 
 class _LiftState:
     """Per-sign-pattern Newton lifting of a square root r mod (p^e, pi), from
-    r and 1/(2r) mod (p, pi); mods(e) is (pi, value) mod p^e as coefficient
-    lists, shared by all patterns."""
+    r and 1/(2r) mod (p, pi); mods(e) is the `ZxRing` of (pi, p^e) and the
+    value mod p^e as a coefficient list, shared by all patterns."""
 
     def __init__(self, root: PolyFp, inv: PolyFp, mods):
         self.p, self.mods, self.exp = root.p, mods, 1
@@ -328,13 +324,13 @@ class _LiftState:
         while self.exp < exp:
             self.exp = min(2 * self.exp, exp)
             m = self.p ** self.exp
-            pim, cm = self.mods(self.exp)
+            ring, cm = self.mods(self.exp)
             # r <- r - (r^2 - c) * i  (i accurate to half precision suffices)
-            err = _zx_sub(zx_mulmod(self.r, self.r, pim, m), cm, m)
-            self.r = _zx_sub(self.r, zx_mulmod(err, self.i, pim, m), m)
+            err = _zx_sub(ring.mul(self.r, self.r), cm, m)
+            self.r = _zx_sub(self.r, ring.mul(err, self.i), m)
             # i <- i * (2 - 2r * i)
-            t = zx_mulmod([2 * c for c in self.r], self.i, pim, m)
-            self.i = zx_mulmod(self.i, _zx_sub([2], t, m), pim, m)
+            t = ring.mul([2 * c for c in self.r], self.i)
+            self.i = ring.mul(self.i, _zx_sub([2], t, m))
 
     def reconstruct(self) -> PolyQ | None:
         m = self.p ** self.exp
@@ -435,8 +431,8 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
         terms.append(((s * idem) % pim, (_polyfp_inverse(s + s, h) * idem) % pim))
     states = []
     zero = PolyFp.const(p0, 0)
-    # pi and the value mod p0^e, once per exponent e for all sign patterns
-    mods = cache(lambda e: (coeffs_mod(pi, p0**e), coeffs_mod(value, p0**e)))
+    # the ring of (pi, p0^e) and the value mod p0^e, once per e for all patterns
+    mods = cache(lambda e: (ZxRing(coeffs_mod(pi, p0**e), p0**e), coeffs_mod(value, p0**e)))
     # global sign is free: fix the first factor's sign
     for mask in range(1 << (len(moduli) - 1)):
         signed = [(-r, -i) if j and (mask >> (j - 1)) & 1 else (r, i)

@@ -78,7 +78,7 @@ def suite_fp_reciprocity(rng: random.Random, cases: int) -> SuiteResult:
         p = rng.choice([3, 5, 7, 11])
         f = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
         g = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
-        class_fp(FactoredFunc.from_poly(f, rng), FactoredFunc.from_poly(g, rng))
+        class_fp(FactoredFunc.from_poly(f), FactoredFunc.from_poly(g))
         yield from ()
     return _suite("F_p(x) reciprocity", cases, case)
 

@@ -234,6 +234,16 @@ class TestFfx:
                          "-f", "x", "-g", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("char", [0, 1, -7, 9, 2**31 + 11])
+    @pytest.mark.parametrize("entries", [
+        ("residues", "-f", "x+1", "-g", "3"),
+        ("isom", "-f1", "x+1", "-g1", "3", "-f2", "x", "-g2", "3")])
+    def test_invalid_char_exit_1_before_parsing(self, capsys, char, entries):
+        code, out, err = run(capsys, "ffx", entries[0], f"--char={char}", *entries[1:])
+        assert code == 1 and not out
+        assert err == f"error: {char} is not an odd prime below 2^31\n"
+        assert "Traceback" not in err
+
 
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "--seed", "1", "selftest", "--cases", "10")

@@ -19,6 +19,7 @@ from quatbrauer.exact_arith import (
     FactoredRational,
     PolyFp,
     PolyQ,
+    ZxRing,
     factor_int,
     factor_key,
     factor_poly_fp,
@@ -609,6 +610,88 @@ class TestFactorPolyFpOracle:
                             lambda g, *args: [g + PolyFp.const(g.p, 1)])
         with pytest.raises(InternalError):
             factor_poly_fp(PolyFp.make(5, [1, 0, 1]))
+
+
+# -- the Kronecker-substitution ring against a schoolbook reference ------------
+
+# (m, p): primes, and prime powers as in the p-adic lift.  Only an m just below
+# a power of two, as 2^31 - 1 is, lets a product fill a slot to its width.
+# Modulus degrees run from the zero ring to twice the largest F_p cap.
+KERNEL_MODULI = ((3, 3), (10007, 10007), (2**31 - 1, 2**31 - 1), (7**40, 7), (10007**9, 10007))
+KERNEL_DEGREES = (0, 1, 2, 3, 7, 15, 31, 48)
+
+
+def _school_mulmod(a, b, f, m):
+    """a * b mod (f, m), trimmed, by the double loop of `_mulmod`."""
+    out = _mulmod([c % m for c in a] or [0], [c % m for c in b] or [0], f, m)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _school_pow(a, e, f, m):
+    acc, base = _school_mulmod([1], [1], f, m), _school_mulmod(a, [1], f, m)
+    while e:
+        if e & 1:
+            acc = _school_mulmod(acc, base, f, m)
+        base = _school_mulmod(base, base, f, m)
+        e >>= 1
+    return acc
+
+
+def _kernel_moduli(rng, m, n):
+    """x^n + 1, whose rows are sparse, and a random monic f of degree n."""
+    return [[1] + [0] * (n - 1) + [1] if n else [1], [rng.randrange(m) for _ in range(n)] + [1]]
+
+
+def _edge_operands(rng, m, n):
+    """Empty, longer than f, negative, every coefficient m - 1 (at length n
+    and longer), a random residue, and coefficients just below m.  The last
+    fill a product's slots nearly as full as m - 1 does, but leave its high
+    slots large mod m (with m - 1 they are small, as (m - 1)^2 = 1), so the
+    fold adds large multiples of the rows on top: the slot-width worst case."""
+    return [[], [rng.randrange(m) for _ in range(2 * n + 3)],
+            [-rng.randrange(m * m) for _ in range(n + 1)], [m - 1] * n, [m - 1] * (2 * n),
+            [rng.randrange(m) for _ in range(n)],
+            [m - 1 - rng.randrange(m // 64 + 1) for _ in range(n)]]
+
+
+class TestZxRing:
+    @pytest.mark.parametrize("m", [m for m, _ in KERNEL_MODULI])
+    def test_mulmod_matches_schoolbook(self, m):
+        rng = random.Random(m % 1009)
+        for n in KERNEL_DEGREES:
+            for f in _kernel_moduli(rng, m, n):
+                ops = _edge_operands(rng, m, n)
+                for a in ops:
+                    for b in ops:
+                        assert zx_mulmod(a, b, f, m) == _school_mulmod(a, b, f, m), (n, a, b)
+
+    @pytest.mark.parametrize("m,p", KERNEL_MODULI)
+    def test_pow_matches_schoolbook(self, m, p):
+        rng = random.Random(m % 1013)
+        for n in KERNEL_DEGREES:
+            # the Euler exponent (p^d - 1)/2 is too long for the reference at d = 48
+            exps = (0, 1, p) + (((p**n - 1) // 2,) if n <= 15 else ())
+            for f in _kernel_moduli(rng, m, n):
+                ring = ZxRing(f, m)
+                for a in [[0, 1]] + _edge_operands(rng, m, n):
+                    for e in exps:
+                        want = _school_pow(a, e, f, m)
+                        assert ring.pow(a, e) == want, (n, a, e)
+                        if m == p:
+                            got = polyfp_pow_mod(PolyFp.make(p, a), e, PolyFp.make(p, f))
+                            assert list(got.coeffs) == want
+
+    @pytest.mark.parametrize("p", [3, 10007, 2**31 - 1])
+    def test_packed_frobenius_is_pth_power(self, p):
+        rng = random.Random(p % 1019)
+        for n in KERNEL_DEGREES[1:]:
+            for f in _kernel_moduli(rng, p, n):
+                ring = ZxRing(f, p)
+                rows = [ring.pack(r) for r in exact_arith._frobenius_rows(PolyFp.make(p, f), ring)]
+                for t in ([], [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
+                    assert exact_arith._frobenius(t, rows, ring) == _school_pow(t, p, f, p)
 
 
 class TestSplitFp:
