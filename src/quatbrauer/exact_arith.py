@@ -41,7 +41,16 @@ TRIAL_DIVISION_BOUND = 10**3
 # 19 would spare no further process.
 IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
 
-SPLIT_CACHE_SIZE = 256  # squarefree F_p[x] splits kept by `irreducible_factors_fp`
+# Splits of squarefree polynomials kept by `irreducible_factors_fp` (F_p[x])
+# and by `irreducible_factors_q` (Q[x]), each memo bounded by this many.
+SPLIT_CACHE_SIZE = 256
+
+# The prime below 2^30 at which `poly_gcd` screens for coprimality.  Let it
+# divide no denominator of f or g and not the numerator of lc(f).  A common
+# factor of f and g over Q, taken primitive in Z[x], divides both numerator
+# lists in Z[x] (Gauss) and its leading coefficient divides lc(f)'s, so it
+# keeps its degree mod the prime: a gcd of degree 0 there proves f, g coprime.
+_GCD_SCREEN_PRIME = 1073741789
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +297,13 @@ class PolyQ:
         return self.divmod(other)[1]
 
     def evaluate(self, x) -> Fraction:
-        x, acc = Fraction(x), Fraction(0)
+        """Homogeneous Horner on the numerators: at x = a/b the sum of n_i a^i
+        b^(d-i), over den b^d, so one Fraction at the end."""
+        x = Fraction(x)
+        a, b, acc, bk = x.numerator, x.denominator, 0, 1
         for n in reversed(self.nums):
-            acc = acc * x + n
-        return acc / self.den
+            acc, bk = acc * a + n * bk, bk * b  # bk = b^k after k coefficients
+        return Fraction(acc * b, self.den * bk)
 
     def derivative(self) -> "PolyQ":
         return PolyQ.reduced([i * n for i, n in enumerate(self.nums)][1:], self.den)
@@ -329,9 +341,14 @@ def power(base, n: int, one):
 
 
 def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
-    """Monic gcd over Q (monic of the nonzero one if the other is zero), by
+    """Monic gcd over Q (monic of the nonzero one if the other is zero).  A
+    gcd of degree 0 mod _GCD_SCREEN_PRIME proves 1; otherwise Euclid by
     primitive remainders: each remainder is cut to its integer numerators
     over their content, so the coefficients do not grow from step to step."""
+    q = _GCD_SCREEN_PRIME
+    if f.nums and g.nums and f.nums[-1] % q and f.den % q and g.den % q and \
+            polyfp_gcd(polyfp_from_polyq(f, q), polyfp_from_polyq(g, q)).degree == 0:
+        return PolyQ.const(1)
     while not g.is_zero():
         r = f % g
         c = gcd(*r.nums)
@@ -581,6 +598,8 @@ def squarefree_parts_q(f: PolyQ) -> list[tuple[PolyQ, int]]:
     b = f.monic()
     db = b.derivative()
     a = poly_gcd(b, db)
+    if a.degree == 0 and b.degree > 0:  # squarefree: the loop below gives this
+        return [(b, 1)]
     b, c = b.divmod(a)[0], db.divmod(a)[0]
     out, i = [], 1
     while b.degree > 0:
@@ -593,8 +612,10 @@ def squarefree_parts_q(f: PolyQ) -> list[tuple[PolyQ, int]]:
     return out
 
 
-def irreducible_factors_q(f: PolyQ) -> list[PolyQ]:
-    """The monic irreducible factors of a monic squarefree f, sorted.
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
+    """The monic irreducible factors of a monic squarefree f, sorted; memoized
+    on f like `irreducible_factors_fp`.
 
     A factor of f of degree k reduces to factors of total degree k of f mod
     p, for every prime p that divides no denominator of f.  So the degrees
@@ -602,9 +623,11 @@ def irreducible_factors_q(f: PolyQ) -> list[PolyQ]:
     such p, and f is irreducible once those sets, over the primes of
     IRREDUCIBILITY_PRIMES, share only 0 and deg f.  Otherwise `factor_poly_q`
     splits f; x^4 + 1, reducible mod every prime, always takes that path."""
+    if not f.is_monic() or poly_gcd(f, f.derivative()).degree > 0:
+        raise DomainError(f"{f} is not monic and squarefree")
     n = f.degree
     if n < 2:
-        return [f]
+        return (f,)
     common = (2 << n) - 1  # bit k set: a factor of degree k is still possible
     for p in IRREDUCIBILITY_PRIMES:
         if f.den % p:
@@ -614,8 +637,8 @@ def irreducible_factors_q(f: PolyQ) -> list[PolyQ]:
                     sums |= sums << h.degree
             common &= sums
             if common == 1 | 1 << n:
-                return [f]
-    return [g for g, _ in factor_poly_q(f).factors]
+                return (f,)
+    return tuple(g for g, _ in factor_poly_q(f).factors)
 
 
 # ---------------------------------------------------------------------------

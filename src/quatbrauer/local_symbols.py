@@ -28,13 +28,12 @@ from .exact_arith import (
     PolyQ,
     ZxRing,
     coeffs_mod,
-    factor_poly_fp,
     factor_rational,
     fq_char,
+    irreducible_factors_fp,
     is_prime,
     polyfp_from_polyq,
     polyfp_gcd,
-    polyfp_pow_mod,
     power,
     resultant,
     sqrt_fraction,
@@ -226,16 +225,17 @@ class SquareClassVerdict:
 
 
 def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
-    """Square root in F_{p^d} = F_p[x]/(h), or None for a nonresidue."""
+    """Square root in F_{p^d} = F_p[x]/(h), or None for a nonresidue; the
+    powers and products run on coefficient lists in one `ZxRing` of h."""
     p, d = h.p, h.degree
     q = p**d
-    one = PolyFp.const(p, 1)
     if val.is_zero():
         return val
     if fq_char(val, h) == -1:
         return None
+    ring = ZxRing(h.coeffs, p)
     if q % 4 == 3:
-        return polyfp_pow_mod(val, (q + 1) // 4, h)
+        return PolyFp(p, tuple(ring.pow(val.coeffs, (q + 1) // 4)))
     qq, s = q - 1, 0
     while qq % 2 == 0:
         qq //= 2
@@ -245,18 +245,18 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
         if not z.is_zero() and fq_char(z, h) == -1:
             break
     m = s
-    c = polyfp_pow_mod(z, qq, h)
-    t = polyfp_pow_mod(val, qq, h)
-    r = polyfp_pow_mod(val, (qq + 1) // 2, h)
-    while t != one:
+    c = ring.pow(z.coeffs, qq)
+    t = ring.pow(val.coeffs, qq)
+    r = ring.pow(val.coeffs, (qq + 1) // 2)
+    while t != [1]:
         i, t2 = 0, t
-        while t2 != one:
-            t2 = (t2 * t2) % h
+        while t2 != [1]:
+            t2 = ring.mul(t2, t2)
             i += 1
-        b = polyfp_pow_mod(c, 1 << (m - i - 1), h)
-        m, c = i, (b * b) % h
-        t, r = (t * c) % h, (r * b) % h
-    return r
+        b = ring.pow(c, 1 << (m - i - 1))
+        m, c = i, ring.mul(b, b)
+        t, r = ring.mul(t, c), ring.mul(r, b)
+    return PolyFp(p, tuple(r))
 
 
 def _polyfp_inverse(a: PolyFp, mod: PolyFp) -> PolyFp:
@@ -367,12 +367,13 @@ def _nonsquare(c: NumberFieldElem, w: NonsquareWitness) -> SquareClassVerdict:
     return SquareClassVerdict(False, witness=w, verified=True)
 
 
-def _factors_and_witness(c: NumberFieldElem, p: int, rng: random.Random
-                         ) -> tuple[list[PolyFp], NonsquareWitness | None]:
-    """The monic factors of pi mod p, and a witness at the first one where
-    the character of c is -1 (None if there is none)."""
+def _factors_and_witness(c: NumberFieldElem, p: int
+                         ) -> tuple[tuple[PolyFp, ...], NonsquareWitness | None]:
+    """The monic factors of pi mod p, p a good prime (so pi mod p is monic and
+    squarefree, and its split may be memoized), and a witness at the first
+    one where the character of c is -1 (None if there is none)."""
     vp = polyfp_from_polyq(c.value, p)
-    moduli = [h for h, _m in factor_poly_fp(polyfp_from_polyq(c.modulus, p), rng)[1]]
+    moduli = irreducible_factors_fp(polyfp_from_polyq(c.modulus, p))
     return moduli, next((NonsquareWitness(p, h) for h in moduli if fq_char(vp, h) == -1), None)
 
 
@@ -412,9 +413,9 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
 
     # lift at the candidate prime with the fewest factors: an inert prime
     # gives one sign pattern instead of 2^(k-1)
-    best: tuple[int, list[PolyFp]] | None = None
+    best: tuple[int, tuple[PolyFp, ...]] | None = None
     for p in islice(primes, LIFT_CANDIDATES):
-        moduli, w = _factors_and_witness(c, p, rng)
+        moduli, w = _factors_and_witness(c, p)
         if w is not None:
             return _nonsquare(c, w)
         if best is None or len(moduli) < len(best[1]):
@@ -454,7 +455,7 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
             if p > WITNESS_PRIME_LIMIT:
                 witnesses_exhausted = True
                 break
-            w = _factors_and_witness(c, p, rng)[1]
+            w = _factors_and_witness(c, p)[1]
             if w is not None:
                 return _nonsquare(c, w)
 

@@ -1,0 +1,13 @@
+"""Shared test set-up."""
+
+import pytest
+
+from quatbrauer.exact_arith import irreducible_factors_fp, irreducible_factors_q
+
+
+@pytest.fixture(autouse=True)
+def _clear_split_memos():
+    """Start every test with empty split memos, so that a test counting
+    factorizations does not depend on the splits of the tests run before it."""
+    irreducible_factors_fp.cache_clear()
+    irreducible_factors_q.cache_clear()

@@ -32,7 +32,9 @@ from quatbrauer.exact_arith import (
     poly_from_string,
     poly_gcd,
     poly_to_string,
+    polyfp_from_polyq,
     polyfp_from_string,
+    polyfp_gcd,
     polyfp_pow_mod,
     polyfp_resultant,
     ratfunc_from_string,
@@ -150,6 +152,20 @@ class TestPolyQ:
         f = PolyQ.make([1, -2, 1])  # (x-1)^2
         assert f.evaluate(3) == 4
         assert f.evaluate(Fraction(1, 2)) == Fraction(1, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(-40, 40, max_denominator=12), max_size=9),
+           st.fractions(-20, 20, max_denominator=9))
+    @example([], Fraction(3, 7))                                # zero polynomial
+    @example([Fraction(5, 3), 0, -2], Fraction(0))              # x = 0
+    @example([1, Fraction(-1, 2), 0, 4], Fraction(-3))          # negative x
+    @example([Fraction(2, 9), 7, Fraction(-1, 4)], Fraction(-5, 6))  # non-integer x
+    def test_evaluate_matches_fraction_horner(self, coeffs, x):
+        want = Fraction(0)
+        for c in reversed(coeffs):
+            want = want * x + c
+        got = PolyQ.make(coeffs).evaluate(x)
+        assert got == want and isinstance(got, Fraction)
 
 
 class TestParsing:
@@ -389,6 +405,66 @@ class TestIntegerPathOracle:
         assert len(calls) == products
 
 
+def _euclid_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
+    """Monic gcd by plain Euclid on Fraction coefficient lists."""
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, v in enumerate(b):
+                a[shift + i] -= c * v
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return PolyQ.make(a).monic() if a else PolyQ.make([])
+
+
+class TestGcdScreen:
+    """poly_gcd proves coprimality modulo one prime q before any rational
+    Euclid, and falls back to Euclid where the screen proves nothing."""
+
+    Q = exact_arith._GCD_SCREEN_PRIME
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLYS, POLYS, POLYS)
+    @example([], [], [])
+    @example([Fraction(1, 3), 2], [], [])
+    @example([1, 1], [-1, 1], [Fraction(2, 7), 0, 5])
+    def test_gcd_matches_plain_euclid(self, a, b, c):
+        f, g, h = PolyQ.make(a), PolyQ.make(b), PolyQ.make(c)
+        assert poly_gcd(f, g) == _euclid_gcd(f, g)
+        assert poly_gcd(f * h, g * h) == _euclid_gcd(f * h, g * h)
+
+    def _screen_gcd(self, f, g):
+        return polyfp_gcd(polyfp_from_polyq(f, self.Q), polyfp_from_polyq(g, self.Q))
+
+    @pytest.mark.parametrize("a", [0, 7, -12345, 2**40 + 3])
+    def test_coprime_over_q_but_equal_mod_q(self, a):
+        f, g = PolyQ.make([-a, 1]), PolyQ.make([-a - self.Q, 1])
+        assert self._screen_gcd(f, g).degree == 1
+        assert poly_gcd(f, g) == PolyQ.const(1) == _euclid_gcd(f, g)
+
+    def test_q_divides_the_leading_numerator(self):
+        # the common factor q x + 1 is the constant 1 mod q, so a screen
+        # there would call f and g coprime
+        h = PolyQ.make([1, self.Q])
+        f, g = h * PolyQ.make([2, 1]), h * PolyQ.make([3, 1])
+        assert f.nums[-1] % self.Q == 0 and self._screen_gcd(f, g).degree == 0
+        assert poly_gcd(f, g) == h.monic() == _euclid_gcd(f, g)
+        assert poly_gcd(h, PolyQ.make([5, 1])) == PolyQ.const(1)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_q_divides_a_denominator(self, first):
+        h = PolyQ.make([Fraction(1, self.Q), 1])
+        f, g = h * PolyQ.make([3, 1]), h * PolyQ.make([-3, 1])
+        f, g = (f, g) if first else (g, f)
+        with pytest.raises(DomainError):
+            polyfp_from_polyq(h, self.Q)
+        assert poly_gcd(f, g) == h
+        assert poly_gcd(f, PolyQ.make([1, 0, 1])) == PolyQ.const(1)
+
+
 class TestSquarefreeAndIrreducible:
     @settings(max_examples=60, deadline=None)
     @given(NONZERO, st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=2),
@@ -417,14 +493,14 @@ class TestSquarefreeAndIrreducible:
         for cs in parts:
             f = f * PolyQ.make(cs + [1])
         for g, _ in squarefree_parts_q(f):
-            assert irreducible_factors_q(g) == [h for h, _ in factor_poly_q(g).factors]
+            assert irreducible_factors_q(g) == tuple(h for h, _ in factor_poly_q(g).factors)
 
     @pytest.mark.parametrize("s", ["x^3 - 2", "x^4 + x + 1", "x^5 - x - 1",
                                    "x^6 + x^3 + 1/2", "x^2 + 1/3"])
     def test_irreducible_proved_without_sympy(self, monkeypatch, s):
         monkeypatch.setattr(exact_arith, "factor_poly_q", None)
         f = poly_from_string(s).monic()
-        assert irreducible_factors_q(f) == [f]
+        assert irreducible_factors_q(f) == (f,)
 
     @pytest.mark.parametrize("s", ["x^4 + 1", "(x^2 - 2)*(x^2 + 1)", "(x - 1)*(x^3 - 2)"])
     def test_unproved_polynomials_go_to_sympy(self, monkeypatch, s):
@@ -435,8 +511,47 @@ class TestSquarefreeAndIrreducible:
         monkeypatch.setattr(exact_arith, "factor_poly_q",
                             lambda f: calls.append(f) or factor(f))
         f = poly_from_string(s)
-        assert irreducible_factors_q(f) == [h for h, _ in factor(f).factors]
+        assert irreducible_factors_q(f) == tuple(h for h, _ in factor(f).factors)
         assert calls == [f]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(RATIONALS, min_size=1, max_size=4), min_size=1, max_size=3))
+    @example([[1], [-1]])
+    @example([[Fraction(1, 2), 3], [0, 0, 0, 7]])
+    def test_yun_early_exit_matches_the_full_loop(self, parts):
+        # products of distinct monic factors, mostly squarefree: where b and
+        # b' are coprime the early exit returns what Yun's loop would
+        f = PolyQ.const(1)
+        for cs in parts:
+            f = f * PolyQ.make(cs + [1])
+        b = f.monic()
+        a = poly_gcd(b, b.derivative())
+        b, c = b.divmod(a)[0], b.derivative().divmod(a)[0]
+        want, i = [], 1
+        while b.degree > 0:
+            d = c - b.derivative()
+            a = poly_gcd(b, d)
+            b, c = b.divmod(a)[0], d.divmod(a)[0]
+            if a.degree > 0:
+                want.append((a, i))
+            i += 1
+        assert squarefree_parts_q(f) == want
+
+    @pytest.mark.parametrize("s", ["2*x^2 + 2", "2*x^2 - 2", "(x + 1)^2"])
+    def test_irreducible_factors_q_refuse_non_squarefree_or_non_monic(self, s):
+        with pytest.raises(DomainError, match="not monic and squarefree"):
+            irreducible_factors_q(poly_from_string(s))
+        assert irreducible_factors_q.cache_info().currsize == 0
+
+    def test_q_split_memo(self, monkeypatch):
+        calls = []
+        factor = exact_arith.factor_poly_q
+        monkeypatch.setattr(exact_arith, "factor_poly_q",
+                            lambda f: calls.append(f) or factor(f))
+        f = poly_from_string("x^4 + 1")
+        assert irreducible_factors_q(f) == (f,) == irreducible_factors_q(f)
+        info = irreducible_factors_q.cache_info()
+        assert calls == [f] and (info.hits, info.misses) == (1, 1)
 
 
 class TestCanonicalForm:
@@ -732,6 +847,7 @@ class TestSplitFp:
 
     def test_split_cache_is_bounded(self):
         assert irreducible_factors_fp.cache_info().maxsize == exact_arith.SPLIT_CACHE_SIZE
+        assert irreducible_factors_q.cache_info().maxsize == exact_arith.SPLIT_CACHE_SIZE
         assert exact_arith.SPLIT_CACHE_SIZE is not None
 
     @pytest.mark.parametrize("coeffs", [[1, 2, 1], [2, 2]])  # (x + 1)^2, 2x + 2

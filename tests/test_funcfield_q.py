@@ -1,8 +1,10 @@
 """Tests for quaternion algebras over Q(x)."""
 
+import importlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,8 @@ from quatbrauer.exact_arith import (
     factor_key,
     factor_poly_fp,
     factor_poly_q,
+    irreducible_factors_fp,
+    irreducible_factors_q,
     poly_from_string,
     polyfp_from_polyq,
 )
@@ -386,6 +390,30 @@ def test_irreducible_place_with_a_wide_lift_gets_a_verdict():
     verdict = is_isomorphic_qx(D1, D)
     assert str(verdict.witness_place) == "x"
     assert verdict.to_json() == _per_place_verdict(D1, D).to_json()
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_decisions_agree_with_cold_and_warm_split_memos(monkeypatch):
+    # 96 benchmark cases (one period of its schedule): each decided after the
+    # split memos are cleared, then all again with the memos kept warm
+    monkeypatch.syspath_prepend(str(BENCH))
+    cases = [importlib.import_module("workloads").qx_case(7, i) for i in range(96)]
+
+    def decide(i, case):
+        f1, g1, f2, g2 = (FactoredFunc.from_poly(PolyQ.make(cs)) for cs in case["coeffs"])
+        return is_isomorphic_qx(QuaternionFF(f1, g1), QuaternionFF(f2, g2),
+                                random.Random(i)).to_json()
+
+    cold = []
+    for i, case in enumerate(cases):
+        irreducible_factors_fp.cache_clear()
+        irreducible_factors_q.cache_clear()
+        cold.append(decide(i, case))
+    warm = [decide(i, case) for i, case in enumerate(cases)]
+    assert warm == cold
+    assert irreducible_factors_fp.cache_info().hits and irreducible_factors_q.cache_info().hits
 
 
 class TestCallCounts:

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from oracles import hilbert_oracle
-from quatbrauer import local_symbols
+from quatbrauer import exact_arith, local_symbols
 from quatbrauer.errors import BudgetError, DomainError, InternalError
-from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational
+from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational, irreducible_factors_fp
 from quatbrauer.local_symbols import (
     REAL,
     NonsquareWitness,
@@ -415,6 +415,7 @@ class TestSquareTester:
         for pi, t in [(GAUSS, PolyQ.make([16, 30])), (GAUSS, PolyQ.const(3)),
                       (CBRT2, (r * r) % CBRT2), (SWINNERTON_DYER, PolyQ.const(3))]:
             calls.clear()
+            irreducible_factors_fp.cache_clear()
             is_square_in_number_field(NumberFieldElem.make(pi, t))
             assert calls and len(set(calls)) == len(calls), calls
 
@@ -464,15 +465,16 @@ class TestSquareTester:
 
 
 def _count_factorizations(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
-    """Record (p, coefficients) of every polynomial the square test factors."""
+    """Record (p, coefficients) of every polynomial the square test factors:
+    the misses of the F_p[x] split memo."""
     calls = []
-    factor = local_symbols.factor_poly_fp
+    factor = exact_arith.factor_poly_fp
 
     def counted(f, rng=None):
         calls.append((f.p, f.coeffs))
         return factor(f, rng)
 
-    monkeypatch.setattr(local_symbols, "factor_poly_fp", counted)
+    monkeypatch.setattr(exact_arith, "factor_poly_fp", counted)
     return calls
 
 
