@@ -27,7 +27,7 @@ from .brauer_q import (
 )
 from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
-from .funcfield import FactoredFunc, check_char
+from .funcfield import FactoredFunc, check_char, places
 from .funcfield_fp import class_fp, is_isomorphic_fpx
 from .funcfield_q import QuaternionFF, is_isomorphic_qx, residue_at, specialize
 from .local_symbols import REAL, PlaceQ, hilbert, support_places
@@ -61,7 +61,7 @@ def _load_class(path: str) -> BrauerClassQ:
         raise ParseError(f"bad JSON in {path}: {exc}") from None
     try:
         return BrauerClassQ.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad class schema in {path}: {exc}") from None
 
 
@@ -135,7 +135,7 @@ def cmd_brq_scale(args) -> int:
 def cmd_qx_residues(args) -> int:
     D = QuaternionFF(_funcfield(args.f), _funcfield(args.g))
     rng = random.Random(args.seed)
-    table = {str(v): residue_at(D, v, rng).to_json() for v in D.places()}
+    table = {str(v): residue_at(D, v, rng).to_json() for v in places(D.f, D.g)}
     ram = [v for v, t in table.items() if not t["trivial"]]
     _emit(args, {"residues": table, "ramified": ram},
           "\n".join(f"{v}: {'trivial' if t['trivial'] else 'ramified'}"
@@ -230,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Q, Q(x) and F_p(x)")
     top.add_argument("--json", action="store_true", help="machine-readable output")
     top.add_argument("--seed", type=int,
-                     default=int(os.environ.get("QUATBRAUER_SEED", "0")),
-                     help="seed for Las Vegas subroutines")
+                     help="seed for Las Vegas subroutines (default: QUATBRAUER_SEED or 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hilbert", help="Hilbert symbols over Q")
@@ -300,12 +299,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _env_int(name: str, default: int, positive: bool = False) -> int:
+    """An integer environment variable, default if it is unset or empty."""
+    text = os.environ.get(name)
+    if not text:
+        return default
+    if not text.removeprefix("-").isdecimal() or positive and int(text) < 1:
+        raise ParseError(f"{name}={text!r} is not a{' positive' if positive else 'n'} integer")
+    return int(text)
+
+
 def main(argv=None) -> int:
-    budget = os.environ.get("QUATBRAUER_SQUARE_BUDGET")
-    if budget:
-        local_symbols.MAX_LIFT_EXPONENT = int(budget)
     args = build_parser().parse_args(argv)
     try:
+        local_symbols.MAX_LIFT_EXPONENT = _env_int(
+            "QUATBRAUER_SQUARE_BUDGET", local_symbols.MAX_LIFT_EXPONENT, positive=True)
+        if args.seed is None:
+            args.seed = _env_int("QUATBRAUER_SEED", 0)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

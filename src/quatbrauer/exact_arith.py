@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm, prod
 
-from .errors import DomainError, InternalError, ParseError
+from .errors import BudgetError, DomainError, InternalError, ParseError
 
 # Factorization over Q is rejected above this degree; recombination cost is
 # unbounded in general.
@@ -33,6 +33,10 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # per entry was 64 ms with a bound of 10**6, 3.6 ms with 10**4 and 3.1 ms with
 # 10**3; lower bounds gained nothing.
 TRIAL_DIVISION_BOUND = 10**3
+
+# Pollard-Brent steps per cofactor, restarts included, before a BudgetError:
+# 16x the most an 18-20 digit benchmark entry needed; 1.6 s at 49 digits.
+POLLARD_STEPS = 2**20
 
 # Primes at which `irreducible_factors_q` reduces a polynomial to try to prove
 # it irreducible before it calls sympy, whose import costs a process about
@@ -86,12 +90,15 @@ def is_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+    """Brent-cycle Pollard rho; a nontrivial factor of composite odd n."""
+    steps = 0
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         x = ys = y
         while g == 1:
+            if (steps := steps + 2 * r) > POLLARD_STEPS:  # a block steps y 2r times
+                raise BudgetError(f"no factor of {n} found in {POLLARD_STEPS} Pollard rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -813,11 +820,6 @@ class ZxRing:
             if bit == "1":
                 r = self.fold(r * b)
         return self.unpack(r)
-
-
-def zx_mulmod(a: list[int], b: list[int], f, m: int) -> list[int]:
-    """a * b mod (f, m), trimmed, f monic, a and b integer lists of any length."""
-    return ZxRing(f, m).mul(a, b)
 
 
 def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:

@@ -7,10 +7,11 @@ A place is a monic irreducible modulus, or the degree place at infinity of
 F_p(x); a monic squarefree modulus on a `common_basis` of the entries
 stands for all its irreducible factors at once.  The tame symbol of (f, g)
 at a place is returned as (base, exponent) terms whose bases are units
-there; `funcfield_fp` decides their square class by the norm-Legendre
-character at each place of a basis element, `funcfield_q` by the certified
-square test in Q[x]/(h), both on `odd_tame_bases`.  Places are named only
-where needed, by `irreducible_factors_fp` or `irreducible_factors_q`.
+there; `residue_support`, the residue step of both fields, reads their
+`odd_tame_bases` once per basis element h, and `funcfield_fp` decides their
+square class by the norm-Legendre character at each place of h,
+`funcfield_q` by the certified square test in Q[x]/(h).  Places are named
+only where needed, by `irreducible_factors_fp` or `irreducible_factors_q`.
 """
 
 from __future__ import annotations
@@ -236,3 +237,14 @@ def odd_tame_bases(v: Place, *pairs: tuple[FactoredFunc, FactoredFunc]) -> list[
     for base, e in (t for f, g in pairs for t in tame_terms(f, g, v)):
         exps[base] = exps.get(base, 0) + e
     return [base for base, e in exps.items() if e % 2]
+
+
+def residue_support(pairs, nonsquare_places) -> list[Place]:
+    """The finite places, sorted, where the sum of the pairs' symbols (f, g) has
+    a nontrivial residue: at each element h of the entries' common basis, in
+    order, `nonsquare_places(h, bases)` names the places pi | h where the
+    product of the odd tame bases is a nonsquare mod pi."""
+    basis, entries = common_basis(*(e for pair in pairs for e in pair))
+    pairs = list(zip(entries[::2], entries[1::2]))
+    return sorted((v for h in basis if (bases := odd_tame_bases(h, *pairs))
+                   for v in nonsquare_places(h.modulus, bases)), key=Place.sort_key)

@@ -4,8 +4,8 @@ Over a finite constant field the unramified 2-torsion is trivial, so a
 quaternion class IS its residue vector: tame residue characters at the
 finite places plus the place at infinity, with values +-1 given by the
 norm-Legendre character (Res(h, t) / p) of the residue field F_p[x]/(h).
-Entries hold squarefree parts, split into places only where needed, and
-reciprocity (product of all residues = +1) is checked on every class.
+The finite ones come from `funcfield.residue_support`, which splits entries
+into places only where needed; reciprocity (product = +1) is always checked.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import DomainError, InternalError
 from .exact_arith import PolyFp, fq_char, irreducible_factors_fp
-from .funcfield import FactoredFunc, Place, common_basis, odd_tame_bases
+from .funcfield import FactoredFunc, Place, odd_tame_bases, residue_support
 
 FactoredFuncFp = FactoredFunc  # the name callers of this module import
 
@@ -51,13 +51,15 @@ class QuatClassFp:
         return "{" + ", ".join(str(v) for v in self.residues) + "}"
 
 
+def _nonsquare_places(h: PolyFp, bases: list[PolyFp]) -> list[Place]:
+    """The places pi | h where the product of the bases has character -1."""
+    return [Place(pi) for pi in irreducible_factors_fp(h)
+            if prod(fq_char(base, pi) for base in bases) == -1]
+
+
 def class_fp(f: FactoredFunc, g: FactoredFunc) -> QuatClassFp:
-    """Residues at the places of f, g and infinity, reciprocity checked; the
-    places of a basis element h share its odd tame bases (h cancels)."""
-    basis, (f, g) = common_basis(f, g)
-    support = sorted((Place(pi) for h in basis if (bases := odd_tame_bases(h, (f, g)))
-                      for pi in irreducible_factors_fp(h.modulus)
-                      if prod(fq_char(base, pi) for base in bases) == -1), key=Place.sort_key)
+    """Residues at the places of f, g and infinity, reciprocity checked."""
+    support = residue_support([(f, g)], _nonsquare_places)
     if residue_fp(f, g, Place(None)) == -1:
         support.append(Place(None))
     if len(support) % 2:

@@ -1,14 +1,11 @@
 """Quaternion algebras over Q(x): tame residues, specialization, isomorphism.
 
-The decision procedure works in two steps.  Residues are compared first,
-not per irreducible place but per element h of a coprime basis of the four
-entries: the irreducible factors of h share valuations and tame terms, so
-one certified square test in the etale algebra Q[x]/(h) compares the
-residues at all of them, by exponent parity, whenever odd tame bases
-survive.  Only an h whose ratio is a nonsquare is split into its places, to
-name the witness.  Equal residues mean the difference class is constant,
-and one specialization at a unit point then decides it inside Br(Q) via
-its local invariant vector.
+The decision procedure works in two steps.  Residues are compared first by
+`funcfield.residue_support`, with one certified square test in the etale
+algebra Q[x]/(h) per element h of the entries' coprime basis; only an h
+where it fails is split, to name the witness.  Equal residues mean the
+difference class is constant, and one specialization at a unit point then
+decides it inside Br(Q) via its local invariant vector.
 """
 
 from __future__ import annotations
@@ -16,12 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 from .brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from .errors import DomainError
 from .exact_arith import PolyQ, RatFuncQ, irreducible_factors_q, sqrt_fraction
-from .funcfield import FactoredFunc, Place, common_basis, odd_tame_bases, places, tame_terms
+from .funcfield import FactoredFunc, Place, residue_support, tame_terms
 from .local_symbols import (
     NumberFieldElem,
     SquareClassVerdict,
@@ -42,9 +40,6 @@ class QuaternionFF:
 
     f: FactoredFunc
     g: FactoredFunc
-
-    def places(self) -> list[Place]:
-        return places(self.f, self.g)
 
     def __str__(self) -> str:
         return f"({self.f}, {self.g} / Q(x))"
@@ -88,21 +83,11 @@ def residue_at(D: QuaternionFF, v: Place,
     return ResidueCharacter(v, t, verdict.is_square, verdict)
 
 
-def _square_class(v: Place, *algebras: QuaternionFF) -> NumberFieldElem | None:
-    """The product of the algebras' tame symbols at v up to squares: the odd
-    tame bases multiplied in Q[x]/(h), or None when that is a rational square
-    (the empty product included), which needs no certificate."""
-    acc = NumberFieldElem.make(v.modulus, PolyQ.const(1))
-    for base in odd_tame_bases(v, *((D.f, D.g) for D in algebras)):
-        acc = acc * NumberFieldElem.make(v.modulus, base)
-    rational_square = acc.value.degree == 0 and sqrt_fraction(acc.value.lc()) is not None
-    return None if rational_square else acc
-
-
 def ramification_set(D: QuaternionFF,
                      rng: random.Random | None = None) -> list[ResidueCharacter]:
-    """Nontrivial residue characters; only places dividing f or g can ramify."""
-    return [ch for ch in (residue_at(D, v, rng) for v in D.places()) if not ch.trivial]
+    """Nontrivial residue characters, each with its certificate."""
+    return [residue_at(D, v, rng) for v in residue_support(
+        [(D.f, D.g)], partial(_nonsquare_places, rng=rng))]
 
 
 def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
@@ -135,19 +120,26 @@ class IsomorphismVerdict:
         return out
 
 
-def _nonsquare_places(c: NumberFieldElem, rng: random.Random | None) -> list[Place]:
-    """The places pi | h where c, a unit of Q[x]/(h), is a nonsquare in the
-    component Q[x]/(pi).
+def _nonsquare_places(h: PolyQ, bases: list[PolyQ],
+                      rng: random.Random | None) -> list[Place]:
+    """The places pi | h where c, the product of the bases in Q[x]/(h), is a
+    nonsquare in the component Q[x]/(pi).
 
-    One square test in Q[x]/(h) settles them all when c is a square.  A
-    nonsquare is split to name its places, and so is an h of degree above
-    MAX_BASIS_TEST_DEGREE before any test; an irreducible h is one place."""
-    tested = c.modulus.degree <= MAX_BASIS_TEST_DEGREE
+    A rational square c needs no test.  Otherwise one square test in
+    Q[x]/(h) settles them all when c is a square.  A nonsquare is split to
+    name its places, and so is an h of degree above MAX_BASIS_TEST_DEGREE
+    before any test; an irreducible h is one place."""
+    c = NumberFieldElem.make(h, PolyQ.const(1))
+    for base in bases:
+        c = c * NumberFieldElem.make(h, base)
+    if c.value.degree == 0 and sqrt_fraction(c.value.lc()) is not None:
+        return []
+    tested = h.degree <= MAX_BASIS_TEST_DEGREE
     if tested and is_square_in_number_field(c, rng=rng).is_square:
         return []
-    pis = irreducible_factors_q(c.modulus)
+    pis = irreducible_factors_q(h)
     if tested and len(pis) == 1:
-        return [Place(c.modulus)]
+        return [Place(h)]
     return [Place(pi) for pi in pis if not is_square_in_number_field(
         NumberFieldElem.make(pi, c.value), rng=rng).is_square]
 
@@ -165,24 +157,16 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
                      rng: random.Random | None = None) -> IsomorphismVerdict:
     """Decide isomorphism of two quaternion algebras over Q(x).
 
-    Step 1 compares residues on the common basis of the four entries: at
-    each basis element h, t1/t2 lies in the square class
-    `_square_class(h, E1, E2)` of Q[x]/(h).  Where that is a nonsquare, it
-    is a nonsquare in some components Q[x]/(pi), and those pi are witnesses;
-    the smallest over all h, in `Place.sort_key` order, is reported with
-    both tame symbols.  Step 2 (equal residues) specializes both at the
-    smallest common unit point and compares the constant classes in Br(Q)
-    as local invariant vectors.
+    Step 1 compares residues: the places where the residues of D1 + D2 are
+    nontrivial are those where t1/t2 is a nonsquare, and the smallest, in
+    `Place.sort_key` order, is reported with both tame symbols.  Step 2
+    (equal residues) specializes both at the smallest common unit point and
+    compares the constant classes in Br(Q) as local invariant vectors.
     """
-    basis, (f1, g1, f2, g2) = common_basis(D1.f, D1.g, D2.f, D2.g)
-    E1, E2 = QuaternionFF(f1, g1), QuaternionFF(f2, g2)
-    witnesses = []
-    for v in basis:
-        ratio = _square_class(v, E1, E2)
-        if ratio is not None:
-            witnesses += _nonsquare_places(ratio, rng)
+    witnesses = residue_support([(D1.f, D1.g), (D2.f, D2.g)],
+                                partial(_nonsquare_places, rng=rng))
     if witnesses:
-        v = min(witnesses, key=Place.sort_key)
+        v = witnesses[0]
         return IsomorphismVerdict(
             False, witness_place=v, witness_symbols=(tame_symbol(D1, v), tame_symbol(D2, v)),
             citations=("Faddeev exact sequence (residue comparison)",))
@@ -202,16 +186,15 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
 
 def is_division_qx(D: QuaternionFF, rng: random.Random | None = None
                    ) -> tuple[bool, str]:
-    """A quaternion over Q(x) is division iff its class is nonzero, that is
-    iff it is not isomorphic to the split algebra (1, 1): some residue is
-    nontrivial, or the constant specialization is nonzero."""
-    one = FactoredFunc.from_constant(1)
-    verdict = is_isomorphic_qx(D, QuaternionFF(one, one), rng)
-    alpha = verdict.specialization_point
-    if verdict.witness_place is not None:
-        return True, f"ramified at {verdict.witness_place}"
-    if verdict.witness_invariants is not None:
-        return True, f"nonzero constant class {verdict.witness_invariants} at x = {alpha}"
+    """A quaternion over Q(x) is division iff its class is nonzero: some
+    residue is nontrivial, or the constant specialization is nonzero."""
+    ramified = residue_support([(D.f, D.g)], partial(_nonsquare_places, rng=rng))
+    if ramified:
+        return True, f"ramified at {ramified[0]}"
+    alpha = next(_unit_points([D.f, D.g]))
+    c = class_of_quaternion(specialize(D, alpha))
+    if not c.is_zero():
+        return True, f"nonzero constant class {c} at x = {alpha}"
     return False, f"split: unramified everywhere and trivial class at x = {alpha}"
 
 

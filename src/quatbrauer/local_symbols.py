@@ -175,18 +175,7 @@ class NumberFieldElem:
         return NumberFieldElem(self.modulus, self.value.mulmod(other.value, self.modulus))
 
     def inverse(self) -> "NumberFieldElem":
-        """Extended Euclid in Q[x]; requires the value to be a unit mod pi."""
-        if self.is_zero():
-            raise DomainError("zero is not invertible")
-        r0, r1 = self.modulus, self.value
-        s0, s1 = PolyQ.make([]), PolyQ.const(1)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
-            raise DomainError("value shares a factor with the modulus")
-        return NumberFieldElem(self.modulus, s0.scale(1 / r0.lc()) % self.modulus)
+        return NumberFieldElem(self.modulus, poly_inverse(self.value, self.modulus))
 
     def __pow__(self, n: int) -> "NumberFieldElem":
         return power(self if n >= 0 else self.inverse(), abs(n),
@@ -259,17 +248,18 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     return PolyFp(p, tuple(r))
 
 
-def _polyfp_inverse(a: PolyFp, mod: PolyFp) -> PolyFp:
-    r0, r1 = mod, a % mod
-    s0, s1 = PolyFp.const(a.p, 0), PolyFp.const(a.p, 1)
+def poly_inverse(a, m):
+    """1/a mod m, both PolyQ or both PolyFp, by extended Euclid: s a = r mod m
+    for the constant gcd r, and 1/a is s divided by r."""
+    r0, r1 = m, a % m
+    s0, s1 = m.divmod(m)[::-1]  # 0 and 1 in a's ring
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     if r0.degree != 0:
-        raise DomainError("not invertible")
-    inv = pow(r0.coeffs[0], -1, a.p)
-    return (s0 * PolyFp.const(a.p, inv)) % mod
+        raise DomainError(f"{a} is not invertible mod {m}")
+    return s0.divmod(r0)[0] % m
 
 
 def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:
@@ -427,9 +417,9 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
     terms = []
     for h in moduli:
         cof = pim.divmod(h)[0]
-        idem = cof * _polyfp_inverse(cof % h, h)
+        idem = cof * poly_inverse(cof % h, h)
         s = _fq_sqrt(vp % h, h, rng)
-        terms.append(((s * idem) % pim, (_polyfp_inverse(s + s, h) * idem) % pim))
+        terms.append(((s * idem) % pim, (poly_inverse(s + s, h) * idem) % pim))
     states = []
     zero = PolyFp.const(p0, 0)
     # the ring of (pi, p0^e) and the value mod p0^e, once per e for all patterns

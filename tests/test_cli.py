@@ -26,6 +26,13 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
 class TestHilbert:
     def test_real_place(self, capsys):
         code, out, _ = run(capsys, "hilbert", "-a", "-1", "-b", "-1", "--real")
@@ -59,6 +66,18 @@ class TestHilbert:
     def test_equals_form(self, capsys):
         data = run_json(capsys, "hilbert", "-a=-9/5", "-b=-3", "--real")
         assert data == {"place": "real", "symbol": -1}
+
+    def test_unsplittable_cofactor_exit_3(self):
+        # (10^24 + 7)(3 * 10^24 + 7): Pollard rho needs about 10^12 steps
+        n = (10**24 + 7) * (3 * 10**24 + 7)
+        for argv in (["hilbert", "-a", str(n), "-b", "3", "--all"],
+                     ["brq", "class", "-a", str(n), "-b", "3"]):
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, "-m", "quatbrauer.cli", *argv],
+                                 capture_output=True, text=True, env=_child_env(), timeout=60)
+            assert time.perf_counter() - t0 < 10
+            assert out.returncode == 3, out.stderr
+            assert out.stderr.startswith("undecided:") and str(n) in out.stderr
 
     def test_unknown_option_still_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -111,6 +130,12 @@ class TestBrq:
         f1.write_text("not json")
         code, _, _ = run(capsys, "brq", "samesub", str(f1), str(f1))
         assert code == 2
+        # JSON of the wrong shape: a number, a list, and a list of strings
+        for data in ({"invariants": 5}, [1], {"invariants": ["2"]}):
+            f1.write_text(json.dumps(data))
+            for argv in (("samesub", str(f1), str(f1)), ("scale", str(f1), "-m", "2")):
+                code, _, err = run(capsys, "brq", *argv)
+                assert code == 2 and "bad class schema" in err, (data, argv, err)
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "brq", "samesub",
@@ -245,6 +270,34 @@ class TestFfx:
         assert "Traceback" not in err
 
 
+# The exact --json stdout of qx and ffx commands, recorded before their
+# residue step moved into `funcfield.residue_support`; a refactor keeps it.
+PINNED = json.loads((Path(__file__).with_name("cli_pinned.json")).read_text())
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[" ".join(c["argv"][1:3]) for c in PINNED])
+def test_json_output_is_pinned(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == 0, err
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("name,value", [("QUATBRAUER_SEED", "abc"),
+                                        ("QUATBRAUER_SQUARE_BUDGET", "abc"),
+                                        ("QUATBRAUER_SQUARE_BUDGET", "0")])
+def test_bad_environment_value_exit_2(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "hilbert", "-a", "2", "-b", "3", "--real")
+    assert code == 2 and not out
+    assert err.startswith("parse error:") and name in err
+
+
+def test_environment_seed_is_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("QUATBRAUER_SEED", "5")
+    assert run_json(capsys, "selftest", "--cases", "1")["seed"] == 5
+    assert run_json(capsys, "--seed", "3", "selftest", "--cases", "1")["seed"] == 3
+
+
 def test_selftest_small(capsys):
     code, out, _ = run(capsys, "--seed", "1", "selftest", "--cases", "10")
     assert code == 0
@@ -296,11 +349,8 @@ def test_hilbert_brq_ffx_do_not_import_sympy():
              ["brq", "class", "-a", str(big), "-b", "-1/15"],
              ["ffx", "isom", "--char", "7", "-f1", "(x^2+1)*(x+3)", "-g1", "3",
               "-f2", "x^3 + 3*x^2 + x + 3", "-g2", "5/2"]]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-c", SYMPY_FREE_SCRIPT, json.dumps(argvs)],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result == {"loaded_on_import": False, "codes": [0, 0, 0], "loaded": []}, result
@@ -321,11 +371,8 @@ QX_SYMPY_FREE = [["qx", "isom", "-f1", QX_F, "-g1", QX_G, "-f2", QX_G, "-g2", QX
 
 def test_qx_isom_without_a_sympy_split_does_not_import_sympy():
     argvs = [["--json"] + argv for argv in QX_SYMPY_FREE]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     out = subprocess.run([sys.executable, "-c", SYMPY_FREE_SCRIPT, json.dumps(argvs)],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result == {"loaded_on_import": False, "codes": [0, 0, 0], "loaded": []}, result

@@ -8,12 +8,14 @@ Euler power of the residue-field element).
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quatbrauer import funcfield_fp, funcfield_q
 from quatbrauer.errors import DomainError
 from quatbrauer.exact_arith import PolyFp, PolyQ, factor_key, fq_char, poly_gcd, polyfp_pow_mod
 from quatbrauer.funcfield import (
@@ -23,9 +25,10 @@ from quatbrauer.funcfield import (
     common_basis,
     odd_tame_bases,
     places,
+    residue_support,
     tame_terms,
 )
-from quatbrauer.funcfield_fp import residue_fp
+from quatbrauer.funcfield_fp import class_fp, residue_fp
 from quatbrauer.funcfield_q import QuaternionFF, tame_symbol
 
 X = sympy.Symbol("x")
@@ -264,8 +267,8 @@ FP_PRIMES = st.sampled_from([3, 5, 7, 11, 13])
 
 
 @st.composite
-def fp_pairs(draw):
-    """(f, g) over F_p with constants that often coincide or are -1."""
+def fp_entries(draw, n):
+    """n entries over one F_p with constants that often coincide or are -1."""
     p = draw(FP_PRIMES)
     consts = st.sampled_from([1, p - 1, 2, p - 2])
 
@@ -280,11 +283,11 @@ def fp_pairs(draw):
                 out = out * (part if m > 0 else part.inverse())
         return out
 
-    return entry(), entry()
+    return tuple(entry() for _ in range(n))
 
 
 @settings(max_examples=80, deadline=None)
-@given(fp_pairs())
+@given(fp_entries(2))
 @example((FactoredFunc.from_constant(4, 5), FactoredFunc.from_constant(4, 5)))
 @example((FactoredFunc.from_constant(2, 7) * FactoredFunc.from_poly(PolyFp.make(7, [0, 1])),
           FactoredFunc.from_constant(2, 7)))
@@ -297,3 +300,64 @@ def test_residue_fp_is_product_over_raw_odd_terms(pair):
             if e % 2:
                 want *= fq_char(base, h)
         assert residue_fp(f, g, v) == want, (f, g, v)
+
+
+# -- the residue support of a sum of symbols -----------------------------------
+
+def _support_fp(*pairs):
+    return residue_support(pairs, funcfield_fp._nonsquare_places)
+
+
+def _support_q(*pairs):
+    return residue_support(pairs, partial(funcfield_q._nonsquare_places, rng=None))
+
+
+@st.composite
+def q_entries(draw, n):
+    """n entries over Q: small constants times powers of the Q_POOL places."""
+    def entry():
+        out = FactoredFunc.from_constant(draw(st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 7)])))
+        for pi in draw(st.lists(st.sampled_from(Q_POOL), max_size=3, unique=True)):
+            m = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+            part = FactoredFunc.from_poly(pi**abs(m))
+            out = out * (part if m > 0 else part.inverse())
+        return out
+
+    return tuple(entry() for _ in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fp_entries(3))
+def test_support_fp_of_a_symbol_twice_is_empty(entries):
+    f, g, _ = entries
+    assert _support_fp((f, g), (f, g)) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(fp_entries(3))
+def test_support_fp_is_bilinear(entries):
+    f, g, h = entries
+    assert _support_fp((f, g), (f, h)) == _support_fp((f, g * h))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fp_entries(4))
+def test_support_fp_of_two_symbols_is_the_difference_of_their_classes(entries):
+    f1, g1, f2, g2 = entries
+    diff = set(class_fp(f1, g1).residues) ^ set(class_fp(f2, g2).residues)
+    finite = sorted((v for v in diff if v.modulus is not None), key=Place.sort_key)
+    assert _support_fp((f1, g1), (f2, g2)) == finite
+
+
+@settings(max_examples=40, deadline=None)
+@given(q_entries(3))
+def test_support_q_of_a_symbol_twice_is_empty(entries):
+    f, g, _ = entries
+    assert _support_q((f, g), (f, g)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(q_entries(3))
+def test_support_q_is_bilinear(entries):
+    f, g, h = entries
+    assert _support_q((f, g), (f, h)) == _support_q((f, g * h))

@@ -23,8 +23,9 @@ from quatbrauer.exact_arith import (
     irreducible_factors_q,
     poly_from_string,
     polyfp_from_polyq,
+    sqrt_fraction,
 )
-from quatbrauer.funcfield import Place, places
+from quatbrauer.funcfield import Place, odd_tame_bases, places
 from quatbrauer.funcfield_q import (
     FactoredFunc,
     IsomorphismVerdict,
@@ -39,7 +40,7 @@ from quatbrauer.funcfield_q import (
     specialize,
     tame_symbol,
 )
-from quatbrauer.local_symbols import REAL, PlaceQ, is_square_in_number_field
+from quatbrauer.local_symbols import REAL, NumberFieldElem, PlaceQ, is_square_in_number_field
 
 
 def ff(s):
@@ -248,6 +249,17 @@ def _fully_factored(e: FactoredFunc) -> FactoredFunc:
     return FactoredFunc(e.constant, tuple(sorted(exps.items(), key=factor_key)))
 
 
+def _odd_base_product(v: Place, *algebras: QuaternionFF) -> NumberFieldElem | None:
+    """The product of the algebras' tame symbols at v up to squares: the odd
+    tame bases multiplied in Q[x]/(pi), or None when that is a rational
+    square (the empty product included)."""
+    acc = NumberFieldElem.make(v.modulus, PolyQ.const(1))
+    for base in odd_tame_bases(v, *((D.f, D.g) for D in algebras)):
+        acc = acc * NumberFieldElem.make(v.modulus, base)
+    rational_square = acc.value.degree == 0 and sqrt_fraction(acc.value.lc()) is not None
+    return None if rational_square else acc
+
+
 def _per_place_verdict(D1, D2) -> IsomorphismVerdict:
     """The decision place by place on fully factored entries: the first
     irreducible place in sort order where the ratio of the residues is a
@@ -256,7 +268,7 @@ def _per_place_verdict(D1, D2) -> IsomorphismVerdict:
     F2 = QuaternionFF(_fully_factored(D2.f), _fully_factored(D2.g))
     entries = [F1.f, F1.g, F2.f, F2.g]
     for v in sorted({Place(pi) for e in entries for pi, _ in e.factors}, key=Place.sort_key):
-        ratio = funcfield_q._square_class(v, F1, F2)
+        ratio = _odd_base_product(v, F1, F2)
         if ratio is not None and not is_square_in_number_field(ratio).is_square:
             return IsomorphismVerdict(
                 False, witness_place=v, witness_symbols=(tame_symbol(F1, v), tame_symbol(F2, v)),
@@ -386,7 +398,8 @@ def test_irreducible_place_with_a_wide_lift_gets_a_verdict():
     # tested with no limit on the lift; the witness is x, where the residue
     # of D is the class of pi(0), not a square
     D1 = QuaternionFF(FactoredFunc.from_poly(pi), ff(1))
-    assert funcfield_q._nonsquare_places(funcfield_q._square_class(Place(pi), D1, D), None) == []
+    bases = odd_tame_bases(Place(pi), (D1.f, D1.g), (D.f, D.g))
+    assert funcfield_q._nonsquare_places(pi, bases, None) == []
     verdict = is_isomorphic_qx(D1, D)
     assert str(verdict.witness_place) == "x"
     assert verdict.to_json() == _per_place_verdict(D1, D).to_json()

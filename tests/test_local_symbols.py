@@ -382,13 +382,13 @@ class TestSquareTester:
         # prime, so 8 idempotents and 8 inverses of 2s mod h; none of the 128
         # sign patterns inverts anything
         calls = []
-        inverse = local_symbols._polyfp_inverse
+        inverse = local_symbols.poly_inverse
 
         def counted(a, mod):
             calls.append(mod.degree)
             return inverse(a, mod)
 
-        monkeypatch.setattr(local_symbols, "_polyfp_inverse", counted)
+        monkeypatch.setattr(local_symbols, "poly_inverse", counted)
         c = NumberFieldElem.make(SWINNERTON_DYER, PolyQ.const(11))
         v = is_square_in_number_field(c)
         assert not v.is_square and v.verified
