@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BudgetError, DomainError, InternalError
 from .local_symbols import REAL, PlaceQ, hilbert, support_places
@@ -99,11 +99,11 @@ class BrauerClassQ:
 
     @staticmethod
     def from_json(data: dict) -> "BrauerClassQ":
-        entries = {}
-        for item in data["invariants"]:
-            place = PlaceQ.parse(str(item["place"]))
-            entries[place] = Fraction(str(item["inv"]))
-        return BrauerClassQ.make(entries)
+        items = [(PlaceQ.parse(str(item["place"])), Fraction(str(item["inv"])))
+                 for item in data["invariants"]]
+        if len(dict(items)) < len(items):
+            raise ValueError("a place is listed twice")
+        return BrauerClassQ.make(items)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -137,10 +137,21 @@ def same_maximal_subfields_q(c1: BrauerClassQ, c2: BrauerClassQ) -> bool:
 
 
 def same_subgroup(c1: BrauerClassQ, c2: BrauerClassQ) -> bool:
-    """Whether the two classes generate the same cyclic subgroup of Br(Q)."""
-    def generates(a: BrauerClassQ, b: BrauerClassQ) -> bool:
-        return any(a.scale(m) == b for m in range(a.exponent() + 1))
-    return generates(c1, c2) and generates(c2, c1)
+    """The two classes generate the same cyclic subgroup of Br(Q) iff their
+    exponents agree and m c1 = c2 is solvable: m = y d u^-1 mod d wherever c1
+    reads u/d in lowest terms and c2 reads y (y d integral), joined by CRT."""
+    if c1.exponent() != c2.exponent():
+        return False
+    m, n = 0, 1
+    for place in set(c1.support()) | set(c2.support()):
+        x, y = c1.inv_at(place), c2.inv_at(place)
+        d, g = x.denominator, gcd(n, x.denominator)
+        t = y * d * pow(x.numerator, -1, d) - m  # this place asks for m + t mod d
+        if (y * d).denominator != 1 or t % g:
+            return False
+        m += n * (int(t) // g * pow(n // g, -1, d // g) % (d // g))
+        n = n * d // g
+    return True
 
 
 def example_6_5(n: int, places: tuple[PlaceQ, PlaceQ, PlaceQ, PlaceQ]

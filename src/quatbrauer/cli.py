@@ -45,10 +45,7 @@ def _funcfield(s: str) -> FactoredFunc:
     num, den = ratfunc_from_string(s)
     if num.is_zero():
         raise DomainError(f"{s!r} is zero, not a unit of Q(x)")
-    f = FactoredFunc.from_poly(num)
-    if den.degree > 0:
-        f = f * FactoredFunc.from_poly(den).inverse()
-    return f
+    return FactoredFunc.from_poly(num) * FactoredFunc.from_poly(den).inverse()
 
 
 def _load_class(path: str) -> BrauerClassQ:
@@ -61,8 +58,14 @@ def _load_class(path: str) -> BrauerClassQ:
         raise ParseError(f"bad JSON in {path}: {exc}") from None
     try:
         return BrauerClassQ.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad class schema in {path}: {exc}") from None
+
+
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -168,26 +171,20 @@ def cmd_qx_specialize(args) -> int:
     return 0
 
 
+def _fp_entries(args, *texts: str) -> list[FactoredFunc]:
+    check_char(args.char)
+    return [FactoredFunc.from_poly(polyfp_from_string(s, args.char)) for s in texts]
+
+
 def cmd_ffx_residues(args) -> int:
-    p = args.char
-    check_char(p)
-    f = FactoredFunc.from_poly(polyfp_from_string(args.f, p))
-    g = FactoredFunc.from_poly(polyfp_from_string(args.g, p))
-    cls = class_fp(f, g)
-    _emit(args, cls.to_json(),
-          f"ramified places over F_{p}(x): {cls}")
+    cls = class_fp(*_fp_entries(args, args.f, args.g))
+    _emit(args, cls.to_json(), f"ramified places over F_{args.char}(x): {cls}")
     return 0
 
 
 def cmd_ffx_isom(args) -> int:
-    p = args.char
-    check_char(p)
-
-    def pair(fs, gs):
-        return (FactoredFunc.from_poly(polyfp_from_string(fs, p)),
-                FactoredFunc.from_poly(polyfp_from_string(gs, p)))
-
-    verdict = is_isomorphic_fpx(pair(args.f1, args.g1), pair(args.f2, args.g2))
+    f1, g1, f2, g2 = _fp_entries(args, args.f1, args.g1, args.f2, args.g2)
+    verdict = is_isomorphic_fpx((f1, g1), (f2, g2))
     human = "isomorphic" if verdict.isomorphic else \
         f"not isomorphic (witness place: {verdict.witness_place})"
     _emit(args, verdict.to_json(), human)
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     f2.set_defaults(func=cmd_ffx_isom)
 
     ps = sub.add_parser("selftest", help="run the seeded property suites")
-    ps.add_argument("--cases", type=int, default=50)
+    ps.add_argument("--cases", type=_positive, default=50)
     ps.set_defaults(func=cmd_selftest)
 
     return top

@@ -8,6 +8,7 @@ Canonical forms are used throughout so that equality of values is structural
 equality: rationals are reduced with positive denominator, Q[x] polynomials
 are integer numerators over one coprime positive denominator, polynomial
 factorizations carry monic irreducible factors sorted by (degree, coeffs).
+PolyQ and PolyFp share `p`, `scalar`, `gcd`, `squarefree_parts` and `places`.
 """
 
 from __future__ import annotations
@@ -214,6 +215,7 @@ class PolyQ:
 
     nums: tuple[int, ...]
     den: int = 1
+    p = 0  # the characteristic, as in PolyFp
 
     @staticmethod
     def make(coeffs) -> "PolyQ":
@@ -233,6 +235,8 @@ class PolyQ:
     def const(c) -> "PolyQ":
         c = Fraction(c)  # already in lowest terms with a positive denominator
         return PolyQ((c.numerator,), c.denominator) if c else PolyQ(())
+
+    scalar = const  # f.scalar(c): the constant c of f's ring, as in PolyFp
 
     @staticmethod
     def x() -> "PolyQ":
@@ -673,6 +677,9 @@ class PolyFp:
     def x(p: int) -> "PolyFp":
         return PolyFp.make(p, [0, 1])
 
+    def scalar(self, c: int) -> "PolyFp":
+        return PolyFp.const(self.p, c)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -1001,6 +1008,13 @@ def irreducible_factors_fp(h: PolyFp) -> tuple[PolyFp, ...]:
     if unit != 1 or any(m != 1 for _, m in facs):
         raise DomainError(f"{h} is not monic and squarefree")
     return tuple(g for g, _ in facs)
+
+
+# the ring operations that funcfield calls, under the same names over Q and F_p
+PolyQ.gcd, PolyQ.squarefree_parts, PolyQ.places = \
+    poly_gcd, squarefree_parts_q, irreducible_factors_q
+PolyFp.gcd, PolyFp.squarefree_parts, PolyFp.places = \
+    polyfp_gcd, squarefree_parts_fp, irreducible_factors_fp
 
 
 def polyfp_from_string(s: str, p: int) -> PolyFp:

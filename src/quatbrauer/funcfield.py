@@ -10,8 +10,8 @@ at a place is returned as (base, exponent) terms whose bases are units
 there; `residue_support`, the residue step of both fields, reads their
 `odd_tame_bases` once per basis element h, and `funcfield_fp` decides their
 square class by the norm-Legendre character at each place of h,
-`funcfield_q` by the certified square test in Q[x]/(h).  Places are named
-only where needed, by `irreducible_factors_fp` or `irreducible_factors_q`.
+`funcfield_q` by the certified square test in Q[x]/(h).  The polynomials
+carry the constant field: only their ring operations are called here.
 """
 
 from __future__ import annotations
@@ -21,18 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact_arith import (
-    PolyFp,
-    PolyQ,
-    factor_key,
-    irreducible_factors_fp,
-    irreducible_factors_q,
-    is_prime,
-    poly_gcd,
-    polyfp_gcd,
-    squarefree_parts_fp,
-    squarefree_parts_q,
-)
+from .exact_arith import PolyFp, PolyQ, factor_key, is_prime
 
 MAX_CHAR = 2**31
 MAX_DEGREE = 64  # F_p(x) entries of higher degree are refused before factoring
@@ -74,39 +63,35 @@ def _field(p: int) -> str:
 class FactoredFunc:
     """A nonzero element of K(x)^x: constant * prod(factor ** exponent).
 
-    p = 0 means K = Q and a Fraction constant; otherwise K = F_p and the
-    constant lies in [1, p).  The factors are monic, squarefree and pairwise
-    coprime, with nonzero exponents, sorted by degree, then coefficients.
-    `from_poly`, products and inverses keep one factor per exponent, so
-    that == compares functions; the finer factors of `common_basis` and
-    `split_at` serve residues only.  `str` prints irreducible factors."""
+    The constant is a polynomial of degree 0 in the factors' ring (PolyQ or
+    PolyFp; `p` is its characteristic, 0 for Q), so products, inverses and
+    tame terms are ring arithmetic.  The factors are monic, squarefree and
+    pairwise coprime, with nonzero exponents, sorted by degree, then
+    coefficients.  `from_poly`, products and inverses keep one factor per
+    exponent, so that == compares functions; the finer factors of
+    `common_basis` and `split_at` serve residues only.  `str` prints
+    irreducible factors."""
 
-    constant: Fraction | int
+    constant: Poly
     factors: tuple[tuple[Poly, int], ...]
-    p: int = 0
+
+    @property
+    def p(self) -> int:
+        return self.constant.p
 
     @staticmethod
     def from_poly(f: Poly, rng: random.Random | None = None) -> "FactoredFunc":
-        p = f.p if isinstance(f, PolyFp) else 0
         if f.is_zero():
-            raise DomainError(f"zero is not a unit of {_field(p)}")
-        if p:
-            check_char(p)
+            raise DomainError(f"zero is not a unit of {_field(f.p)}")
+        if f.p:
+            check_char(f.p)
             if f.degree > MAX_DEGREE:
                 raise DomainError(f"degree {f.degree} exceeds the F_p(x) cap {MAX_DEGREE}")
-        parts = squarefree_parts_fp(f) if p else squarefree_parts_q(f)
-        return FactoredFunc(f.lc(), tuple(sorted(parts, key=factor_key)), p)
+        return FactoredFunc(f.scalar(f.lc()), tuple(sorted(f.squarefree_parts(), key=factor_key)))
 
     @staticmethod
     def from_constant(c, p: int = 0) -> "FactoredFunc":
-        if p:
-            check_char(p)
-            c %= p
-        else:
-            c = Fraction(c)
-        if c == 0:
-            raise DomainError(f"zero is not a unit of {_field(p)}")
-        return FactoredFunc(c, (), p)
+        return FactoredFunc.from_poly(PolyFp.const(p, c) if p else PolyQ.const(c))
 
     def __mul__(self, other: "FactoredFunc") -> "FactoredFunc":
         if self.p != other.p:
@@ -121,12 +106,11 @@ class FactoredFunc:
             if m:
                 groups[m] = groups[m] * f if m in groups else f
         facs = tuple(sorted(((f, m) for m, f in groups.items()), key=factor_key))
-        c = self.constant * other.constant
-        return FactoredFunc(c % self.p if self.p else c, facs, self.p)
+        return FactoredFunc(self.constant * other.constant, facs)
 
     def inverse(self) -> "FactoredFunc":
-        c = pow(self.constant, -1, self.p) if self.p else 1 / self.constant
-        return FactoredFunc(c, tuple((f, -m) for f, m in self.factors), self.p)
+        c = self.constant
+        return FactoredFunc(c.scalar(1).divmod(c)[0], tuple((f, -m) for f, m in self.factors))
 
     def split_at(self, v: Place) -> tuple["FactoredFunc", int]:
         """(self with v's modulus split out of the factor it divides, v(self)).
@@ -144,8 +128,7 @@ class FactoredFunc:
                 q, r = f.divmod(pi)
                 if r.is_zero():
                     facs = self.factors[:i] + ((pi, m), (q, m)) + self.factors[i + 1:]
-                    return FactoredFunc(self.constant, tuple(sorted(facs, key=factor_key)),
-                                        self.p), m
+                    return FactoredFunc(self.constant, tuple(sorted(facs, key=factor_key))), m
         return self, 0
 
     def valuation(self, v: Place) -> int:
@@ -153,7 +136,7 @@ class FactoredFunc:
 
     def value_at(self, alpha) -> Fraction | int:
         """Exact value at a point of K; the point must not be a zero or pole."""
-        acc = self.constant
+        acc = self.constant.lc()
         for f, m in self.factors:
             val = f.evaluate(alpha)
             if val == 0:
@@ -162,8 +145,7 @@ class FactoredFunc:
         return acc
 
     def __str__(self) -> str:
-        split = irreducible_factors_fp if self.p else irreducible_factors_q
-        facs = sorted(((pi, m) for f, m in self.factors for pi in split(f)), key=factor_key)
+        facs = sorted(((pi, m) for f, m in self.factors for pi in f.places()), key=factor_key)
         parts = [str(self.constant)]
         for f, m in facs:
             parts.append(f"({f})^{m}" if m != 1 else f"({f})")
@@ -179,7 +161,6 @@ def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc
     gives way to g and b/g, a goes on as a/g.  As a and b are squarefree,
     g, a/g and b/g are pairwise coprime, and g's exponent in each entry is
     the sum of a's and b's."""
-    gcd = polyfp_gcd if entries[0].p else poly_gcd
     basis: list[tuple[Poly, list[int]]] = []
     for i, e in enumerate(entries):
         for a, m in e.factors:
@@ -187,7 +168,7 @@ def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc
             va[i] = m
             refined = []
             for b, vb in basis:
-                if a.degree == 0 or (g := b if a == b else gcd(a, b)).degree == 0:
+                if a.degree == 0 or (g := b if a == b else a.gcd(b)).degree == 0:
                     refined.append((b, vb))
                     continue
                 refined.append((g, [x + y for x, y in zip(va, vb)]))
@@ -198,15 +179,14 @@ def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc
                 refined.append((a, va))
             basis = refined
     rewritten = [FactoredFunc(e.constant, tuple(sorted(((h, v[i]) for h, v in basis if v[i]),
-                                                       key=factor_key)), e.p)
+                                                       key=factor_key)))
                  for i, e in enumerate(entries)]
     return [Place(h) for h, _ in basis], rewritten
 
 
 def places(*entries: FactoredFunc) -> list[Place]:
     """The finite places dividing any of the entries, sorted."""
-    split = irreducible_factors_fp if entries and entries[0].p else irreducible_factors_q
-    mods = {pi for e in entries for f, _ in e.factors for pi in split(f)}
+    mods = {pi for e in entries for f, _ in e.factors for pi in f.places()}
     return sorted((Place(m) for m in mods), key=Place.sort_key)
 
 
@@ -219,10 +199,8 @@ def tame_terms(f: FactoredFunc, g: FactoredFunc, v: Place) -> list[tuple[Poly, i
     and the constants appear, the factors being monic."""
     if f.p != g.p:
         raise DomainError("characteristic mismatch")
-    p = f.p
-    const = (lambda c: PolyFp.const(p, c)) if p else PolyQ.const
     (f, vf), (g, vg) = f.split_at(v), g.split_at(v)
-    terms = [(const(-1), vf * vg), (const(f.constant), vg), (const(g.constant), -vf)]
+    terms = [(f.constant.scalar(-1), vf * vg), (f.constant, vg), (g.constant, -vf)]
     if v.modulus is not None:
         terms += [(fac, m * vg) for fac, m in f.factors if fac != v.modulus]
         terms += [(fac, -m * vf) for fac, m in g.factors if fac != v.modulus]

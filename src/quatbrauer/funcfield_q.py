@@ -212,8 +212,7 @@ def same_maximal_subfields_qx(D1: QuaternionFF, D2: QuaternionFF,
 
 
 def _expand(f: FactoredFunc) -> RatFuncQ:
-    num = PolyQ.const(f.constant.numerator)
-    den = PolyQ.const(f.constant.denominator)
+    num, den = f.constant, PolyQ.const(1)
     for q, m in f.factors:
         if m > 0:
             num = num * q**m

@@ -252,7 +252,7 @@ def poly_inverse(a, m):
     """1/a mod m, both PolyQ or both PolyFp, by extended Euclid: s a = r mod m
     for the constant gcd r, and 1/a is s divided by r."""
     r0, r1 = m, a % m
-    s0, s1 = m.divmod(m)[::-1]  # 0 and 1 in a's ring
+    s0, s1 = m.scalar(0), m.scalar(1)
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatbrauer.brauer_q import (
     BrauerClassQ,
@@ -110,6 +112,28 @@ class TestPredicates:
         c2 = BrauerClassQ.make({PlaceQ(2): Fraction(1, 2), PlaceQ(5): Fraction(1, 2)})
         assert not same_subgroup(c1, c2)
         assert not same_maximal_subfields_q(c1, c2)
+
+
+def _generates(a: BrauerClassQ, b: BrauerClassQ) -> bool:
+    """The brute-force oracle: m a = b for some m up to the exponent of a."""
+    return any(a.scale(m) == b for m in range(a.exponent() + 1))
+
+
+@st.composite
+def small_classes(draw):
+    """Classes of exponent dividing e <= 12 at the real place and 2, 3, 5, 7."""
+    e = draw(st.integers(1, 12))
+    inv = {PlaceQ(q): Fraction(draw(st.integers(0, e - 1)), e) for q in (3, 5, 7)}
+    inv[REAL] = Fraction(draw(st.integers(0, 1)), 2) if e % 2 == 0 else Fraction(0)
+    inv[PlaceQ(2)] = -sum(inv.values())
+    return BrauerClassQ.make(inv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_classes(), small_classes(), st.integers(-30, 30))
+def test_same_subgroup_matches_brute_force(c1, c2, m):
+    for b in (c2, c1.scale(m)):
+        assert same_subgroup(c1, b) == (_generates(c1, b) and _generates(b, c1)), (c1, b)
 
 
 class TestExample65:

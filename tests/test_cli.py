@@ -97,6 +97,13 @@ class TestBrq:
         assert data["same_subgroup"] is False
         assert data["equal"] is False
 
+    def test_ex65_large_n_decided_at_once(self, capsys):
+        # same_subgroup is decided in closed form, not by trying every m up to n
+        t0 = time.perf_counter()
+        data = run_json(capsys, "brq", "ex65", "-n", "100000007", "-p", "3,5,7,11")
+        assert time.perf_counter() - t0 < 2
+        assert data["same_subgroup"] is False
+
     def test_ex65_n2(self, capsys):
         data = run_json(capsys, "brq", "ex65", "-n", "2", "-p", "2,3,5,7")
         assert data["equal"] is True
@@ -130,8 +137,11 @@ class TestBrq:
         f1.write_text("not json")
         code, _, _ = run(capsys, "brq", "samesub", str(f1), str(f1))
         assert code == 2
-        # JSON of the wrong shape: a number, a list, and a list of strings
-        for data in ({"invariants": 5}, [1], {"invariants": ["2"]}):
+        # JSON of the wrong shape: a number, a list, a list of strings, a zero
+        # denominator, and places listed twice
+        for data in ({"invariants": 5}, [1], {"invariants": ["2"]},
+                     {"invariants": [{"place": "3", "inv": "1/0"}]},
+                     {"invariants": [{"place": q, "inv": "1/2"} for q in ("3", "3", "5", "5")]}):
             f1.write_text(json.dumps(data))
             for argv in (("samesub", str(f1), str(f1)), ("scale", str(f1), "-m", "2")):
                 code, _, err = run(capsys, "brq", *argv)
@@ -296,6 +306,14 @@ def test_environment_seed_is_the_default(capsys, monkeypatch):
     monkeypatch.setenv("QUATBRAUER_SEED", "5")
     assert run_json(capsys, "selftest", "--cases", "1")["seed"] == 5
     assert run_json(capsys, "--seed", "3", "selftest", "--cases", "1")["seed"] == 3
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_cases_must_be_positive(capsys, cases):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--cases", cases])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_selftest_small(capsys):

@@ -59,7 +59,7 @@ def _sym(f: PolyQ) -> sympy.Expr:
 
 
 def _sym_entry(F: FactoredFunc) -> sympy.Expr:
-    out = _rat(F.constant)
+    out = _sym(F.constant)
     for q, m in F.factors:
         out *= _sym(q) ** m
     return out
@@ -74,7 +74,7 @@ def _expanded_poly_fp(F: FactoredFunc, sign: int) -> tuple[PolyFp, PolyFp]:
                 num = num * q
             else:
                 den = den * q
-    c = PolyFp.const(F.p, F.constant)
+    c = F.constant
     return (num * c, den) if sign > 0 else (num, den * c)
 
 
@@ -86,7 +86,7 @@ class TestFactoredFunc:
     def test_inverse_over_fp(self):
         f = FactoredFunc.from_poly(PolyFp.make(7, [3, 0, 2]))  # 2x^2 + 3
         g = f * f.inverse()
-        assert g.constant == 1 and g.factors == () and g.p == 7
+        assert g.constant == PolyFp.const(7, 1) and g.factors == () and g.p == 7
 
     def test_value_at_over_fp(self):
         f = FactoredFunc.from_poly(PolyFp.make(7, [1, 1])).inverse()  # 1/(x + 1)
@@ -101,6 +101,59 @@ class TestFactoredFunc:
         v = Place(PolyFp.make(5, [1, 0, 1, 1]))
         assert str(Place(None)) == "inf"
         assert sorted([Place(None), v], key=Place.sort_key) == [v, Place(None)]
+
+
+# -- one ring arithmetic over Q (p = 0) and F_p --------------------------------
+
+CHARS = [0, 3, 5, 7]
+
+
+def _constants(p: int):
+    """Nonzero constants of K = Q or F_p, the latter as any integer prime to p."""
+    if p:
+        return st.integers(-50, 50).filter(lambda c: c % p)
+    return st.fractions(-20, 20, max_denominator=9).filter(bool)
+
+
+@st.composite
+def entries_over(draw, p: int):
+    """An element of K(x): a constant times powers of small monic polynomials."""
+    out = FactoredFunc.from_constant(draw(_constants(p)), p)
+    for cs, m in draw(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                                         st.integers(-2, 3).filter(bool)), max_size=3)):
+        part = FactoredFunc.from_poly(PolyFp.make(p, cs + [1]) if p else PolyQ.make(cs + [1]))
+        for _ in range(abs(m)):
+            out = out * (part if m > 0 else part.inverse())
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CHARS), st.data())
+def test_from_constant_is_from_poly_of_the_constant(p, data):
+    c = data.draw(_constants(p))
+    const = PolyFp.const(p, c) if p else PolyQ.const(c)
+    F = FactoredFunc.from_constant(c, p)
+    assert F == FactoredFunc.from_poly(const)
+    assert F.constant == const and F.factors == () and F.p == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CHARS), st.data())
+def test_times_inverse_is_one(p, data):
+    F = data.draw(entries_over(p))
+    assert F * F.inverse() == FactoredFunc.from_constant(1, p)
+    assert F.inverse().inverse() == F
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(CHARS), min_size=2, max_size=2, unique=True), st.data())
+def test_mixed_characteristics_raise(chars, data):
+    F, G = (data.draw(entries_over(p)) for p in chars)
+    with pytest.raises(DomainError, match="characteristic mismatch"):
+        F * G
+    for v in (Place(None), Place(PolyQ.x()), Place(PolyFp.x(max(chars)))):
+        with pytest.raises(DomainError, match="characteristic mismatch"):
+            tame_terms(F, G, v)
 
 
 def _pool_exponents(rng, n):
@@ -132,14 +185,14 @@ class TestQInvariant:
             (e1, e2), c = _pool_exponents(rng, 2), Fraction(rng.choice([-3, 1, 2]), 5)
             F = _from_exponents(e1, c) * _from_exponents(e2)
             _assert_q_invariant(F)
-            assert F.constant == c
+            assert F.constant == PolyQ.const(c)
             for q in Q_POOL:
                 assert F.valuation(Place(q)) == e1.get(q, 0) + e2.get(q, 0)
 
     def test_from_poly_splits_only_squarefree_parts(self):
         x, x1, x2 = PolyQ.x(), PolyQ.make([1, 1]), PolyQ.make([1, 0, 1])
         F = FactoredFunc.from_poly(PolyQ.const(-2) * x * x1**2 * x2 * x2)
-        assert F.constant == -2 and F.factors == ((x, 1), (x1 * x2, 2))
+        assert F.constant == PolyQ.const(-2) and F.factors == ((x, 1), (x1 * x2, 2))
 
     def test_equal_functions_have_equal_forms(self):
         # however a function is built, products and inverses keep one factor

@@ -25,7 +25,8 @@ class TestFactoredFuncFp:
             f = PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 7))] + [1])
             fz = FactoredFunc.from_poly(f, rng)
-            prod = PolyFp.const(p, fz.constant)
+            assert fz.constant == PolyFp.const(p, 1)  # f is monic
+            prod = fz.constant
             for h, m in fz.factors:
                 for _ in range(m):
                     prod = prod * h
