@@ -8,7 +8,8 @@ Canonical forms are used throughout so that equality of values is structural
 equality: rationals are reduced with positive denominator, Q[x] polynomials
 are integer numerators over one coprime positive denominator, polynomial
 factorizations carry monic irreducible factors sorted by (degree, coeffs).
-PolyQ and PolyFp share `p`, `scalar`, `gcd`, `squarefree_parts` and `places`.
+PolyQ and PolyFp share `p`, `scalar`, `gcd` and `places`; one
+`squarefree_parts` serves both, on the ring operations they have in common.
 """
 
 from __future__ import annotations
@@ -550,17 +551,6 @@ def poly_to_string(f: PolyQ) -> str:
 
 # -- factorization over Q ----------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorizationQ:
-    """unit * prod(factor ** mult), factors monic irreducible over Q."""
-
-    unit: Fraction
-    factors: tuple[tuple[PolyQ, int], ...]
-
-    def value(self) -> PolyQ:
-        return prod((f**m for f, m in self.factors), start=PolyQ.const(self.unit))
-
-
 def factor_key(fm):
     """Sort key of a (factor, multiplicity) pair over Q or F_p: degree, then
     coefficients from the constant term up."""
@@ -568,24 +558,21 @@ def factor_key(fm):
     return (f.degree, tuple(f.coeffs))
 
 
-def _check_degree_cap(f: PolyQ) -> None:
-    if f.is_zero():
-        raise DomainError("cannot factor the zero polynomial")
-    if f.degree > DEFAULT_DEGREE_CAP:
-        raise DomainError(
-            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
-
-
-def factor_poly_q(f: PolyQ) -> FactorizationQ:
-    """Exact factorization into monic irreducibles over Q, unit lc(f).
+def factor_poly_q(f: PolyQ) -> tuple[Fraction, tuple[tuple[PolyQ, int], ...]]:
+    """Exact factorization over Q: (unit lc(f), monic irreducible factors with
+    multiplicity), as `factor_poly_fp` returns over F_p.
 
     sympy's `dup_zz_factor` (squarefree split, mod-p factorization, Hensel
     lifting, recombination) factors the integer numerators of f; content *
     prod g^m is multiplied back in integers before the factors are made monic.
     """
-    _check_degree_cap(f)
+    if f.is_zero():
+        raise DomainError("cannot factor the zero polynomial")
+    if f.degree > DEFAULT_DEGREE_CAP:
+        raise DomainError(
+            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
     if f.degree == 0:
-        return FactorizationQ(f.lc(), ())
+        return f.lc(), ()
     # only Q[x] factoring needs sympy; its import dominates a CLI call
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_factor
@@ -599,28 +586,7 @@ def factor_poly_q(f: PolyQ) -> FactorizationQ:
     if tuple(check) != f.nums:
         raise InternalError("factorization failed to reconstruct input")
     factors.sort(key=factor_key)
-    return FactorizationQ(f.lc(), tuple(factors))
-
-
-def squarefree_parts_q(f: PolyQ) -> list[tuple[PolyQ, int]]:
-    """Yun's squarefree decomposition: the monic, squarefree, pairwise coprime
-    parts a_i, with their multiplicities i, of f = lc(f) * prod a_i^i."""
-    _check_degree_cap(f)
-    b = f.monic()
-    db = b.derivative()
-    a = poly_gcd(b, db)
-    if a.degree == 0 and b.degree > 0:  # squarefree: the loop below gives this
-        return [(b, 1)]
-    b, c = b.divmod(a)[0], db.divmod(a)[0]
-    out, i = [], 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        a = poly_gcd(b, d)
-        b, c = b.divmod(a)[0], d.divmod(a)[0]
-        if a.degree > 0:
-            out.append((a, i))
-        i += 1
-    return out
+    return f.lc(), tuple(factors)
 
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
@@ -649,7 +615,7 @@ def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
             common &= sums
             if common == 1 | 1 << n:
                 return (f,)
-    return tuple(g for g, _ in factor_poly_q(f).factors)
+    return tuple(g for g, _ in factor_poly_q(f)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +631,18 @@ class PolyFp:
 
     @staticmethod
     def make(p: int, coeffs) -> "PolyFp":
+        """Integer or rational coefficients mod p; a/b stands for a * b^-1."""
+        try:
+            return PolyFp.reduced(p, [c.numerator * pow(c.denominator, -1, p) for c in coeffs])
+        except ValueError:  # pow found no inverse: p divides b
+            raise DomainError(f"prime {p} divides a coefficient's denominator") from None
+
+    @staticmethod
+    def reduced(p: int, ints) -> "PolyFp":
+        """Integer coefficients mod p, trimmed: the ring operations' constructor."""
         if p == 2:
             raise DomainError("characteristic 2 is unsupported")
-        return PolyFp(p, tuple(_trimmed(coeffs, p)))
+        return PolyFp(p, tuple(_trimmed(ints, p)))
 
     @staticmethod
     def const(p: int, c: int) -> "PolyFp":
@@ -675,7 +650,7 @@ class PolyFp:
 
     @staticmethod
     def x(p: int) -> "PolyFp":
-        return PolyFp.make(p, [0, 1])
+        return PolyFp.reduced(p, [0, 1])
 
     def scalar(self, c: int) -> "PolyFp":
         return PolyFp.const(self.p, c)
@@ -697,7 +672,7 @@ class PolyFp:
 
     def monic(self) -> "PolyFp":
         inv = pow(self.lc(), -1, self.p)
-        return PolyFp.make(self.p, [c * inv for c in self.coeffs])
+        return PolyFp.reduced(self.p, [c * inv for c in self.coeffs])
 
     def _chk(self, other: "PolyFp") -> None:
         if self.p != other.p:
@@ -705,18 +680,18 @@ class PolyFp:
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._chk(other)
-        return PolyFp.make(self.p, [a + b for a, b in
-                                    zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        return PolyFp.reduced(self.p, [a + b for a, b in
+                                       zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "PolyFp":
-        return PolyFp.make(self.p, [-c for c in self.coeffs])
+        return PolyFp.reduced(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
         return self + (-other)
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._chk(other)
-        return PolyFp.make(self.p, _product(self.coeffs, other.coeffs))
+        return PolyFp.reduced(self.p, _product(self.coeffs, other.coeffs))
 
     def divmod(self, other: "PolyFp") -> tuple["PolyFp", "PolyFp"]:
         self._chk(other)
@@ -724,7 +699,7 @@ class PolyFp:
             raise DomainError("polynomial division by zero")
         p, r = self.p, list(self.coeffs)
         q = _reduce(r, other.coeffs, p, pow(other.lc(), -1, p))
-        return PolyFp.make(p, q), PolyFp.make(p, r[:other.degree])
+        return PolyFp.reduced(p, q), PolyFp.reduced(p, r[:other.degree])
 
     def __mod__(self, other: "PolyFp") -> "PolyFp":
         return self.divmod(other)[1]
@@ -736,7 +711,7 @@ class PolyFp:
         return acc
 
     def derivative(self) -> "PolyFp":
-        return PolyFp.make(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return PolyFp.reduced(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __str__(self) -> str:
         return poly_to_string(PolyQ(self.coeffs))  # trimmed integers over 1
@@ -836,7 +811,7 @@ def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:
     while b:
         _reduce(a, b, p, pow(b[-1], -1, p))
         a, b = b, _trimmed(a[:len(b) - 1], p)
-    return PolyFp.make(p, a).monic() if a else PolyFp(p, ())
+    return PolyFp.reduced(p, a).monic() if a else PolyFp(p, ())
 
 
 def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
@@ -885,37 +860,32 @@ def polyfp_from_polyq(f: PolyQ, p: int) -> PolyFp:
     """Reduce mod p; fails if p divides the denominator."""
     if f.den % p == 0:
         raise DomainError(f"prime {p} divides a denominator of {f}")
-    return PolyFp.make(p, coeffs_mod(f, p))
+    return PolyFp.reduced(p, coeffs_mod(f, p))
 
 
-def _pth_root_fp(f: PolyFp) -> PolyFp:
-    """p-th root of a polynomial of the form g(x**p) over F_p."""
-    return PolyFp.make(f.p, [f.coeffs[i] for i in range(0, len(f.coeffs), f.p)])
-
-
-def squarefree_parts_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Monic, squarefree, coprime a_i with f = lc(f) * prod a_i^i; p-th powers too."""
-    p = f.p
-    out: list[tuple[PolyFp, int]] = []
+def squarefree_parts(f):
+    """The monic, squarefree, pairwise coprime parts a_i, with multiplicities
+    i, of f = lc(f) * prod a_i^i, over Q or F_p (none for a constant f).  With
+    c = gcd(f, f') and w = f / c, each step's y = gcd(w, c) leaves the part w /
+    y of multiplicity i.  What c keeps after the loop is a p-th power g(x^p),
+    so only in characteristic p; its p-th root g splits with multiplicities
+    times p.  f' = 0 (f itself a p-th power) needs no case: gcd(f, 0) = f."""
     if f.degree < 1:
-        return out
+        return []
     f = f.monic()
-    d = f.derivative()
-    if d.is_zero():
-        return [(g, p * m) for g, m in squarefree_parts_fp(_pth_root_fp(f))]
-    c = polyfp_gcd(f, d)
-    w = f.divmod(c)[0]
-    i = 1
-    while not w.degree == 0:
-        y = polyfp_gcd(w, c)
+    c = f.gcd(f.derivative())
+    if c.degree == 0:  # squarefree: the loop below gives this
+        return [(f, 1)]
+    w, out, i = f.divmod(c)[0], [], 1
+    while w.degree > 0:
+        y = w.gcd(c)
         z = w.divmod(y)[0]
         if z.degree > 0:
-            out.append((z.monic(), i))
-        w, c = y, c.divmod(y)[0]
-        i += 1
+            out.append((z, i))
+        w, c, i = y, c.divmod(y)[0], i + 1
     if c.degree > 0:
-        # c is the p-th power part left over after the Yun loop
-        out.extend((g, p * m) for g, m in squarefree_parts_fp(_pth_root_fp(c)))
+        p = c.p
+        out += [(g, p * m) for g, m in squarefree_parts(PolyFp.reduced(p, c.coeffs[::p]))]
     return out
 
 
@@ -944,7 +914,7 @@ def _ddf(f: PolyFp, rows: list[int], ring: ZxRing) -> list[tuple[PolyFp, int]]:
     while rest.degree > 2 * d + 1:
         d += 1
         xq = _frobenius(xq, rows, ring)
-        g = polyfp_gcd(PolyFp.make(p, xq) - PolyFp.x(p), rest)
+        g = polyfp_gcd(PolyFp.reduced(p, xq) - PolyFp.x(p), rest)
         if g.degree > 0:
             out.append((g, d))
             rest = rest.divmod(g)[0]
@@ -964,7 +934,7 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random
     if g.degree == d:
         return [g]
     while True:
-        r = PolyFp.make(p, [rng.randrange(p) for _ in range(g.degree)])
+        r = PolyFp.reduced(p, [rng.randrange(p) for _ in range(g.degree)])
         h = polyfp_gcd(r, g)
         if 0 < h.degree < g.degree:
             break
@@ -972,7 +942,7 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random
         for _ in range(d - 1):
             t = _frobenius(t, rows, ring)
             norm = ring.mul(t, norm)
-        h = polyfp_gcd(polyfp_pow_mod(PolyFp.make(p, norm), (p - 1) // 2, g)
+        h = polyfp_gcd(polyfp_pow_mod(PolyFp.reduced(p, norm), (p - 1) // 2, g)
                        - PolyFp.const(p, 1), g)
         if 0 < h.degree < g.degree:
             break
@@ -989,7 +959,7 @@ def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
     rng = rng or random.Random(0xCA2A)
     unit = f.lc()
     factors: list[tuple[PolyFp, int]] = []
-    for sqf, mult in squarefree_parts_fp(f):
+    for sqf, mult in squarefree_parts(f):
         ring = ZxRing(sqf.coeffs, f.p)
         rows = [ring.pack(row) for row in _frobenius_rows(sqf, ring)]
         for part, d in _ddf(sqf, rows, ring):
@@ -1011,10 +981,8 @@ def irreducible_factors_fp(h: PolyFp) -> tuple[PolyFp, ...]:
 
 
 # the ring operations that funcfield calls, under the same names over Q and F_p
-PolyQ.gcd, PolyQ.squarefree_parts, PolyQ.places = \
-    poly_gcd, squarefree_parts_q, irreducible_factors_q
-PolyFp.gcd, PolyFp.squarefree_parts, PolyFp.places = \
-    polyfp_gcd, squarefree_parts_fp, irreducible_factors_fp
+PolyQ.gcd, PolyQ.places = poly_gcd, irreducible_factors_q
+PolyFp.gcd, PolyFp.places = polyfp_gcd, irreducible_factors_fp
 
 
 def polyfp_from_string(s: str, p: int) -> PolyFp:

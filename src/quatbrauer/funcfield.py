@@ -1,8 +1,9 @@
 """The function-field core shared by F_p(x) and Q(x).
 
 A nonzero element of K(x) is kept factored: a constant times powers of
-monic, squarefree, pairwise coprime polynomials (Yun's split and factor
-refinement), over F_p and Q alike, so one factor may hold several places.
+monic, squarefree, pairwise coprime polynomials (`squarefree_parts`, then
+factor refinement), over F_p and Q alike, so one factor may hold several
+places.
 A place is a monic irreducible modulus, or the degree place at infinity of
 F_p(x); a monic squarefree modulus on a `common_basis` of the entries
 stands for all its irreducible factors at once.  The tame symbol of (f, g)
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact_arith import PolyFp, PolyQ, factor_key, is_prime
+from .exact_arith import (DEFAULT_DEGREE_CAP, PolyFp, PolyQ, factor_key, is_prime,
+                          squarefree_parts)
 
 MAX_CHAR = 2**31
 MAX_DEGREE = 64  # F_p(x) entries of higher degree are refused before factoring
@@ -85,9 +87,10 @@ class FactoredFunc:
             raise DomainError(f"zero is not a unit of {_field(f.p)}")
         if f.p:
             check_char(f.p)
-            if f.degree > MAX_DEGREE:
-                raise DomainError(f"degree {f.degree} exceeds the F_p(x) cap {MAX_DEGREE}")
-        return FactoredFunc(f.scalar(f.lc()), tuple(sorted(f.squarefree_parts(), key=factor_key)))
+        cap = MAX_DEGREE if f.p else DEFAULT_DEGREE_CAP
+        if f.degree > cap:
+            raise DomainError(f"degree {f.degree} exceeds the {_field(f.p)} cap {cap}")
+        return FactoredFunc(f.scalar(f.lc()), tuple(sorted(squarefree_parts(f), key=factor_key)))
 
     @staticmethod
     def from_constant(c, p: int = 0) -> "FactoredFunc":

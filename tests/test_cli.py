@@ -228,6 +228,10 @@ class TestQx:
                            "-g", f"(3*x+{10**40 + 7})^2")
         assert code == 3 and "undecided:" in err
 
+    def test_degree_cap_exit_1(self, capsys):
+        code, _, err = run(capsys, "qx", "residues", "-f", "(x^2+1)^13", "-g", "3")
+        assert code == 1 and "exceeds" in err
+
     def test_injection_is_a_parse_error(self, capsys, tmp_path):
         marker = tmp_path / "INJECTED"
         code, _, err = run(capsys, "qx", "residues", "-f",

@@ -40,9 +40,9 @@ from quatbrauer.exact_arith import (
     ratfunc_from_string,
     resultant,
     sqrt_fraction,
-    squarefree_parts_fp,
-    squarefree_parts_q,
+    squarefree_parts,
 )
+from quatbrauer.funcfield import FactoredFunc
 
 
 class TestPrimality:
@@ -279,18 +279,18 @@ def test_parser_agrees_with_sympy(node):
 
 class TestFactorPolyQ:
     def test_unit_and_factors(self):
-        fz = factor_poly_q(poly_from_string("2*x^2 + 2*x"))
-        assert fz.unit == 2
-        assert fz.factors == ((PolyQ.x(), 1), (PolyQ.make([1, 1]), 1))
+        unit, factors = factor_poly_q(poly_from_string("2*x^2 + 2*x"))
+        assert unit == 2
+        assert factors == ((PolyQ.x(), 1), (PolyQ.make([1, 1]), 1))
 
     def test_x4_plus_1_irreducible(self):
         f = poly_from_string("x^4 + 1")
-        assert factor_poly_q(f).factors == ((f, 1),)
+        assert factor_poly_q(f)[1] == ((f, 1),)
 
     def test_multiplicities(self):
         f = PolyQ.make([1, 1]) ** 3 * PolyQ.make([2, 0, 1])
-        fz = factor_poly_q(f)
-        assert dict((str(g), m) for g, m in fz.factors) == {"x + 1": 3,
+        _, factors = factor_poly_q(f)
+        assert dict((str(g), m) for g, m in factors) == {"x + 1": 3,
                                                             "x^2 + 2": 1}
 
     def test_roundtrip_random(self):
@@ -301,7 +301,8 @@ class TestFactorPolyQ:
             for _ in range(rng.randint(1, 4)):
                 f = f * PolyQ.make([rng.randint(-4, 4)
                                     for _ in range(rng.randint(1, 3))] + [1])
-            assert factor_poly_q(f).value() == f
+            unit, factors = factor_poly_q(f)
+            assert prod((g**m for g, m in factors), start=PolyQ.const(unit)) == f
 
 
 # -- the integer path of Q[x] against sympy's QQ[x] ---------------------------
@@ -369,9 +370,9 @@ class TestIntegerPathOracle:
         f = PolyQ.const(content)
         for cs, lc, m in parts:
             f = f * PolyQ.make(cs + [lc]) ** m
-        fz = factor_poly_q(f)
-        assert (fz.unit, fz.factors) == _sympy_factorization(f)
-        assert fz.value() == f and fz.unit == f.lc()
+        unit, factors = factor_poly_q(f)
+        assert (unit, factors) == _sympy_factorization(f)
+        assert prod((g**m for g, m in factors), start=PolyQ.const(unit)) == f and unit == f.lc()
 
     @settings(max_examples=150, deadline=None)
     @given(POLYS, POLYS, POLYS)
@@ -478,12 +479,13 @@ class TestSquarefreeAndIrreducible:
         _, want = sympy.sqf_list(_qq(f).as_expr(), X)
         want = sorted(((_from_qq(sympy.Poly(g, X, domain="QQ")).monic(), m) for g, m in want),
                       key=lambda gm: gm[1])
-        assert squarefree_parts_q(f) == want
+        assert squarefree_parts(f) == want
         assert prod((g**m for g, m in want), start=PolyQ.const(f.lc())) == f
+        _assert_split(f, want)
 
     def test_squarefree_parts_refuse_the_degree_cap(self):
         with pytest.raises(DomainError, match="exceeds"):
-            squarefree_parts_q(PolyQ.make([1, 1]) ** (exact_arith.DEFAULT_DEGREE_CAP + 1))
+            FactoredFunc.from_poly(PolyQ.make([1, 1]) ** (exact_arith.DEFAULT_DEGREE_CAP + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4), min_size=1, max_size=3))
@@ -491,8 +493,8 @@ class TestSquarefreeAndIrreducible:
         f = PolyQ.const(1)
         for cs in parts:
             f = f * PolyQ.make(cs + [1])
-        for g, _ in squarefree_parts_q(f):
-            assert irreducible_factors_q(g) == tuple(h for h, _ in factor_poly_q(g).factors)
+        for g, _ in squarefree_parts(f):
+            assert irreducible_factors_q(g) == tuple(h for h, _ in factor_poly_q(g)[1])
 
     @pytest.mark.parametrize("s", ["x^3 - 2", "x^4 + x + 1", "x^5 - x - 1",
                                    "x^6 + x^3 + 1/2", "x^2 + 1/3"])
@@ -510,7 +512,7 @@ class TestSquarefreeAndIrreducible:
         monkeypatch.setattr(exact_arith, "factor_poly_q",
                             lambda f: calls.append(f) or factor(f))
         f = poly_from_string(s)
-        assert irreducible_factors_q(f) == tuple(h for h, _ in factor(f).factors)
+        assert irreducible_factors_q(f) == tuple(h for h, _ in factor(f)[1])
         assert calls == [f]
 
     @settings(max_examples=100, deadline=None)
@@ -534,7 +536,7 @@ class TestSquarefreeAndIrreducible:
             if a.degree > 0:
                 want.append((a, i))
             i += 1
-        assert squarefree_parts_q(f) == want
+        assert squarefree_parts(f) == want
 
     @pytest.mark.parametrize("s", ["2*x^2 + 2", "2*x^2 - 2", "(x + 1)^2"])
     def test_irreducible_factors_q_refuse_non_squarefree_or_non_monic(self, s):
@@ -604,6 +606,18 @@ class TestPolyFp:
         with pytest.raises(DomainError):
             PolyFp.make(2, [1, 1])
 
+    def test_rational_coefficients_reduce_mod_p(self):
+        # a/b is a * b^-1 mod p: 1/2 = 3 mod 5
+        f = PolyFp.make(5, [Fraction(1, 2), 1])
+        assert f == PolyFp.make(5, [3, 1]) and f.coeffs == (3, 1)
+        assert all(type(c) is int for c in f.coeffs)
+        assert str(f) == "x + 3" and f.evaluate(2) == 0
+        assert PolyFp.make(5, [1, Fraction(10, 3)]) == PolyFp.make(5, [1])  # trimmed
+
+    def test_denominator_divisible_by_p_rejected(self):
+        with pytest.raises(DomainError, match="denominator"):
+            PolyFp.make(5, [Fraction(1, 5), 1])
+
     def test_factor_x2_plus_1_mod5(self):
         unit, facs = factor_poly_fp(PolyFp.make(5, [1, 0, 1]))
         assert unit == 1
@@ -653,6 +667,15 @@ def _sympy_factors(f: PolyFp):
 
 def _random_monic(rng, p, n):
     return PolyFp.make(p, [rng.randrange(p) for _ in range(n)] + [1])
+
+
+def _assert_split(f, parts):
+    """parts are monic, squarefree and pairwise coprime, and multiply back to f."""
+    one = f.scalar(1)
+    for i, (g, _) in enumerate(parts):
+        assert g.is_monic() and g.gcd(g.derivative()) == one, g
+        assert all(g.gcd(h) == one for h, _ in parts[i + 1:]), g
+    assert prod((g for g, m in parts for _ in range(m)), start=f.scalar(f.lc())) == f
 
 
 # (p, degree cap) of each tier of the F_p(x) benchmark sweep
@@ -809,26 +832,42 @@ class TestZxRing:
 
 
 class TestSplitFp:
-    @pytest.mark.parametrize("p", [3, 5, 11, 10007])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 10007])
     def test_squarefree_parts_match_sympy(self, p):
         rng = random.Random(p + 4)
+        cases = []
         for _ in range(25):
             # a p-th power part (zero derivative) for small p, repeated factors always
             g = _random_monic(rng, p, rng.randint(1, 3))
             f = PolyFp.const(p, rng.randrange(1, p)) * g * g * _random_monic(rng, p, 2)
             if p * 2 <= 24:
                 f = prod([_random_monic(rng, p, 2)] * p, start=f)
+            cases.append(f)
+        if p <= 7:
+            # multiplicities past p: p + 1 and 2p + 1 mix a p-th power part with
+            # a derivative that does not vanish, which a characteristic-0 split misses
+            for mults in ([p + 1], [2 * p + 1], [p * p], [1, p + 1, 2 * p + 1, p * p]):
+                for _ in range(4):
+                    f = PolyFp.const(p, rng.randrange(1, p))
+                    for m in mults:
+                        f = prod([_random_monic(rng, p, rng.randint(1, 2))] * m, start=f)
+                    cases.append(f)
+            g = _random_monic(rng, p, 3) * _random_monic(rng, p, 1)
+            cases.append(prod([g] * p, start=PolyFp.const(p, 2)))
+            assert cases[-1].derivative().is_zero()
+        for f in cases:
+            got = squarefree_parts(f)
             _, want = gf.gf_sqf_list([int(c) for c in reversed(f.coeffs)], p, ZZ)
             want = [(PolyFp.make(p, [int(c) for c in reversed(h)]), k) for h, k in want]
-            assert sorted(squarefree_parts_fp(f), key=lambda hm: hm[1]) == \
-                sorted(want, key=lambda hm: hm[1]), f
+            assert sorted(got, key=lambda hm: hm[1]) == sorted(want, key=lambda hm: hm[1]), f
+            _assert_split(f, got)
 
     @pytest.mark.parametrize("p", [3, 7, 2**31 - 1])
     def test_irreducible_factors_fp_split_a_squarefree_product(self, p):
         rng = random.Random(p + 5)
         for _ in range(20):
             f = _random_monic(rng, p, rng.randint(1, 8)) * _random_monic(rng, p, 3)
-            for h, _ in squarefree_parts_fp(f):
+            for h, _ in squarefree_parts(f):
                 got = irreducible_factors_fp(h)
                 assert list(got) == sorted(got, key=lambda g: (g.degree, g.coeffs))
                 assert all(g.is_monic() and _irreducible(g) for g in got)

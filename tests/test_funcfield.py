@@ -88,6 +88,10 @@ class TestFactoredFunc:
         g = f * f.inverse()
         assert g.constant == PolyFp.const(7, 1) and g.factors == () and g.p == 7
 
+    def test_rational_constant_over_fp(self):
+        f = FactoredFunc.from_constant(Fraction(1, 2), 5)  # 1/2 = 3 mod 5
+        assert str(f) == "3" and f == FactoredFunc.from_constant(3, 5)
+
     def test_value_at_over_fp(self):
         f = FactoredFunc.from_poly(PolyFp.make(7, [1, 1])).inverse()  # 1/(x + 1)
         assert f.value_at(2) == pow(3, -1, 7)
