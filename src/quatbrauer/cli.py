@@ -4,7 +4,8 @@ Subcommands mirror the library modules: `hilbert` for symbols over Q,
 `brq` for local invariant vectors, `qx` for quaternions over Q(x),
 `ffx` for quaternions over F_p(x), and `selftest` for the seeded property
 suites.  Exit codes: 0 ok, 1 mathematical precondition error, 2 parse
-error, 3 undecided within budget, 4 internal self-check failed.
+error, 3 undecided within budget, 4 internal self-check failed.  Each
+handler imports the layers it runs, so that a process compiles only those.
 """
 
 from __future__ import annotations
@@ -16,22 +17,8 @@ import random
 import sys
 from fractions import Fraction
 
-from . import local_symbols
-from .brauer_q import (
-    BrauerClassQ,
-    QuaternionQ,
-    class_of_quaternion,
-    example_6_5,
-    same_maximal_subfields_q,
-    same_subgroup,
-)
 from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
-from .funcfield import FactoredFunc, check_char, places
-from .funcfield_fp import class_fp, is_isomorphic_fpx
-from .funcfield_q import QuaternionFF, is_isomorphic_qx, residue_at, specialize
-from .local_symbols import REAL, PlaceQ, hilbert, support_places
-from .selftest import run_selftest
 
 
 def _fraction(s: str) -> Fraction:
@@ -41,14 +28,16 @@ def _fraction(s: str) -> Fraction:
         raise ParseError(f"bad rational {s!r}: {exc}") from None
 
 
-def _funcfield(s: str) -> FactoredFunc:
+def _funcfield(s: str):
+    from .funcfield import FactoredFunc
     num, den = ratfunc_from_string(s)
     if num.is_zero():
         raise DomainError(f"{s!r} is zero, not a unit of Q(x)")
     return FactoredFunc.from_poly(num) * FactoredFunc.from_poly(den).inverse()
 
 
-def _load_class(path: str) -> BrauerClassQ:
+def _load_class(path: str):
+    from .brauer_q import BrauerClassQ
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -78,6 +67,7 @@ def _emit(args, payload: dict, human: str) -> None:
 # -- command handlers --------------------------------------------------------
 
 def cmd_hilbert(args) -> int:
+    from .local_symbols import REAL, PlaceQ, hilbert, support_places
     a, b = _fraction(args.a), _fraction(args.b)
     if args.all:
         syms = {str(v): hilbert(a, b, v) for v in support_places(a, b)}
@@ -96,6 +86,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_brq_class(args) -> int:
+    from .brauer_q import QuaternionQ, class_of_quaternion
     q = QuaternionQ.make(_fraction(args.a), _fraction(args.b))
     cls = class_of_quaternion(q)
     _emit(args, cls.to_json(), f"class of {q}: {cls}")
@@ -103,6 +94,7 @@ def cmd_brq_class(args) -> int:
 
 
 def cmd_brq_samesub(args) -> int:
+    from .brauer_q import same_maximal_subfields_q
     c1, c2 = _load_class(args.file1), _load_class(args.file2)
     same = same_maximal_subfields_q(c1, c2)
     _emit(args, {"same_maximal_subfields": same,
@@ -112,6 +104,8 @@ def cmd_brq_samesub(args) -> int:
 
 
 def cmd_brq_ex65(args) -> int:
+    from .brauer_q import example_6_5, same_maximal_subfields_q, same_subgroup
+    from .local_symbols import PlaceQ
     try:
         places = tuple(PlaceQ.finite(int(p)) for p in args.places.split(","))
     except ValueError as exc:
@@ -136,6 +130,8 @@ def cmd_brq_scale(args) -> int:
 
 
 def cmd_qx_residues(args) -> int:
+    from .funcfield import places
+    from .funcfield_q import QuaternionFF, residue_at
     D = QuaternionFF(_funcfield(args.f), _funcfield(args.g))
     rng = random.Random(args.seed)
     table = {str(v): residue_at(D, v, rng).to_json() for v in places(D.f, D.g)}
@@ -147,6 +143,7 @@ def cmd_qx_residues(args) -> int:
 
 
 def cmd_qx_isom(args) -> int:
+    from .funcfield_q import QuaternionFF, is_isomorphic_qx
     D1 = QuaternionFF(_funcfield(args.f1), _funcfield(args.g1))
     D2 = QuaternionFF(_funcfield(args.f2), _funcfield(args.g2))
     verdict = is_isomorphic_qx(D1, D2, random.Random(args.seed))
@@ -162,6 +159,8 @@ def cmd_qx_isom(args) -> int:
 
 
 def cmd_qx_specialize(args) -> int:
+    from .brauer_q import class_of_quaternion
+    from .funcfield_q import QuaternionFF, specialize
     D = QuaternionFF(_funcfield(args.f), _funcfield(args.g))
     q = specialize(D, _fraction(args.at))
     cls = class_of_quaternion(q)
@@ -171,18 +170,21 @@ def cmd_qx_specialize(args) -> int:
     return 0
 
 
-def _fp_entries(args, *texts: str) -> list[FactoredFunc]:
+def _fp_entries(args, *texts: str) -> list:
+    from .funcfield import FactoredFunc, check_char
     check_char(args.char)
     return [FactoredFunc.from_poly(polyfp_from_string(s, args.char)) for s in texts]
 
 
 def cmd_ffx_residues(args) -> int:
+    from .funcfield_fp import class_fp
     cls = class_fp(*_fp_entries(args, args.f, args.g))
     _emit(args, cls.to_json(), f"ramified places over F_{args.char}(x): {cls}")
     return 0
 
 
 def cmd_ffx_isom(args) -> int:
+    from .funcfield_fp import is_isomorphic_fpx
     f1, g1, f2, g2 = _fp_entries(args, args.f1, args.g1, args.f2, args.g2)
     verdict = is_isomorphic_fpx((f1, g1), (f2, g2))
     human = "isomorphic" if verdict.isomorphic else \
@@ -192,6 +194,7 @@ def cmd_ffx_isom(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     results = run_selftest(args.seed, args.cases)
     ok = all(r.ok for r in results)
     if args.json:
@@ -309,8 +312,9 @@ def _env_int(name: str, default: int, positive: bool = False) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        local_symbols.MAX_LIFT_EXPONENT = _env_int(
-            "QUATBRAUER_SQUARE_BUDGET", local_symbols.MAX_LIFT_EXPONENT, positive=True)
+        if budget := _env_int("QUATBRAUER_SQUARE_BUDGET", 0, positive=True):
+            from . import local_symbols
+            local_symbols.MAX_LIFT_EXPONENT = budget
         if args.seed is None:
             args.seed = _env_int("QUATBRAUER_SEED", 0)
         return args.func(args)

@@ -40,11 +40,11 @@ TRIAL_DIVISION_BOUND = 10**3
 # 16x the most an 18-20 digit benchmark entry needed; 1.6 s at 49 digits.
 POLLARD_STEPS = 2**20
 
-# Primes at which `irreducible_factors_q` reduces a polynomial to try to prove
-# it irreducible before it calls sympy, whose import costs a process about
-# 0.4 s.  On the benchmark's qx_isom and cli cases the proofs end at 3, 5, 7
-# or 11 for every witness h, and at 17 for 4 of 96 `qx residues` processes;
-# 19 would spare no further process.
+# Primes at which `_mod_p_splits` reduces a Q[x] polynomial to prove it
+# irreducible without `zassenhaus`.  On the benchmark's qx_isom and cli cases
+# the proofs end at 3, 5, 7 or 11 for every witness h, and at 17 for 4 of 96
+# `qx residues` processes.  Without a proof the splits choose the Hensel prime
+# and prune the degrees that recombination tries.
 IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
 
 # Splits of squarefree polynomials kept by `irreducible_factors_fp` (F_p[x])
@@ -560,62 +560,55 @@ def factor_key(fm):
 
 def factor_poly_q(f: PolyQ) -> tuple[Fraction, tuple[tuple[PolyQ, int], ...]]:
     """Exact factorization over Q: (unit lc(f), monic irreducible factors with
-    multiplicity), as `factor_poly_fp` returns over F_p.
-
-    sympy's `dup_zz_factor` (squarefree split, mod-p factorization, Hensel
-    lifting, recombination) factors the integer numerators of f; content *
-    prod g^m is multiplied back in integers before the factors are made monic.
-    """
+    multiplicity), as `factor_poly_fp` returns over F_p.  A squarefree part
+    that `_mod_p_splits` cannot prove irreducible goes to `zassenhaus`,
+    imported on the first split; lc(f) * prod g^m is compared with f."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     if f.degree > DEFAULT_DEGREE_CAP:
         raise DomainError(
             f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
-    if f.degree == 0:
-        return f.lc(), ()
-    # only Q[x] factoring needs sympy; its import dominates a CLI call
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_zz_factor
-    content, facs = dup_zz_factor([ZZ(c) for c in reversed(f.nums)], ZZ)
-    check, factors = [int(content)], []
-    for g, m in facs:
-        g = [int(c) for c in reversed(g)]
-        for _ in range(m):
-            check = _product(check, g)
-        factors.append((PolyQ.reduced(g, g[-1]), int(m)))
-    if tuple(check) != f.nums:
+    factors = []
+    for part, m in squarefree_parts(f):
+        degrees, splits = _mod_p_splits(part)
+        if not degrees:
+            factors.append((part, m))
+        else:
+            from .zassenhaus import split_q
+            factors += [(g, m) for g in split_q(part, degrees, splits)]
+    if prod((g**m for g, m in factors), start=PolyQ.const(f.lc())) != f:
         raise InternalError("factorization failed to reconstruct input")
     factors.sort(key=factor_key)
     return f.lc(), tuple(factors)
 
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
-def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
-    """The monic irreducible factors of a monic squarefree f, sorted; memoized
-    on f like `irreducible_factors_fp`.
-
-    A factor of f of degree k reduces to factors of total degree k of f mod
-    p, for every prime p that divides no denominator of f.  So the degrees
-    possible over Q lie in the subset sums of the factor degrees mod each
-    such p, and f is irreducible once those sets, over the primes of
-    IRREDUCIBILITY_PRIMES, share only 0 and deg f.  Otherwise `factor_poly_q`
-    splits f; x^4 + 1, reducible mod every prime, always takes that path."""
-    if not f.is_monic() or poly_gcd(f, f.derivative()).degree > 0:
-        raise DomainError(f"{f} is not monic and squarefree")
-    n = f.degree
-    if n < 2:
-        return (f,)
-    common = (2 << n) - 1  # bit k set: a factor of degree k is still possible
+def _mod_p_splits(f: PolyQ) -> tuple[int, tuple]:
+    """(degrees, splits) of a monic squarefree f: splits holds (p, factors of
+    f mod p) for p in IRREDUCIBILITY_PRIMES, and bit k of degrees, 0 < k <
+    deg f, is set while f may have a factor of degree k, which mod each p is
+    a subset of the factors of total degree k.  The splits stop at degrees =
+    0: f is irreducible.  Memoized for the split that follows a failure."""
+    degrees, splits = (1 << f.degree) - 1 & ~1, []
     for p in IRREDUCIBILITY_PRIMES:
-        if f.den % p:
-            sums = 1
-            for h, m in factor_poly_fp(polyfp_from_polyq(f, p))[1]:
+        if degrees and f.den % p:
+            facs, sums = factor_poly_fp(polyfp_from_polyq(f, p))[1], 1
+            for h, m in facs:
                 for _ in range(m):
                     sums |= sums << h.degree
-            common &= sums
-            if common == 1 | 1 << n:
-                return (f,)
-    return tuple(g for g, _ in factor_poly_q(f)[1])
+            degrees &= sums
+            splits.append((p, facs))
+    return degrees, tuple(splits)
+
+
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
+def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
+    """The monic irreducible factors of a monic squarefree f, sorted; memoized
+    on f like `irreducible_factors_fp`.  `_mod_p_splits` proves most f
+    irreducible; `factor_poly_q` splits the rest, x^4 + 1 always."""
+    if not f.is_monic() or poly_gcd(f, f.derivative()).degree > 0:
+        raise DomainError(f"{f} is not monic and squarefree")
+    return tuple(g for g, _ in factor_poly_q(f)[1]) if _mod_p_splits(f)[0] else (f,)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +628,7 @@ class PolyFp:
         try:
             return PolyFp.reduced(p, [c.numerator * pow(c.denominator, -1, p) for c in coeffs])
         except ValueError:  # pow found no inverse: p divides b
-            raise DomainError(f"prime {p} divides a coefficient's denominator") from None
+            raise DomainError(f"prime {p} divides a denominator") from None
 
     @staticmethod
     def reduced(p: int, ints) -> "PolyFp":
@@ -704,7 +697,9 @@ class PolyFp:
     def __mod__(self, other: "PolyFp") -> "PolyFp":
         return self.divmod(other)[1]
 
-    def evaluate(self, a: int) -> int:
+    def evaluate(self, a) -> int:
+        """The value at an integer or rational a, read mod p as `make` reads it."""
+        (a,) = PolyFp.make(self.p, [a]).coeffs or (0,)
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * a + c) % self.p
@@ -887,6 +882,20 @@ def squarefree_parts(f):
         p = c.p
         out += [(g, p * m) for g, m in squarefree_parts(PolyFp.reduced(p, c.coeffs[::p]))]
     return out
+
+
+def poly_inverse(a, m):
+    """1/a mod m, both PolyQ or both PolyFp, by extended Euclid: s a = r mod m
+    for the constant gcd r, and 1/a is s divided by r."""
+    r0, r1 = m, a % m
+    s0, s1 = m.scalar(0), m.scalar(1)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise DomainError(f"{a} is not invertible mod {m}")
+    return s0.divmod(r0)[0] % m
 
 
 def _frobenius_rows(f: PolyFp, ring: ZxRing | None = None) -> list[list[int]]:

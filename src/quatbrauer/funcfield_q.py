@@ -29,8 +29,8 @@ from .local_symbols import (
 
 # A basis element h of higher degree is split into its places before it is
 # tested: the lift in Q[x]/(h) needs 2^(k-1) sign patterns for the k <= deg h
-# factors of h mod p.  With a square ratio and sympy loaded, the lift costs at
-# most 1.7x the split up to k = 8 and doubles with each further factor.
+# factors of h mod p.  With a square ratio, the lift cost at most 1.7x a sympy
+# split with its import up to k = 8, and doubles with each further factor.
 MAX_BASIS_TEST_DEGREE = 8
 
 

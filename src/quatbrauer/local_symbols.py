@@ -32,6 +32,7 @@ from .exact_arith import (
     fq_char,
     irreducible_factors_fp,
     is_prime,
+    poly_inverse,
     polyfp_from_polyq,
     polyfp_gcd,
     power,
@@ -246,20 +247,6 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
         m, c = i, ring.mul(b, b)
         t, r = ring.mul(t, c), ring.mul(r, b)
     return PolyFp(p, tuple(r))
-
-
-def poly_inverse(a, m):
-    """1/a mod m, both PolyQ or both PolyFp, by extended Euclid: s a = r mod m
-    for the constant gcd r, and 1/a is s divided by r."""
-    r0, r1 = m, a % m
-    s0, s1 = m.scalar(0), m.scalar(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise DomainError(f"{a} is not invertible mod {m}")
-    return s0.divmod(r0)[0] % m
 
 
 def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from quatbrauer.exact_arith import irreducible_factors_fp, irreducible_factors_q
+from quatbrauer.exact_arith import _mod_p_splits, irreducible_factors_fp, irreducible_factors_q
 
 
 @pytest.fixture(autouse=True)
@@ -11,3 +11,4 @@ def _clear_split_memos():
     factorizations does not depend on the splits of the tests run before it."""
     irreducible_factors_fp.cache_clear()
     irreducible_factors_q.cache_clear()
+    _mod_p_splits.cache_clear()

@@ -334,8 +334,9 @@ def test_selftest_json(capsys):
 
 def test_selftest_reports_internal_errors_as_failures(capsys, monkeypatch):
     # an equal-degree split that returns a wrong factor makes factor_poly_fp
-    # raise InternalError inside three suites; each records it and the run
-    # still prints every suite
+    # raise InternalError inside four suites (Q[x] factoring splits mod
+    # small primes first); each records it and the run still prints every
+    # suite
     monkeypatch.setattr(exact_arith, "_edf",
                         lambda g, *args: [g + exact_arith.PolyFp.const(g.p, 1)])
     code, out, err = run(capsys, "selftest", "--cases", "20")
@@ -343,15 +344,15 @@ def test_selftest_reports_internal_errors_as_failures(capsys, monkeypatch):
     lines = out.splitlines()
     assert "[FAIL] F_p[x] factorization round-trip (20 cases)" in lines
     assert "[FAIL] F_p(x) reciprocity (20 cases)" in lines
-    assert "[PASS] Q[x] factorization round-trip (10 cases)" in lines
+    assert "[FAIL] Q[x] factorization round-trip (10 cases)" in lines
     assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 8
     assert "internal error: factorization over F_" in out
     assert lines[-1] == "selftest seed=0: FAILURES"
 
 
-# The package loads sympy only to factor over Q; a process that runs the
-# hilbert, brq or ffx subcommands must not pay for its import.  The test
-# session imports sympy itself, so the check runs in a fresh interpreter.
+# The package never imports sympy, which the tests use as an oracle only; a
+# process must not pay for its import.  The test session imports sympy
+# itself, so the check runs in a fresh interpreter.
 SYMPY_FREE_SCRIPT = """
 import json
 import sys
@@ -379,7 +380,7 @@ def test_hilbert_brq_ffx_do_not_import_sympy():
 
 
 # qx isom names a place only at a witness, and proves most witness places
-# irreducible mod small primes, so these runs must not load sympy either: a
+# irreducible mod small primes without a Hensel lift; these runs, too: a
 # swap and a square twist of entries with a reducible squarefree factor, and
 # a prime twist with odd places x and x^3 - 2, whose witness x has degree 1
 QX_F = "(x^2 + 1)*(x - 3)^2*(x^2 - 2)"
@@ -405,3 +406,73 @@ def test_qx_isom_verdicts_of_the_sympy_free_runs(capsys):
     assert swap["isomorphic"] is True and square_twist["isomorphic"] is True
     assert prime_twist["isomorphic"] is False and prime_twist["witness_place"] == "x"
     assert prime_twist["witness_symbols"] == ["1/3", "1/15"]
+
+
+# (x^2 + 1)(x + 3) is reducible, so qx residues splits it by Hensel lifting
+QX_REDUCIBLE = ["qx", "residues", "-f", "(x^2+1)*(x+2)^2*(x+3)", "-g", "3"]
+
+
+def test_every_subcommand_runs_without_sympy(capsys, tmp_path):
+    files = []
+    for a, b in (("2", "5"), ("-1", "3")):
+        files.append(tmp_path / f"class_{a}_{b}.json")
+        files[-1].write_text(json.dumps(run_json(capsys, "brq", "class", "-a", a, "-b", b)))
+    argvs = [QX_REDUCIBLE,
+             ["qx", "specialize", "-f", "x^2 + 1", "-g", "x", "--at", "2"],
+             ["brq", "samesub", *map(str, files)],
+             ["brq", "ex65", "-n", "5", "-p", "2,3,5,7"],
+             ["selftest", "--cases", "2"]]
+    out = subprocess.run([sys.executable, "-c", SYMPY_FREE_SCRIPT, json.dumps(argvs)],
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result == {"loaded_on_import": False, "codes": [0] * 5, "loaded": []}, result
+
+
+def test_reducible_qx_residues_output(capsys):
+    data = run_json(capsys, *QX_REDUCIBLE)
+    assert data["ramified"] == ["x + 3", "x^2 + 1"] and set(data["residues"]) == \
+        {"x + 2", "x + 3", "x^2 + 1"}
+
+
+# Each subcommand imports only the layers it runs: a fresh interpreter per
+# command lists the package modules it loaded.
+LAYERS_SCRIPT = """
+import json
+import sys
+
+import quatbrauer.cli
+
+code = quatbrauer.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules
+                                                 if m.startswith("quatbrauer."))}))
+"""
+FUNCTION_FIELD_LAYERS = {"quatbrauer.funcfield", "quatbrauer.funcfield_fp",
+                         "quatbrauer.funcfield_q", "quatbrauer.selftest",
+                         "quatbrauer.zassenhaus"}
+Q_LAYERS = {"quatbrauer.local_symbols", "quatbrauer.brauer_q", "quatbrauer.funcfield_q",
+            "quatbrauer.selftest", "quatbrauer.zassenhaus"}
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["hilbert", "-a", "30", "-b", "-42", "--all"], FUNCTION_FIELD_LAYERS),
+    (["brq", "class", "-a", "2", "-b", "5"], FUNCTION_FIELD_LAYERS),
+    (["brq", "ex65", "-n", "5", "-p", "2,3,5,7"], FUNCTION_FIELD_LAYERS),
+    (["ffx", "residues", "--char", "5", "-f", "x^2 + 2", "-g", "x"], Q_LAYERS),
+    (["ffx", "isom", "--char", "7", "-f1", "(x^2+1)*(x+3)", "-g1", "3",
+      "-f2", "x^3 + 3*x^2 + x + 3", "-g2", "5/2"], Q_LAYERS),
+])
+def test_subcommand_loads_only_its_layers(argv, unloaded):
+    out = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, json.dumps(argv)],
+                         capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["code"] == 0 and not unloaded & set(result["loaded"]), result
+
+
+def test_subset_budget_gives_exit_3(capsys, monkeypatch):
+    from quatbrauer import zassenhaus
+    monkeypatch.setattr(zassenhaus, "MAX_SUBSETS", 1)
+    code, out, err = run(capsys, "qx", "residues", "-f", "x^4 + 1", "-g", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("undecided: ") and "x^4 + 1" in err

@@ -1,18 +1,20 @@
 """Tests for integer/rational factoring and polynomial arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys import galoistools as gf
 from sympy.polys.domains import ZZ
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from quatbrauer import exact_arith
-from quatbrauer.errors import DomainError, InternalError, ParseError
+from quatbrauer.errors import BudgetError, DomainError, InternalError, ParseError
 from quatbrauer.exact_arith import (
     MAX_POWER_SIZE,
     TRIAL_DIVISION_BOUND,
@@ -386,11 +388,13 @@ class TestIntegerPathOracle:
         assert poly_gcd(f, g) == (want if want.is_zero() else want.monic())
 
     def test_wrong_factor_raises_internal_error(self, monkeypatch):
-        from sympy.polys import factortools
-        monkeypatch.setattr(factortools, "dup_zz_factor",
-                            lambda f, K: (K.one, [([K.one, K.zero, K(2)], 1)]))
+        # x^4 + 1 splits mod every prime, so it always reaches recombination;
+        # a recombination that returns x^2 + 2 and x^2 + 1 is caught by the
+        # product check, not passed on
+        from quatbrauer import zassenhaus
+        monkeypatch.setattr(zassenhaus, "_recombine", lambda *args: [[2, 0, 1], [1, 0, 1]])
         with pytest.raises(InternalError):
-            factor_poly_q(PolyQ.make([1, 0, 1]))
+            factor_poly_q(PolyQ.make([1, 0, 0, 0, 1]))
 
     @pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (5, 3), (6, 3), (8, 3)])
     def test_power_products(self, monkeypatch, e, products):
@@ -418,6 +422,75 @@ def _euclid_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
                 a.pop()
         a, b = b, a
     return PolyQ.make(a).monic() if a else PolyQ.make([])
+
+
+# -- Zassenhaus over Q against sympy's factor_list -----------------------------
+
+# Every hard case below factors in well under a second on a 2-core host; the
+# bound leaves room for a slow CI runner, not for a search that blows up.
+HARD_CASE_SECONDS = 5.0
+SWINNERTON_DYER_16 = PolyQ.make(
+    [int(c) for c in reversed(swinnerton_dyer_poly(4, X).as_poly().all_coeffs())])
+# four cyclotomic sextics, which split into 2, 3 or 6 factors mod p
+FOUR_SEXTICS = prod((PolyQ.make([int(c) for c in reversed(
+    sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs())]) for n in (7, 9, 14, 18)),
+    start=PolyQ.const(Fraction(-3, 4)))
+# 24 linear factors: every screening prime divides the discriminant, so the
+# Hensel prime comes from the primes beyond them
+LINEARS_24 = prod((PolyQ.make([-i, 1]) for i in range(-12, 12)), start=PolyQ.const(1))
+IRREDUCIBLE = st.builds(lambda cs, lc: PolyQ.make(cs + [lc]),
+                        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+                        st.integers(-4, 4).filter(bool)).filter(
+    lambda g: _qq(g).is_irreducible)
+
+
+class TestZassenhaus:
+    @settings(max_examples=60, deadline=None)
+    @given(NONZERO, st.lists(st.tuples(IRREDUCIBLE, st.integers(1, 3)), min_size=1, max_size=5))
+    @example(Fraction(1, 6), [(PolyQ.make([1, 0, 1]), 1), (PolyQ.make([2, 3]), 2),
+                              (PolyQ.make([1, 0, 0, 0, 1]), 1)])
+    def test_products_of_irreducibles_match_sympy(self, content, parts):
+        f = prod((g**m for g, m in parts), start=PolyQ.const(content))
+        assume(f.degree <= exact_arith.DEFAULT_DEGREE_CAP)
+        assert factor_poly_q(f) == _sympy_factorization(f)
+
+    @pytest.mark.parametrize("f", [poly_from_string("x^4 + 1"), SWINNERTON_DYER_16,
+                                   FOUR_SEXTICS, LINEARS_24],
+                             ids=["x4+1", "swinnerton-dyer-16", "sextics-24", "linears-24"])
+    def test_hard_cases_within_the_bound(self, f):
+        t0 = time.perf_counter()
+        got = factor_poly_q(f)
+        elapsed = time.perf_counter() - t0
+        assert got == _sympy_factorization(f)
+        assert elapsed < HARD_CASE_SECONDS, elapsed
+
+    def test_swinnerton_dyer_splits_into_eight_mod_every_good_prime(self):
+        _, splits = exact_arith._mod_p_splits(SWINNERTON_DYER_16)
+        good = [facs for _, facs in splits if all(m == 1 for _, m in facs)]
+        assert good and all(len(facs) == 8 for facs in good)
+        assert factor_poly_q(SWINNERTON_DYER_16)[1] == ((SWINNERTON_DYER_16, 1),)
+
+    def test_subset_budget_runs_out_with_budget_error(self, monkeypatch):
+        from quatbrauer import zassenhaus
+        monkeypatch.setattr(zassenhaus, "MAX_SUBSETS", 1)
+        with pytest.raises(BudgetError, match=r"x\^4 \+ 1"):
+            factor_poly_q(poly_from_string("x^4 + 1"))
+
+    def test_lift_reproduces_the_input_mod_p_to_the_e(self):
+        # lc(F) prod u_i = F mod p^e, each u_i monic and reducing to its
+        # factor mod p
+        from quatbrauer import zassenhaus
+        F = list(FOUR_SEXTICS.nums)
+        p, factors = 13, [list(h.coeffs) for h, _ in factor_poly_fp(
+            polyfp_from_polyq(FOUR_SEXTICS.monic(), 13))[1]]
+        pe = 13**9
+        lifted = zassenhaus._hensel_lift(F, factors, p, pe)
+        assert [[c % p for c in u] for u in lifted] == factors
+        assert all(u[-1] == 1 for u in lifted)
+        back = [F[-1]]
+        for u in lifted:
+            back = [c % pe for c in zassenhaus._product(back, u)]
+        assert back == [c % pe for c in F]
 
 
 class TestGcdScreen:
@@ -617,6 +690,17 @@ class TestPolyFp:
     def test_denominator_divisible_by_p_rejected(self):
         with pytest.raises(DomainError, match="denominator"):
             PolyFp.make(5, [Fraction(1, 5), 1])
+
+    def test_evaluate_at_a_fraction_reduces_it_mod_p(self):
+        # x + 1 at 1/2 = 3 mod 5 is 4, as at the integer 3; 7/2 = 1 mod 5
+        f = PolyFp.make(5, [1, 1])
+        assert f.evaluate(Fraction(1, 2)) == 4 == f.evaluate(3)
+        assert type(f.evaluate(Fraction(1, 2))) is int
+        assert f.evaluate(Fraction(-7, 2)) == f.evaluate(-1) == 0
+
+    def test_evaluate_at_a_fraction_with_p_in_the_denominator_rejected(self):
+        with pytest.raises(DomainError, match="denominator"):
+            PolyFp.make(5, [1, 1]).evaluate(Fraction(1, 10))
 
     def test_factor_x2_plus_1_mod5(self):
         unit, facs = factor_poly_fp(PolyFp.make(5, [1, 0, 1]))

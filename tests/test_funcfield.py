@@ -96,6 +96,13 @@ class TestFactoredFunc:
         f = FactoredFunc.from_poly(PolyFp.make(7, [1, 1])).inverse()  # 1/(x + 1)
         assert f.value_at(2) == pow(3, -1, 7)
 
+    def test_value_at_a_fraction_over_fp(self):
+        # x + 1 at 1/2 = 3 mod 5; 1/(x + 1) there is 4^-1 = 4
+        f = FactoredFunc.from_poly(PolyFp.make(5, [1, 1]))
+        assert f.value_at(Fraction(1, 2)) == 4 == f.inverse().value_at(Fraction(1, 2))
+        with pytest.raises(DomainError, match="denominator"):
+            f.value_at(Fraction(3, 5))
+
     def test_places_sorted_and_merged(self):
         f = FactoredFunc.from_poly(PolyQ.make([1, 0, 1]) * PolyQ.make([0, 1]))
         g = FactoredFunc.from_poly(PolyQ.make([-2, 1]) * PolyQ.make([0, 1]))

@@ -507,14 +507,14 @@ except InternalError:
     print("InternalError")
 exact_arith._edf = edf
 # a Q[x] factorization that does not multiply back to its input
-from sympy.polys import factortools
-zz_factor = factortools.dup_zz_factor
-factortools.dup_zz_factor = lambda f, K: (K.one, [([K.one, K.zero, K(2)], 1)])
+from quatbrauer import zassenhaus
+recombine = zassenhaus._recombine
+zassenhaus._recombine = lambda *args: [[2, 0, 1], [1, 0, 1]]
 try:
-    print("factors", exact_arith.factor_poly_q(PolyQ.make([1, 0, 1])))
+    print("factors", exact_arith.factor_poly_q(PolyQ.make([1, 0, 0, 0, 1])))
 except InternalError:
     print("InternalError")
-factortools.dup_zz_factor = zz_factor
+zassenhaus._recombine = recombine
 # malformed inputs are refused with or without assert statements
 gauss = local_symbols.NumberFieldElem.make(PolyQ.make([1, 0, 1]), PolyQ.make([1, 1]))
 sqrt2 = local_symbols.NumberFieldElem.make(PolyQ.make([-2, 0, 1]), PolyQ.make([1, 1]))
