@@ -28,9 +28,10 @@ from .local_symbols import (
 
 
 # A basis element h of higher degree is split into its places before it is
-# tested: the lift in Q[x]/(h) needs 2^(k-1) sign patterns for the k <= deg h
-# factors of h mod p.  With a square ratio, the lift cost at most 1.7x a sympy
-# split with its import up to k = 8, and doubles with each further factor.
+# tested: testing Q[x]/(h) whole reconstructs 2^(k-1) sign patterns per
+# precision (k <= deg h factors mod p) and splits a nonsquare anyway.  On 7 h
+# of degree 9-12 (2-core host) it cost 0.9-1.3x splitting first for a square,
+# 1.0-2.3x for a nonsquare; no workload has a basis element above degree 6.
 MAX_BASIS_TEST_DEGREE = 8
 
 

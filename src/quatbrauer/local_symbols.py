@@ -5,12 +5,12 @@ square test in number fields and, for reducible pi, in the etale algebra
 Q[x]/(pi), the product of the number fields of pi's irreducible factors,
 where an element is a square iff it is one in every factor.  The square
 test goes norm first: a prime p where the norm Res(pi, t) is a nonresidue
-certifies a nonsquare without any factoring.  Otherwise it lifts first,
-p-adic square-root reconstruction at a prime where pi has few factors, and
-then alternates the lift with a growing search for a witness: a prime p and
-a factor h of pi mod p where the element's norm-Legendre character
-(Res(h, t) / p) is -1.  Every verdict it returns carries an exactly
-re-verifiable certificate.
+certifies a nonsquare without any factoring.  Otherwise it lifts 1/sqrt and
+the factor idempotents at a prime where pi has few factors, reads every sign
+pattern's root off that one lift, and alternates it with a search for a
+witness: a prime p and a factor h of pi mod p where the element's
+norm-Legendre character (Res(h, t) / p) is -1.  Every verdict it returns
+carries an exactly re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -253,21 +253,20 @@ def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:
     return [(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def _rational_reconstruct(a: int, m: int) -> Fraction | None:
-    """Balanced rational reconstruction of a mod m (|num|,|den| <= sqrt(m/2))."""
-    a %= m
-    bound = isqrt(m // 2)
-    r0, r1 = m, a
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
-        return None
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    return Fraction(r1, s1)
+def _rational_reconstruct(r: list[int], m: int) -> PolyQ | None:
+    """Balanced rational reconstruction of each coefficient mod m (|num|,
+    |den| <= sqrt(m/2)), or None at the first coefficient that has none."""
+    bound, coeffs = isqrt(m // 2), []
+    for a in r:
+        r0, r1, s0, s1 = m, a % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
+            return None
+        coeffs.append(Fraction(r1, s1))
+    return PolyQ.make(coeffs)
 
 
 def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
@@ -289,30 +288,39 @@ def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
 
 
 class _LiftState:
-    """Per-sign-pattern Newton lifting of a square root r mod (p^e, pi), from
-    r and 1/(2r) mod (p, pi); mods(e) is the `ZxRing` of (pi, p^e) and the
-    value mod p^e as a coefficient list, shared by all patterns."""
+    """Newton lifting of y = 1/sqrt(c) and of factor idempotents E_h from
+    (p, pi) to (p^e, pi); mods(e) is the `ZxRing` of (pi, p^e) and c mod p^e
+    as a coefficient list.  Each lift is unique given its residue (p is odd,
+    c a unit), so r = c y is the root with the signs chosen mod p, and
+    r (1 - 2 sum E_h) = r - sum 2r E_h, a unit squaring to 1 times r, is the
+    root with the signs of those factors flipped: one lift for all patterns."""
 
-    def __init__(self, root: PolyFp, inv: PolyFp, mods):
-        self.p, self.mods, self.exp = root.p, mods, 1
-        self.r, self.i = list(root.coeffs), list(inv.coeffs)
+    def __init__(self, y: PolyFp, idems: list[PolyFp], mods):
+        self.p, self.mods, self.exp = y.p, mods, 1
+        self.y, self.idems = list(y.coeffs), [list(e.coeffs) for e in idems]
 
-    def lift_to(self, exp: int) -> None:
+    def roots(self, exp: int):
+        """Lift to p^exp, then yield the rational reconstructions of the
+        roots of the sign patterns that have one, in mask order: bit j of the
+        mask flips the sign at idems[j]."""
         while self.exp < exp:
             self.exp = min(2 * self.exp, exp)
             m = self.p ** self.exp
             ring, cm = self.mods(self.exp)
-            # r <- r - (r^2 - c) * i  (i accurate to half precision suffices)
-            err = _zx_sub(ring.mul(self.r, self.r), cm, m)
-            self.r = _zx_sub(self.r, ring.mul(err, self.i), m)
-            # i <- i * (2 - 2r * i)
-            t = ring.mul([2 * c for c in self.r], self.i)
-            self.i = ring.mul(self.i, _zx_sub([2], t, m))
-
-    def reconstruct(self) -> PolyQ | None:
+            # y <- y (3 - c y^2) / 2 and e <- e^2 (3 - 2e)
+            t = _zx_sub([3], ring.mul(cm, ring.mul(self.y, self.y)), m)
+            self.y = [a * (m + 1) // 2 % m for a in ring.mul(self.y, t)]
+            self.idems = [ring.mul(ring.mul(e, e), _zx_sub([3], [2 * a for a in e], m))
+                          for e in self.idems]
         m = self.p ** self.exp
-        coeffs = [_rational_reconstruct(c, m) for c in self.r]
-        return None if None in coeffs else PolyQ.make(coeffs)
+        ring, cm = self.mods(self.exp)
+        cands = [ring.mul(cm, self.y)]
+        for e in self.idems:
+            flip = ring.mul([2 * a for a in cands[0]], e)
+            cands += [_zx_sub(r, flip, m) for r in cands]
+        for r in cands:
+            if (cand := _rational_reconstruct(r, m)) is not None:
+                yield cand
 
 
 def verify_square_certificate(c: NumberFieldElem, root: PolyQ) -> bool:
@@ -362,8 +370,9 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
     norm; a good prime p with (N / p) = -1 certifies a nonsquare, with all of
     pi mod p as the factor and no factoring (at most NORM_PRIMES primes).
     Then lift: factor pi at the next LIFT_CANDIDATES good primes (a factor
-    where c has character -1 is a witness) and Newton-lift the square root
-    over all residue sign patterns at the one with the fewest factors.  Then
+    where c has character -1 is a witness) and, at the one with the fewest
+    factors, Newton-lift 1/sqrt(c) and the factor idempotents once; each
+    residue sign pattern's root is a signed sum of those lifts.  Then
     alternate rational reconstruction with a witness search over further
     good primes, the batch growing with the lift precision.  Raises
     BudgetError if neither side certifies within the budget, and
@@ -399,36 +408,27 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
             best = (p, moduli)
     p0, moduli = best
     pim, vp = polyfp_from_polyq(pi, p0), polyfp_from_polyq(value, p0)
-    # CRT: the root s mod h and 1/(2s) mod h, times the idempotent of h in
-    # F_p[x]/(pi); a sign pattern flips both, so no pattern inverts anything
-    terms = []
+    # CRT: y = 1/s mod each factor h, for its root s, and the idempotents of
+    # the factors; the global sign is free, so the first factor's stays fixed
+    y, idems = PolyFp.const(p0, 0), []
     for h in moduli:
         cof = pim.divmod(h)[0]
-        idem = cof * poly_inverse(cof % h, h)
-        s = _fq_sqrt(vp % h, h, rng)
-        terms.append(((s * idem) % pim, (poly_inverse(s + s, h) * idem) % pim))
-    states = []
-    zero = PolyFp.const(p0, 0)
-    # the ring of (pi, p0^e) and the value mod p0^e, once per e for all patterns
+        idems.append(cof * poly_inverse(cof % h, h))
+        y = y + poly_inverse(_fq_sqrt(vp % h, h, rng), h) * idems[-1]
+    # the ring of (pi, p0^e) and the value mod p0^e, once per e
     mods = cache(lambda e: (ZxRing(coeffs_mod(pi, p0**e), p0**e), coeffs_mod(value, p0**e)))
-    # global sign is free: fix the first factor's sign
-    for mask in range(1 << (len(moduli) - 1)):
-        signed = [(-r, -i) if j and (mask >> (j - 1)) & 1 else (r, i)
-                  for j, (r, i) in enumerate(terms)]
-        states.append(_LiftState(*(sum(col, zero) for col in zip(*signed)), mods))
+    lift = _LiftState(y % pim, idems[1:], mods)
 
-    exp = 16
+    exp = min(16, MAX_LIFT_EXPONENT)
     witnesses_exhausted = False
     while True:
         # lift and attempt rational reconstruction
-        for st in states:
-            st.lift_to(exp)
-            cand = st.reconstruct()
-            if cand is not None and verify_square_certificate(c, cand):
+        for cand in lift.roots(exp):
+            if verify_square_certificate(c, cand):
                 return SquareClassVerdict(True, root=cand, verified=True)
 
         # witness batch, growing with the precision
-        for p in islice(primes, 12 * exp // 16):
+        for p in islice(primes, max(1, 12 * exp // 16)):
             if p > WITNESS_PRIME_LIMIT:
                 witnesses_exhausted = True
                 break
@@ -439,5 +439,4 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
         if exp >= MAX_LIFT_EXPONENT and witnesses_exhausted:
             raise BudgetError(
                 "square test undecided within precision/prime budget")
-        if exp < MAX_LIFT_EXPONENT:
-            exp *= 2
+        exp = min(2 * exp, MAX_LIFT_EXPONENT)

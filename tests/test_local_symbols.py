@@ -362,8 +362,9 @@ class TestSquareTester:
             assert verify_nonsquare_certificate(c, v.witness)
 
     def test_lift_reduces_once_per_exponent(self, monkeypatch):
-        # 11 in the Swinnerton-Dyer field lifts 128 sign patterns through six
-        # exponents; pi and the value are reduced once per exponent, shared
+        # 11 in the Swinnerton-Dyer field lifts through six exponents, and
+        # all 128 sign patterns read their roots off that one lift; pi and the
+        # value are reduced once per exponent
         calls = []
         reduce = local_symbols.coeffs_mod
 
@@ -379,8 +380,8 @@ class TestSquareTester:
 
     def test_lift_inverts_once_per_factor(self, monkeypatch):
         # 11 in the Swinnerton-Dyer field: pi has 8 factors mod the lifting
-        # prime, so 8 idempotents and 8 inverses of 2s mod h; none of the 128
-        # sign patterns inverts anything
+        # prime, so 8 idempotents and 8 inverses of the roots s mod h; the
+        # Newton steps and the 128 sign patterns invert nothing
         calls = []
         inverse = local_symbols.poly_inverse
 
@@ -393,6 +394,44 @@ class TestSquareTester:
         v = is_square_in_number_field(c)
         assert not v.is_square and v.verified
         assert len(calls) == 16 and max(calls) < SWINNERTON_DYER.degree, calls
+
+    def test_lift_products_linear_in_factors(self, monkeypatch):
+        # 11 in the Swinnerton-Dyer field: 8 factors mod the lifting prime.
+        # One lift of 1/sqrt(c) and 7 idempotents costs 17 products per
+        # exponent and 8 per reading of all 128 sign patterns: linear in k
+        calls = []
+        mul = exact_arith.ZxRing.mul
+
+        def counted(ring, a, b):
+            if not exact_arith.is_prime(ring.m):
+                calls.append(ring.m)
+            return mul(ring, a, b)
+
+        monkeypatch.setattr(exact_arith.ZxRing, "mul", counted)
+        v = is_square_in_number_field(NumberFieldElem.make(SWINNERTON_DYER, PolyQ.const(11)))
+        assert not v.is_square and v.verified
+        assert 0 < len(calls) <= 200, len(calls)
+
+    @pytest.mark.parametrize("budget", [20, 8, 1])
+    def test_lift_stops_at_the_budget(self, monkeypatch, budget):
+        # a square whose root has a 41-digit coefficient: the lift climbs to
+        # p^budget exactly, never to the next power of two above it, and
+        # the witness search still runs out at a budget of 1
+        calls = []
+        reduce = local_symbols.coeffs_mod
+
+        def counted(f, m):
+            calls.append(m)
+            return reduce(f, m)
+
+        monkeypatch.setattr(local_symbols, "coeffs_mod", counted)
+        monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", budget)
+        monkeypatch.setattr(local_symbols, "WITNESS_PRIME_LIMIT", 50)
+        r = PolyQ.make([10**40 + 7, 3])
+        with pytest.raises(BudgetError):
+            is_square_in_number_field(NumberFieldElem.make(GAUSS, (r * r) % GAUSS))
+        p = next(q for q in range(3, 50, 2) if min(calls) % q == 0)
+        assert max(calls) == p**budget, calls
 
     def test_squares_in_swinnerton_dyer_field(self):
         r = PolyQ.make([1, 1, 0, 1])
