@@ -45,11 +45,7 @@ class BrauerClassQ:
 
     @staticmethod
     def make(entries) -> "BrauerClassQ":
-        inv: dict[PlaceQ, Fraction] = {}
-        for place, val in dict(entries).items():
-            v = Fraction(val) % 1
-            if v:
-                inv[place] = v
+        inv = {place: v for place, val in dict(entries).items() if (v := Fraction(val) % 1)}
         real = inv.get(REAL, Fraction(0))
         if real not in (Fraction(0), Fraction(1, 2)):
             raise DomainError(f"real invariant must be 0 or 1/2, got {real}")
@@ -62,10 +58,7 @@ class BrauerClassQ:
         return BrauerClassQ(())
 
     def inv_at(self, place: PlaceQ) -> Fraction:
-        for q, v in self.invariants:
-            if q == place:
-                return v
-        return Fraction(0)
+        return dict(self.invariants).get(place, Fraction(0))
 
     def support(self) -> tuple[PlaceQ, ...]:
         return tuple(p for p, _ in self.invariants)
@@ -74,13 +67,10 @@ class BrauerClassQ:
         return not self.invariants
 
     def __add__(self, other: "BrauerClassQ") -> "BrauerClassQ":
-        acc = {p: v for p, v in self.invariants}
+        acc = dict(self.invariants)
         for p, v in other.invariants:
             acc[p] = acc.get(p, Fraction(0)) + v
         return BrauerClassQ.make(acc)
-
-    def neg(self) -> "BrauerClassQ":
-        return BrauerClassQ.make({p: -v for p, v in self.invariants})
 
     def scale(self, m: int) -> "BrauerClassQ":
         """m * c componentwise; preserves local orders when gcd(m, index) = 1."""

@@ -47,8 +47,8 @@ POLLARD_STEPS = 2**20
 # and prune the degrees that recombination tries.
 IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
 
-# Splits of squarefree polynomials kept by `irreducible_factors_fp` (F_p[x])
-# and by `irreducible_factors_q` (Q[x]), each memo bounded by this many.
+# The bound of each split memo: `squarefree_parts` (Q[x] and F_p[x]),
+# `irreducible_factors_fp` and `irreducible_factors_q`.
 SPLIT_CACHE_SIZE = 256
 
 # The prime below 2^30 at which `poly_gcd` screens for coprimality.  Let it
@@ -858,19 +858,23 @@ def polyfp_from_polyq(f: PolyQ, p: int) -> PolyFp:
     return PolyFp.reduced(p, coeffs_mod(f, p))
 
 
+@functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def squarefree_parts(f):
     """The monic, squarefree, pairwise coprime parts a_i, with multiplicities
     i, of f = lc(f) * prod a_i^i, over Q or F_p (none for a constant f).  With
     c = gcd(f, f') and w = f / c, each step's y = gcd(w, c) leaves the part w /
     y of multiplicity i.  What c keeps after the loop is a p-th power g(x^p),
     so only in characteristic p; its p-th root g splits with multiplicities
-    times p.  f' = 0 (f itself a p-th power) needs no case: gcd(f, 0) = f."""
+    times p.  f' = 0 (f itself a p-th power) needs no case: gcd(f, 0) = f.
+    A memo on monic f: an entry both algebras share, a constant multiple of
+    one, or a part of one that `factor_poly_fp` checks again, splits once."""
     if f.degree < 1:
-        return []
-    f = f.monic()
+        return ()
+    if not f.is_monic():
+        return squarefree_parts(f.monic())
     c = f.gcd(f.derivative())
     if c.degree == 0:  # squarefree: the loop below gives this
-        return [(f, 1)]
+        return ((f, 1),)
     w, out, i = f.divmod(c)[0], [], 1
     while w.degree > 0:
         y = w.gcd(c)
@@ -881,7 +885,7 @@ def squarefree_parts(f):
     if c.degree > 0:
         p = c.p
         out += [(g, p * m) for g, m in squarefree_parts(PolyFp.reduced(p, c.coeffs[::p]))]
-    return out
+    return tuple(out)
 
 
 def poly_inverse(a, m):

@@ -163,28 +163,32 @@ def common_basis(*entries: FactoredFunc) -> tuple[list[Place], list[FactoredFunc
     Each factor a joins the basis by gcds g with the elements b in turn; b
     gives way to g and b/g, a goes on as a/g.  As a and b are squarefree,
     g, a/g and b/g are pairwise coprime, and g's exponent in each entry is
-    the sum of a's and b's."""
-    basis: list[tuple[Poly, list[int]]] = []
+    the sum of a's and b's.  A factor a already on the basis is coprime to
+    every other element, so it only adds its exponent there, with no gcd."""
+    basis: dict[Poly, list[int]] = {}  # element -> exponents, in basis order
     for i, e in enumerate(entries):
         for a, m in e.factors:
+            if a in basis:
+                basis[a][i] += m
+                continue
             va = [0] * len(entries)
             va[i] = m
-            refined = []
-            for b, vb in basis:
+            refined = {}
+            for b, vb in basis.items():
                 if a.degree == 0 or (g := b if a == b else a.gcd(b)).degree == 0:
-                    refined.append((b, vb))
+                    refined[b] = vb
                     continue
-                refined.append((g, [x + y for x, y in zip(va, vb)]))
+                refined[g] = [x + y for x, y in zip(va, vb)]
                 if g != b:
-                    refined.append((b.divmod(g)[0], vb))
+                    refined[b.divmod(g)[0]] = vb
                 a = a.divmod(g)[0]
             if a.degree > 0:
-                refined.append((a, va))
+                refined[a] = va
             basis = refined
-    rewritten = [FactoredFunc(e.constant, tuple(sorted(((h, v[i]) for h, v in basis if v[i]),
-                                                       key=factor_key)))
+    rewritten = [FactoredFunc(e.constant, tuple(sorted(((h, v[i]) for h, v in basis.items()
+                                                        if v[i]), key=factor_key)))
                  for i, e in enumerate(entries)]
-    return [Place(h) for h, _ in basis], rewritten
+    return [Place(h) for h in basis], rewritten
 
 
 def places(*entries: FactoredFunc) -> list[Place]:

@@ -552,7 +552,7 @@ class TestSquarefreeAndIrreducible:
         _, want = sympy.sqf_list(_qq(f).as_expr(), X)
         want = sorted(((_from_qq(sympy.Poly(g, X, domain="QQ")).monic(), m) for g, m in want),
                       key=lambda gm: gm[1])
-        assert squarefree_parts(f) == want
+        assert squarefree_parts(f) == tuple(want)
         assert prod((g**m for g, m in want), start=PolyQ.const(f.lc())) == f
         _assert_split(f, want)
 
@@ -609,7 +609,7 @@ class TestSquarefreeAndIrreducible:
             if a.degree > 0:
                 want.append((a, i))
             i += 1
-        assert squarefree_parts(f) == want
+        assert squarefree_parts(f) == tuple(want)
 
     @pytest.mark.parametrize("s", ["2*x^2 + 2", "2*x^2 - 2", "(x + 1)^2"])
     def test_irreducible_factors_q_refuse_non_squarefree_or_non_monic(self, s):

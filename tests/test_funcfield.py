@@ -6,18 +6,32 @@ reduce both mod the modulus and divide (over Q with sympy; over F_p by the
 Euler power of the residue-field element).
 """
 
+import importlib
 import random
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatbrauer import funcfield_fp, funcfield_q
+from quatbrauer import exact_arith, funcfield_fp, funcfield_q
 from quatbrauer.errors import DomainError
-from quatbrauer.exact_arith import PolyFp, PolyQ, factor_key, fq_char, poly_gcd, polyfp_pow_mod
+from quatbrauer.exact_arith import (
+    PolyFp,
+    PolyQ,
+    factor_key,
+    fq_char,
+    irreducible_factors_fp,
+    irreducible_factors_q,
+    poly_from_string,
+    poly_gcd,
+    polyfp_from_string,
+    polyfp_pow_mod,
+    squarefree_parts,
+)
 from quatbrauer.funcfield import (
     MAX_DEGREE,
     FactoredFunc,
@@ -28,8 +42,8 @@ from quatbrauer.funcfield import (
     residue_support,
     tame_terms,
 )
-from quatbrauer.funcfield_fp import class_fp, residue_fp
-from quatbrauer.funcfield_q import QuaternionFF, tame_symbol
+from quatbrauer.funcfield_fp import class_fp, is_isomorphic_fpx, residue_fp
+from quatbrauer.funcfield_q import QuaternionFF, is_isomorphic_qx, tame_symbol
 
 X = sympy.Symbol("x")
 
@@ -425,3 +439,103 @@ def test_support_q_of_a_symbol_twice_is_empty(entries):
 def test_support_q_is_bilinear(entries):
     f, g, h = entries
     assert _support_q((f, g), (f, h)) == _support_q((f, g * h))
+
+
+# -- factor refinement: a factor already on the basis --------------------------
+
+def _full_refinement(*entries):
+    """`common_basis` with every factor taken through the gcd loop."""
+    basis = []
+    for i, e in enumerate(entries):
+        for a, m in e.factors:
+            va = [0] * len(entries)
+            va[i] = m
+            refined = []
+            for b, vb in basis:
+                if a.degree == 0 or (g := b if a == b else a.gcd(b)).degree == 0:
+                    refined.append((b, vb))
+                    continue
+                refined.append((g, [x + y for x, y in zip(va, vb)]))
+                if g != b:
+                    refined.append((b.divmod(g)[0], vb))
+                a = a.divmod(g)[0]
+            if a.degree > 0:
+                refined.append((a, va))
+            basis = refined
+    rewritten = [FactoredFunc(e.constant, tuple(sorted(((h, v[i]) for h, v in basis if v[i]),
+                                                       key=factor_key)))
+                 for i, e in enumerate(entries)]
+    return [Place(h) for h, _ in basis], rewritten
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(fp_entries(3), q_entries(3)))
+def test_common_basis_matches_the_full_refinement(entries):
+    f, g, h = entries
+    for es in ((f, g, f, h), (f, g, h, g), (f, f), (f, g, h), (f, g, g * h, f * h)):
+        assert common_basis(*es) == _full_refinement(*es)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_a_factor_on_the_basis_costs_no_gcd(monkeypatch, p):
+    # g only splits x + 1 off its own factor, so f's factors x, x^2 + 1 and
+    # x + 3 stay basis elements: f's second turn adds exponents, no gcds
+    f, g, g2 = (FactoredFunc.from_poly(polyfp_from_string(s, p) if p else poly_from_string(s))
+                for s in ("x*(x^2 + 1)^2*(x + 3)^3", "(x + 1)*(x^2 + 1)", "5*x*(x - 2)^2"))
+    ring, calls = type(f.constant), []
+    gcd = ring.gcd
+    monkeypatch.setattr(ring, "gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+
+    def counted(refine, *entries):
+        calls.clear()
+        return refine(*entries), len(calls)
+
+    got, n = counted(common_basis, f, g, f, g2)
+    want, n_full = counted(_full_refinement, f, g, f, g2)
+    assert got == want
+    assert n == counted(common_basis, f, g, g2)[1] < n_full
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_a_constant_multiple_is_split_once(p):
+    # the split memo is keyed on the monic polynomial
+    s = "(x^2 + 1)^2*(x + 3)"
+    f = polyfp_from_string(s, p) if p else poly_from_string(s)
+    assert squarefree_parts(f.scalar(3) * f) is squarefree_parts(f)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("field", ["qx", "ffx"])
+def test_decisions_do_not_depend_on_the_decisions_before(monkeypatch, field):
+    # 96 seeded benchmark cases decided cold (every split memo cleared before
+    # each), warm in order, and warm in a shuffled order
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    if field == "qx":
+        cases = [[PolyQ.make(cs) for cs in workloads.qx_case(11, i)["coeffs"]]
+                 for i in range(96)]
+    else:
+        cases = [[PolyFp.make(c["p"], cs) for cs in c["coeffs"]]
+                 for c in (workloads.fpx_case(11, i, small=True) for i in range(96))]
+
+    def decide(i):
+        f1, g1, f2, g2 = (FactoredFunc.from_poly(e) for e in cases[i])
+        if field == "ffx":
+            return is_isomorphic_fpx((f1, g1), (f2, g2)).to_json()
+        return is_isomorphic_qx(QuaternionFF(f1, g1), QuaternionFF(f2, g2),
+                                random.Random(i)).to_json()
+
+    cold = {}
+    for i in range(len(cases)):
+        for memo in (squarefree_parts, irreducible_factors_fp, irreducible_factors_q,
+                     exact_arith._mod_p_splits):
+            memo.cache_clear()
+        cold[i] = decide(i)
+    warm = {i: decide(i) for i in range(len(cases))}
+    order = list(range(len(cases)))
+    random.Random(5).shuffle(order)
+    shuffled = {i: decide(i) for i in order}
+    assert warm == cold and shuffled == cold
+    assert squarefree_parts.cache_info().hits
