@@ -9,9 +9,9 @@ and same-subgroup predicates compare local invariant orders.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, InternalError
 from .local_symbols import REAL, PlaceQ, hilbert, support_places
@@ -19,8 +19,7 @@ from .local_symbols import REAL, PlaceQ, hilbert, support_places
 QUATERNION_SEARCH_BUDGET = 10**5
 
 
-@dataclass(frozen=True)
-class QuaternionQ:
+class QuaternionQ(NamedTuple):
     """The quaternion algebra (a, b / Q)."""
 
     a: Fraction
@@ -37,8 +36,7 @@ class QuaternionQ:
         return f"({self.a}, {self.b} / Q)"
 
 
-@dataclass(frozen=True)
-class BrauerClassQ:
+class BrauerClassQ(NamedTuple):
     """Local invariant vector; entries sorted, no zero invariants stored."""
 
     invariants: tuple[tuple[PlaceQ, Fraction], ...]

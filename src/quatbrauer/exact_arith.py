@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, InternalError, ParseError
 
@@ -147,21 +147,26 @@ def _factor_positive(n: int, rng: random.Random) -> dict[int, int]:
     return factors
 
 
-@dataclass(frozen=True)
-class FactoredRational:
+class _FactoredRationalFields(NamedTuple):
+    sign: int
+    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
+    probable: tuple[int, ...] = ()
+
+
+class FactoredRational(_FactoredRationalFields):
     """A nonzero rational in certified factored form: sign * prod p**e.
 
     `probable` lists primes too large for the deterministic Miller-Rabin
     certificate (only reachable with inputs beyond 2**64).
     """
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-    probable: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1) or any(e == 0 for _, e in self.factors):
-            raise DomainError(f"malformed factorization {self.sign} {self.factors}")
+    def __new__(cls, sign: int, factors: tuple[tuple[int, int], ...],
+                probable: tuple[int, ...] = ()) -> "FactoredRational":
+        if sign not in (-1, 1) or any(e == 0 for _, e in factors):
+            raise DomainError(f"malformed factorization {sign} {factors}")
+        return super().__new__(cls, sign, factors, probable)
 
     def value(self) -> Fraction:
         return prod((Fraction(p) ** e for p, e in self.factors), start=Fraction(self.sign))
@@ -205,8 +210,7 @@ def factor_rational(q: Fraction | int, rng: random.Random | None = None) -> Fact
 # polynomials over Q
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyQ:
+class PolyQ(NamedTuple):
     """Dense polynomial over Q: integer numerators `nums`, low degree first,
     trimmed, over one denominator `den` > 0 with gcd(den, *nums) = 1, so that
     equal polynomials have equal fields and hash alike (zero is ((), 1)).
@@ -382,8 +386,7 @@ def resultant(f: PolyQ, g: PolyQ) -> Fraction:
     return acc * g.lc() ** f.degree
 
 
-@dataclass(frozen=True, eq=False)
-class RatFuncQ:
+class RatFuncQ(NamedTuple):
     """A rational function num/den over Q, den nonzero; zero allowed.
 
     Equal values may have different (num, den), so the class is unhashable."""
@@ -423,6 +426,11 @@ class RatFuncQ:
 
     def __eq__(self, o) -> bool:
         return isinstance(o, RatFuncQ) and self.num * o.den == o.num * self.den
+
+    def __ne__(self, o) -> bool:  # a tuple's != would compare (num, den)
+        return not self == o
+
+    __hash__ = None  # a NamedTuple keeps tuple's hash unless told otherwise
 
 
 # -- text --------------------------------------------------------------------
@@ -615,8 +623,7 @@ def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
 # polynomials over F_p
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyFp:
+class PolyFp(NamedTuple):
     """Dense polynomial over F_p (p an odd prime), trimmed, reduced mod p."""
 
     p: int

@@ -17,9 +17,10 @@ carry the constant field: only their ring operations are called here.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .exact_arith import (DEFAULT_DEGREE_CAP, PolyFp, PolyQ, factor_key, is_prime,
@@ -31,8 +32,7 @@ MAX_DEGREE = 64  # F_p(x) entries of higher degree are refused before factoring
 Poly = PolyQ | PolyFp
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A place of K(x): a monic irreducible polynomial, or None for the
     degree place at infinity of F_p(x).  The modulus may also be a monic
     squarefree h on the entries' common basis: every irreducible factor of
@@ -50,6 +50,9 @@ class Place:
         return "inf" if self.modulus is None else str(self.modulus)
 
 
+# Memoized here rather than in `is_prime`, which a certificate re-check must
+# run afresh; a rejected p raises on every call, since errors are not cached.
+@functools.lru_cache
 def check_char(p: int) -> None:
     if p == 2:
         raise DomainError("characteristic 2 is unsupported")
@@ -61,8 +64,7 @@ def _field(p: int) -> str:
     return f"F_{p}(x)" if p else "Q(x)"
 
 
-@dataclass(frozen=True)
-class FactoredFunc:
+class FactoredFunc(NamedTuple):
     """A nonzero element of K(x)^x: constant * prod(factor ** exponent).
 
     The constant is a polynomial of degree 0 in the factors' ring (PolyQ or

@@ -10,8 +10,8 @@ into places only where needed; reciprocity (product = +1) is always checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import DomainError, InternalError
 from .exact_arith import PolyFp, fq_char, irreducible_factors_fp
@@ -31,8 +31,7 @@ def residue_fp(f: FactoredFunc, g: FactoredFunc, v: Place) -> int:
     return prod(fq_char(base, h) for base in odd_tame_bases(v, (f, g)))
 
 
-@dataclass(frozen=True)
-class QuatClassFp:
+class QuatClassFp(NamedTuple):
     """A quaternion class over F_p(x) as its residue vector (support only)."""
 
     p: int
@@ -67,8 +66,7 @@ def class_fp(f: FactoredFunc, g: FactoredFunc) -> QuatClassFp:
     return QuatClassFp(f.p, tuple(support))
 
 
-@dataclass(frozen=True)
-class VerdictFp:
+class VerdictFp(NamedTuple):
     isomorphic: bool
     witness_place: Place | None = None
 

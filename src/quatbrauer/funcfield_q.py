@@ -11,10 +11,10 @@ decides it inside Br(Q) via its local invariant vector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import count
+from typing import NamedTuple
 
 from .brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from .errors import DomainError
@@ -35,8 +35,7 @@ from .local_symbols import (
 MAX_BASIS_TEST_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class QuaternionFF:
+class QuaternionFF(NamedTuple):
     """The symbol algebra (f, g / Q(x)) with both entries in factored form."""
 
     f: FactoredFunc
@@ -46,8 +45,7 @@ class QuaternionFF:
         return f"({self.f}, {self.g} / Q(x))"
 
 
-@dataclass(frozen=True)
-class ResidueCharacter:
+class ResidueCharacter(NamedTuple):
     """An order <= 2 character of the residue field's absolute Galois group,
     in Kummer form: the square class of the tame symbol in Q[x]/(pi)."""
 
@@ -98,8 +96,7 @@ def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
     return QuaternionQ.make(D.f.value_at(alpha), D.g.value_at(alpha))
 
 
-@dataclass(frozen=True)
-class IsomorphismVerdict:
+class IsomorphismVerdict(NamedTuple):
     isomorphic: bool
     witness_place: Place | None = None
     witness_symbols: tuple[NumberFieldElem, NumberFieldElem] | None = None
@@ -208,7 +205,7 @@ def same_maximal_subfields_qx(D1: QuaternionFF, D2: QuaternionFF,
         if not division:
             raise DomainError(f"{name} algebra is not a division algebra ({why})")
     verdict = is_isomorphic_qx(D1, D2, rng)
-    return replace(verdict, citations=verdict.citations + (
+    return verdict._replace(citations=verdict.citations + (
         "maximal-subfield equivalence over rational function fields",))
 
 

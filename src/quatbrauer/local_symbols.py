@@ -16,11 +16,11 @@ carries an exactly re-verifiable certificate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, zip_longest
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError, InternalError
 from .exact_arith import (
@@ -50,8 +50,7 @@ LIFT_CANDIDATES = 4     # primes factored to pick the lifting prime
 # places of Q
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class PlaceQ:
+class PlaceQ(NamedTuple):
     """A place of Q: a finite prime, or the real place (p is None)."""
 
     p: int | None
@@ -153,8 +152,7 @@ def support_places(a, b) -> list[PlaceQ]:
 # number field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumberFieldElem:
+class NumberFieldElem(NamedTuple):
     """An element of Q[x]/(pi), pi monic squarefree, value reduced mod pi: a
     number field for irreducible pi, else a product of number fields."""
 
@@ -187,8 +185,7 @@ class NumberFieldElem:
 # certified square testing in Q[x]/(pi)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NonsquareWitness:
+class NonsquareWitness(NamedTuple):
     """A prime p and a monic factor of pi mod p (all of it for a norm
     witness) where the image of the tested element has quadratic character
     -1."""
@@ -197,8 +194,7 @@ class NonsquareWitness:
     factor: PolyFp
 
 
-@dataclass(frozen=True)
-class SquareClassVerdict:
+class SquareClassVerdict(NamedTuple):
     is_square: bool
     root: PolyQ | None = None              # square root mod pi, when square
     witness: NonsquareWitness | None = None

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .brauer_q import QuaternionQ, class_of_quaternion
 from .errors import InternalError
@@ -20,8 +20,7 @@ from .funcfield_q import QuaternionFF, is_isomorphic_qx
 from .local_symbols import NumberFieldElem, hilbert, is_square_in_number_field, support_places
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     failures: list[str]

@@ -435,8 +435,9 @@ def test_reducible_qx_residues_output(capsys):
         {"x + 2", "x + 3", "x^2 + 1"}
 
 
-# Each subcommand imports only the layers it runs: a fresh interpreter per
-# command lists the package modules it loaded.
+# Each subcommand imports only the layers it runs, and no process imports
+# `dataclasses` (with `inspect`, about 14 ms of start-up): a fresh interpreter
+# per command lists the package modules it loaded.
 LAYERS_SCRIPT = """
 import json
 import sys
@@ -445,7 +446,8 @@ import quatbrauer.cli
 
 code = quatbrauer.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules
-                                                 if m.startswith("quatbrauer."))}))
+                                                 if m.startswith("quatbrauer.")),
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 FUNCTION_FIELD_LAYERS = {"quatbrauer.funcfield", "quatbrauer.funcfield_fp",
                          "quatbrauer.funcfield_q", "quatbrauer.selftest",
@@ -461,6 +463,9 @@ Q_LAYERS = {"quatbrauer.local_symbols", "quatbrauer.brauer_q", "quatbrauer.funcf
     (["ffx", "residues", "--char", "5", "-f", "x^2 + 2", "-g", "x"], Q_LAYERS),
     (["ffx", "isom", "--char", "7", "-f1", "(x^2+1)*(x+3)", "-g1", "3",
       "-f2", "x^3 + 3*x^2 + x + 3", "-g2", "5/2"], Q_LAYERS),
+    (["qx", "isom", "-f1", "x^2+1", "-g1", "3", "-f2", "x^2+1", "-g2", "5"],
+     {"quatbrauer.funcfield_fp", "quatbrauer.selftest"}),
+    (["selftest", "--cases", "2"], set()),
 ])
 def test_subcommand_loads_only_its_layers(argv, unloaded):
     out = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, json.dumps(argv)],
@@ -468,6 +473,7 @@ def test_subcommand_loads_only_its_layers(argv, unloaded):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["code"] == 0 and not unloaded & set(result["loaded"]), result
+    assert not result["dataclasses"], result
 
 
 def test_subset_budget_gives_exit_3(capsys, monkeypatch):

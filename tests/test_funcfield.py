@@ -17,7 +17,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatbrauer import exact_arith, funcfield_fp, funcfield_q
+from quatbrauer import exact_arith, funcfield, funcfield_fp, funcfield_q
 from quatbrauer.errors import DomainError
 from quatbrauer.exact_arith import (
     PolyFp,
@@ -502,6 +502,30 @@ def test_a_constant_multiple_is_split_once(p):
     s = "(x^2 + 1)^2*(x + 3)"
     f = polyfp_from_string(s, p) if p else poly_from_string(s)
     assert squarefree_parts(f.scalar(3) * f) is squarefree_parts(f)
+
+
+def test_the_characteristic_is_proved_prime_once(monkeypatch):
+    calls = []
+    is_prime = funcfield.is_prime
+    monkeypatch.setattr(funcfield, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    funcfield.check_char.cache_clear()
+    p = 2**31 - 1
+    for c in range(1, 51):
+        FactoredFunc.from_poly(PolyFp.make(p, [c, 1, 1]))
+    assert calls == [p]
+
+
+@pytest.mark.parametrize("p", [2, 9, 2**31])
+def test_a_bad_characteristic_is_refused_on_every_call(p):
+    funcfield.check_char.cache_clear()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            funcfield.check_char(p)
+    if p != 2:  # PolyFp refuses characteristic 2 itself
+        f = PolyFp(p, (1, 1))
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                FactoredFunc.from_poly(f)
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
