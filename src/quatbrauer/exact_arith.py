@@ -63,8 +63,8 @@ _GCD_SCREEN_PRIME = 1073741789
 # primality and integer factorization
 # ---------------------------------------------------------------------------
 
-def is_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin.  Deterministic below 2**64, probabilistic above."""
+def is_prime(n: int) -> bool:
+    """Miller-Rabin: deterministic below 2**64; above, 64 bases seeded by n."""
     if n < 2:
         return False
     for p in _MR_BASES_64:
@@ -87,8 +87,8 @@ def is_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool
 
     if n < 2**64:
         return not any(witness(a) for a in _MR_BASES_64)
-    rng = rng or random.Random(0xC0FFEE ^ n)
-    return not any(witness(rng.randrange(2, n - 1)) for _ in range(rounds))
+    rng = random.Random(0xC0FFEE ^ n)
+    return not any(witness(rng.randrange(2, n - 1)) for _ in range(64))
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
@@ -624,7 +624,11 @@ def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
 # ---------------------------------------------------------------------------
 
 class PolyFp(NamedTuple):
-    """Dense polynomial over F_p (p an odd prime), trimmed, reduced mod p."""
+    """Dense polynomial over F_p (p an odd prime), trimmed, reduced mod p.
+    The ring operations (`+`, `-`, `*`, `monic`, `divmod` by a polynomial
+    with a unit leading coefficient) also serve an odd prime power p, for
+    Hensel lifting; the characteristic-p code (`fq_char`, `factor_poly_fp`,
+    the p-th root in `squarefree_parts`, `check_char`) never gets one."""
 
     p: int
     coeffs: tuple[int, ...]
@@ -687,7 +691,9 @@ class PolyFp(NamedTuple):
         return PolyFp.reduced(self.p, [-c for c in self.coeffs])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        return self + (-other)
+        self._chk(other)
+        return PolyFp.reduced(self.p, [a - b for a, b in
+                                       zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._chk(other)

@@ -184,15 +184,15 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
 
 def is_division_qx(D: QuaternionFF, rng: random.Random | None = None
                    ) -> tuple[bool, str]:
-    """A quaternion over Q(x) is division iff its class is nonzero: some
-    residue is nontrivial, or the constant specialization is nonzero."""
-    ramified = residue_support([(D.f, D.g)], partial(_nonsquare_places, rng=rng))
-    if ramified:
-        return True, f"ramified at {ramified[0]}"
-    alpha = next(_unit_points([D.f, D.g]))
-    c = class_of_quaternion(specialize(D, alpha))
-    if not c.is_zero():
-        return True, f"nonzero constant class {c} at x = {alpha}"
+    """A quaternion over Q(x) is division iff its class is nonzero, that is
+    iff it is not isomorphic to the split algebra (1, 1)."""
+    one = FactoredFunc.from_constant(1)
+    verdict = is_isomorphic_qx(D, QuaternionFF(one, one), rng)
+    alpha = verdict.specialization_point
+    if verdict.witness_place is not None:
+        return True, f"ramified at {verdict.witness_place}"
+    if not verdict.isomorphic:
+        return True, f"nonzero constant class {verdict.witness_invariants} at x = {alpha}"
     return False, f"split: unramified everywhere and trivial class at x = {alpha}"
 
 

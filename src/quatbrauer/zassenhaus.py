@@ -11,7 +11,7 @@ first split, so a process that never splits does not compile it.
 
 from __future__ import annotations
 
-from itertools import combinations, zip_longest
+from itertools import combinations
 from math import comb, gcd, isqrt, prod
 
 from .errors import BudgetError
@@ -19,10 +19,7 @@ from .exact_arith import (
     IRREDUCIBILITY_PRIMES,
     PolyFp,
     PolyQ,
-    _product,
     _pseudo_reduce,
-    _reduce,
-    _trimmed,
     factor_poly_fp,
     is_prime,
     poly_inverse,
@@ -48,10 +45,10 @@ def split_q(f: PolyQ, degrees: int, splits) -> list[PolyQ]:
     while p**e <= bound:
         e += 1
     return [PolyQ.reduced(g, g[-1])
-            for g in _recombine(F, _hensel_lift(F, factors, p, p**e), p**e, degrees, f)]
+            for g in _recombine(F, _hensel_lift(F, factors, p**e), p**e, degrees, f)]
 
 
-def _hensel_prime(f: PolyQ, splits) -> tuple[int, list[list[int]]]:
+def _hensel_prime(f: PolyQ, splits) -> tuple[int, list[PolyFp]]:
     """(p, the monic factors of f mod p): of the splits where f stays
     squarefree mod p, one with the fewest factors.  Further primes are
     factored only when every screened prime divides the discriminant."""
@@ -64,7 +61,7 @@ def _hensel_prime(f: PolyQ, splits) -> tuple[int, list[list[int]]]:
             if all(m == 1 for _, m in facs):
                 good.append((len(facs), p, facs))
     _, p, facs = min(good, key=lambda t: t[:2])
-    return p, [list(h.coeffs) for h, _ in facs]
+    return p, [h for h, _ in facs]
 
 
 def _coefficient_bound(F: list[int]) -> int:
@@ -77,61 +74,39 @@ def _coefficient_bound(F: list[int]) -> int:
                     for j in range(k + 1))
 
 
-# -- coefficient lists mod m, low degree first --------------------------------
-
-def _add(a, b, m: int) -> list[int]:
-    return _trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)], m)
-
-
-def _sub(a, b, m: int) -> list[int]:
-    return _trimmed([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
-
-
-def _mul(a, b, m: int) -> list[int]:
-    return _trimmed(_product(a, b), m)
-
-
-def _divmod(a, h, m: int) -> tuple[list[int], list[int]]:
-    """(q, r) with a = q h + r mod m, h monic."""
-    r = list(a)
-    q = _reduce(r, h, m)
-    return _trimmed(q, m), _trimmed(r[:len(h) - 1], m)
-
-
-def _hensel_step(f, g, h, s, t, m: int):
+def _hensel_step(f, g, h, s, t):
     """One step of vzGG Algorithm 15.10: from f = g h and s g + t h = 1 mod
-    m0, h monic, to the same mod m, for m0 | m | m0^2."""
-    e = _sub(f, _mul(g, h, m), m)
-    q, r = _divmod(_mul(s, e, m), h, m)
-    g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
-    h = _add(h, r, m)
-    b = _sub(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m)
-    c, d = _divmod(_mul(s, b, m), h, m)
-    return g, h, _sub(s, d, m), _sub(t, _add(_mul(t, b, m), _mul(c, g, m), m), m)
+    m0, h monic, to the same mod m, for m0 | m | m0^2.  All five arguments
+    are polynomials over Z/m, the ring of the result."""
+    e = f - g * h
+    q, r = (s * e).divmod(h)
+    g, h = g + t * e + q * g, h + r
+    b = s * g + t * h - s.scalar(1)
+    c, d = (s * b).divmod(h)
+    return g, h, s - d, t - t * b - c * g
 
 
-def _hensel_lift(F: list[int], factors: list[list[int]], p: int, pe: int) -> list[list[int]]:
-    """Monic u_i mod pe = p^e with F = lc(F) prod u_i mod pe, from the monic
-    factors of F mod p: the first factor, times lc(F), is lifted against the
-    product of the rest, then the lifted rest is split the same way."""
-    lifted, rest, lc = [], F, F[-1]
+def _hensel_lift(F: list[int], factors: list[PolyFp], pe: int) -> list[PolyFp]:
+    """Monic u_i over Z/pe, pe a power of p, with F = lc(F) prod u_i mod pe,
+    from the monic factors of F mod p: the first factor, times lc(F), is
+    lifted against the product of the rest, then the lifted rest is split
+    the same way."""
+    lifted, rest = [], PolyFp.reduced(pe, F)
     for i, u in enumerate(factors[:-1]):
-        g, h = [c * lc % p for c in u], [1]
-        for v in factors[i + 1:]:
-            h = _mul(h, v, p)
-        s = poly_inverse(PolyFp.reduced(p, g), PolyFp(p, tuple(h)))
-        t = _divmod(_sub([1], _mul(s.coeffs, g, p), p), h, p)[0]
-        s, m = list(s.coeffs), p
+        g = u * u.scalar(rest.lc())
+        h = prod(factors[i + 1:], start=u.scalar(1))
+        s = poly_inverse(g, h)
+        t = (u.scalar(1) - s * g).divmod(h)[0]
+        m = u.p
         while m < pe:
             m = min(m * m, pe)
-            g, h, s, t = _hensel_step(rest, g, h, s, t, m)
-        inv = pow(lc, -1, pe)
-        lifted.append([c * inv % pe for c in g])
-        rest, lc = h, 1
+            g, h, s, t = _hensel_step(*(PolyFp.reduced(m, a.coeffs) for a in (rest, g, h, s, t)))
+        lifted.append(g.monic())
+        rest = h
     return lifted + [rest]
 
 
-def _recombine(F: list[int], lifted: list[list[int]], pe: int, degrees: int,
+def _recombine(F: list[int], lifted: list[PolyFp], pe: int, degrees: int,
                f: PolyQ) -> list[list[int]]:
     """The primitive irreducible factors of F in Z[x], positive leading
     coefficients.  Subsets S of the lifted factors are taken by size k, from
@@ -148,16 +123,14 @@ def _recombine(F: list[int], lifted: list[list[int]], pe: int, degrees: int,
             tried += 1
             if tried > MAX_SUBSETS:
                 raise BudgetError(f"no split of {f} within {MAX_SUBSETS} recombined subsets")
-            if not degrees >> sum(len(lifted[i]) - 1 for i in S) & 1:
+            if not degrees >> sum(lifted[i].degree for i in S) & 1:
                 continue
-            c0 = b * prod(lifted[i][0] for i in S) % pe
+            c0 = b * prod(lifted[i].coeffs[0] for i in S) % pe
             c0 -= pe if c0 > half else 0
             if b * F[0] % c0 if c0 else F[0]:
                 continue
-            g = [b]
-            for i in S:
-                g = [c % pe for c in _product(g, lifted[i])]
-            g = [c - pe if c > half else c for c in g]
+            g = prod((lifted[i] for i in S), start=PolyFp.const(pe, b))
+            g = [c - pe if c > half else c for c in g.coeffs]
             content = gcd(*g) if g[-1] > 0 else -gcd(*g)
             g = [c // content for c in g]
             r = list(F)

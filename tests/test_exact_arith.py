@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, prod
 
 import pytest
@@ -481,16 +482,12 @@ class TestZassenhaus:
         # factor mod p
         from quatbrauer import zassenhaus
         F = list(FOUR_SEXTICS.nums)
-        p, factors = 13, [list(h.coeffs) for h, _ in factor_poly_fp(
-            polyfp_from_polyq(FOUR_SEXTICS.monic(), 13))[1]]
+        factors = [h for h, _ in factor_poly_fp(polyfp_from_polyq(FOUR_SEXTICS.monic(), 13))[1]]
         pe = 13**9
-        lifted = zassenhaus._hensel_lift(F, factors, p, pe)
-        assert [[c % p for c in u] for u in lifted] == factors
-        assert all(u[-1] == 1 for u in lifted)
-        back = [F[-1]]
-        for u in lifted:
-            back = [c % pe for c in zassenhaus._product(back, u)]
-        assert back == [c % pe for c in F]
+        lifted = zassenhaus._hensel_lift(F, factors, pe)
+        assert [PolyFp.reduced(13, u.coeffs) for u in lifted] == factors
+        assert all(u.p == pe and u.is_monic() for u in lifted)
+        assert prod(lifted, start=PolyFp.const(pe, F[-1])) == PolyFp.reduced(pe, F)
 
 
 class TestGcdScreen:
@@ -735,6 +732,61 @@ class TestPolyFp:
                 for _ in range(m):
                     prod = prod * h
             assert prod == f
+
+
+def _mod(cs, m):
+    """Integer coefficients reduced mod m, trailing zeros dropped."""
+    out = [c % m for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+COEFFS = st.lists(st.integers(-10**9, 10**9), max_size=8)
+
+
+class TestPolyFpModPrimePower:
+    """The ring operations over Z/p^e, the contract Hensel lifting uses,
+    against integer lists reduced mod p^e."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 13]), st.integers(1, 6), COEFFS, COEFFS)
+    def test_add_sub_mul(self, p, e, a, b):
+        m = p**e
+        fa, fb = PolyFp.reduced(m, a), PolyFp.reduced(m, b)
+        assert list(fa.coeffs) == _mod(a, m)
+        assert list((fa + fb).coeffs) == _mod([x + y for x, y in zip_longest(a, b, fillvalue=0)], m)
+        assert list((fa - fb).coeffs) == _mod([x - y for x, y in zip_longest(a, b, fillvalue=0)], m)
+        assert list((fa * fb).coeffs) == _mod(_schoolbook(a, b), m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 13]), st.integers(1, 6), COEFFS,
+           st.lists(st.integers(-10**9, 10**9), max_size=5))
+    def test_divmod_by_a_monic(self, p, e, a, h):
+        # a = q h + r with deg r < deg h, q and r reduced mod p^e
+        m, h = p**e, h + [1]
+        q, r = PolyFp.reduced(m, a).divmod(PolyFp.reduced(m, h))
+        assert all(0 <= c < m for c in q.coeffs + r.coeffs)
+        assert len(r.coeffs) < len(h)
+        qh = _schoolbook(list(q.coeffs), h)
+        assert _mod([x + y for x, y in zip_longest(qh, r.coeffs, fillvalue=0)], m) == _mod(a, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 13]), st.integers(1, 6), COEFFS, st.integers(1, 10**9))
+    def test_monic_of_a_unit_leading_coefficient(self, p, e, a, lc):
+        assume(lc % p)
+        m = p**e
+        u = PolyFp.reduced(m, a + [lc]).monic()
+        assert u.p == m and u.coeffs[-1] == 1 and len(u.coeffs) == len(a) + 1
+        assert _mod([c * lc for c in u.coeffs], m) == _mod(a + [lc], m)
 
 
 def _irreducible(h: PolyFp) -> bool:
