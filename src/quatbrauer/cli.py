@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 from .errors import BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
@@ -71,12 +72,10 @@ def cmd_hilbert(args) -> int:
     a, b = _fraction(args.a), _fraction(args.b)
     if args.all:
         syms = {str(v): hilbert(a, b, v) for v in support_places(a, b)}
-        prod = 1
-        for s in syms.values():
-            prod *= s
-        _emit(args, {"symbols": syms, "product": prod},
+        product = prod(syms.values())
+        _emit(args, {"symbols": syms, "product": product},
               "\n".join(f"({a}, {b})_{v} = {s}" for v, s in syms.items())
-              + f"\nproduct = {prod}")
+              + f"\nproduct = {product}")
     else:
         place = REAL if args.real else PlaceQ.finite(args.p)
         s = hilbert(a, b, place)
@@ -147,14 +146,7 @@ def cmd_qx_isom(args) -> int:
     D1 = QuaternionFF(_funcfield(args.f1), _funcfield(args.g1))
     D2 = QuaternionFF(_funcfield(args.f2), _funcfield(args.g2))
     verdict = is_isomorphic_qx(D1, D2, random.Random(args.seed))
-    human = "isomorphic" if verdict.isomorphic else "not isomorphic"
-    if verdict.witness_place is not None:
-        human += f" (witness place: {verdict.witness_place})"
-    if verdict.witness_invariants is not None:
-        human += f" (witness invariants: {verdict.witness_invariants})"
-    if verdict.specialization_point is not None:
-        human += f" [specialized at x = {verdict.specialization_point}]"
-    _emit(args, verdict.to_json(), human)
+    _emit(args, verdict.to_json(), str(verdict))
     return 0
 
 
@@ -187,9 +179,7 @@ def cmd_ffx_isom(args) -> int:
     from .funcfield_fp import is_isomorphic_fpx
     f1, g1, f2, g2 = _fp_entries(args, args.f1, args.g1, args.f2, args.g2)
     verdict = is_isomorphic_fpx((f1, g1), (f2, g2))
-    human = "isomorphic" if verdict.isomorphic else \
-        f"not isomorphic (witness place: {verdict.witness_place})"
-    _emit(args, verdict.to_json(), human)
+    _emit(args, verdict.to_json(), str(verdict))
     return 0
 
 
@@ -311,10 +301,11 @@ def _env_int(name: str, default: int, positive: bool = False) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    lift_cap = None  # the square budget before this call, restored on return
     try:
         if budget := _env_int("QUATBRAUER_SQUARE_BUDGET", 0, positive=True):
             from . import local_symbols
-            local_symbols.MAX_LIFT_EXPONENT = budget
+            lift_cap, local_symbols.MAX_LIFT_EXPONENT = local_symbols.MAX_LIFT_EXPONENT, budget
         if args.seed is None:
             args.seed = _env_int("QUATBRAUER_SEED", 0)
         return args.func(args)
@@ -330,6 +321,9 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if lift_cap is not None:
+            local_symbols.MAX_LIFT_EXPONENT = lift_cap
 
 
 if __name__ == "__main__":

@@ -183,27 +183,23 @@ class FactoredRational(_FactoredRationalFields):
                                 tuple(sorted(set(self.probable + other.probable))))
 
 
-def factor_int(n: int, rng: random.Random | None = None) -> FactoredRational:
-    """Factor a nonzero integer into certified primes."""
+def factor_int(n: int) -> FactoredRational:
+    """Factor a nonzero integer into certified primes, sorted."""
     if n == 0:
         raise DomainError("cannot factor zero")
-    rng = rng or random.Random(0x5EED)
-    facs = _factor_positive(abs(n), rng)
+    facs = _factor_positive(abs(n), random.Random(0x5EED))
     probable = tuple(sorted(p for p in facs if p >= 2**64))
     return FactoredRational(1 if n > 0 else -1, tuple(sorted(facs.items())), probable)
 
 
-def factor_rational(q: Fraction | int, rng: random.Random | None = None) -> FactoredRational:
+def factor_rational(q: Fraction | int) -> FactoredRational:
     """Factor a nonzero rational; denominator primes get negative exponents."""
     q = Fraction(q)
-    if q == 0:
-        raise DomainError("cannot factor zero")
-    num = factor_int(q.numerator, rng)
+    num = factor_int(q.numerator)  # raises on zero
     if q.denominator == 1:
         return num
-    den = factor_int(q.denominator, rng)
-    inv = FactoredRational(den.sign, tuple((p, -e) for p, e in den.factors), den.probable)
-    return num * inv
+    den = factor_int(q.denominator)
+    return num * FactoredRational(den.sign, tuple((p, -e) for p, e in den.factors), den.probable)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,9 @@ class PolyQ(NamedTuple):
         return PolyQ(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
+        da, db = self.den, other.den
+        return PolyQ.reduced([u * db - v * da for u, v in
+                              zip_longest(self.nums, other.nums, fillvalue=0)], da * db)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         return PolyQ.reduced(_product(self.nums, other.nums), self.den * other.den)

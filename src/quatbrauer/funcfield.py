@@ -20,11 +20,15 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
 from .exact_arith import (DEFAULT_DEGREE_CAP, PolyFp, PolyQ, factor_key, is_prime,
                           squarefree_parts)
+
+if TYPE_CHECKING:
+    from .brauer_q import BrauerClassQ
+    from .local_symbols import NumberFieldElem
 
 MAX_CHAR = 2**31
 MAX_DEGREE = 64  # F_p(x) entries of higher degree are refused before factoring
@@ -235,3 +239,39 @@ def residue_support(pairs, nonsquare_places) -> list[Place]:
     pairs = list(zip(entries[::2], entries[1::2]))
     return sorted((v for h in basis if (bases := odd_tame_bases(h, *pairs))
                    for v in nonsquare_places(h.modulus, bases)), key=Place.sort_key)
+
+
+class IsomorphismVerdict(NamedTuple):
+    """Isomorphism over K(x), and why.  Br(F_p) = 0, so a verdict over F_p(x)
+    sets only `isomorphic` and `witness_place`."""
+
+    isomorphic: bool
+    witness_place: Place | None = None
+    witness_symbols: tuple[NumberFieldElem, NumberFieldElem] | None = None
+    witness_invariants: BrauerClassQ | None = None
+    specialization_point: Fraction | None = None
+    citations: tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        out: dict = {"isomorphic": self.isomorphic}
+        if self.citations:
+            out["citations"] = list(self.citations)
+        if self.witness_place is not None:
+            out["witness_place"] = str(self.witness_place)
+        if self.witness_symbols is not None:
+            out["witness_symbols"] = [str(s.value) for s in self.witness_symbols]
+        if self.witness_invariants is not None:
+            out["witness_invariants"] = self.witness_invariants.to_json()
+        if self.specialization_point is not None:
+            out["specialization_point"] = str(self.specialization_point)
+        return out
+
+    def __str__(self) -> str:
+        out = "isomorphic" if self.isomorphic else "not isomorphic"
+        if self.witness_place is not None:
+            out += f" (witness place: {self.witness_place})"
+        if self.witness_invariants is not None:
+            out += f" (witness invariants: {self.witness_invariants})"
+        if self.specialization_point is not None:
+            out += f" [specialized at x = {self.specialization_point}]"
+        return out

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalError
 from .exact_arith import PolyFp, fq_char, irreducible_factors_fp
-from .funcfield import FactoredFunc, Place, odd_tame_bases, residue_support
+from .funcfield import FactoredFunc, IsomorphismVerdict, Place, odd_tame_bases, residue_support
 
 FactoredFuncFp = FactoredFunc  # the name callers of this module import
 
@@ -66,19 +66,8 @@ def class_fp(f: FactoredFunc, g: FactoredFunc) -> QuatClassFp:
     return QuatClassFp(f.p, tuple(support))
 
 
-class VerdictFp(NamedTuple):
-    isomorphic: bool
-    witness_place: Place | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {"isomorphic": self.isomorphic}
-        if self.witness_place is not None:
-            out["witness_place"] = str(self.witness_place)
-        return out
-
-
 def is_isomorphic_fpx(pair1: tuple[FactoredFunc, FactoredFunc],
-                      pair2: tuple[FactoredFunc, FactoredFunc]) -> VerdictFp:
+                      pair2: tuple[FactoredFunc, FactoredFunc]) -> IsomorphismVerdict:
     """Over F_p(x) the class is its residue vector, so isomorphism is
     equality of residue vectors; the witness is the first differing place."""
     f1, g1 = pair1
@@ -87,6 +76,6 @@ def is_isomorphic_fpx(pair1: tuple[FactoredFunc, FactoredFunc],
         raise DomainError("characteristic mismatch")
     c1, c2 = class_fp(f1, g1), class_fp(f2, g2)
     if c1 == c2:
-        return VerdictFp(True)
+        return IsomorphismVerdict(True)
     diff = sorted(set(c1.residues) ^ set(c2.residues), key=Place.sort_key)
-    return VerdictFp(False, witness_place=diff[0])
+    return IsomorphismVerdict(False, witness_place=diff[0])

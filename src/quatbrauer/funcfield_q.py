@@ -16,10 +16,10 @@ from functools import partial
 from itertools import count
 from typing import NamedTuple
 
-from .brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
+from .brauer_q import QuaternionQ, class_of_quaternion
 from .errors import DomainError
 from .exact_arith import PolyQ, RatFuncQ, irreducible_factors_q, sqrt_fraction
-from .funcfield import FactoredFunc, Place, residue_support, tame_terms
+from .funcfield import FactoredFunc, IsomorphismVerdict, Place, residue_support, tame_terms
 from .local_symbols import (
     NumberFieldElem,
     SquareClassVerdict,
@@ -94,28 +94,6 @@ def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
     classes is the specialization homomorphism."""
     alpha = Fraction(alpha)
     return QuaternionQ.make(D.f.value_at(alpha), D.g.value_at(alpha))
-
-
-class IsomorphismVerdict(NamedTuple):
-    isomorphic: bool
-    witness_place: Place | None = None
-    witness_symbols: tuple[NumberFieldElem, NumberFieldElem] | None = None
-    witness_invariants: BrauerClassQ | None = None
-    specialization_point: Fraction | None = None
-    citations: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        out: dict = {"isomorphic": self.isomorphic,
-                     "citations": list(self.citations)}
-        if self.witness_place is not None:
-            out["witness_place"] = str(self.witness_place)
-            s1, s2 = self.witness_symbols
-            out["witness_symbols"] = [str(s1.value), str(s2.value)]
-        if self.witness_invariants is not None:
-            out["witness_invariants"] = self.witness_invariants.to_json()
-        if self.specialization_point is not None:
-            out["specialization_point"] = str(self.specialization_point)
-        return out
 
 
 def _nonsquare_places(h: PolyQ, bases: list[PolyQ],

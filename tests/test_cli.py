@@ -284,16 +284,36 @@ class TestFfx:
         assert "Traceback" not in err
 
 
-# The exact --json stdout of qx and ffx commands, recorded before their
-# residue step moved into `funcfield.residue_support`; a refactor keeps it.
+# The exact stdout of pinned commands, each recorded before a refactor that
+# keeps it: --json qx and ffx commands, then human output (the commands a CI
+# job runs without sympy, and one per verdict shape that those lack).
 PINNED = json.loads((Path(__file__).with_name("cli_pinned.json")).read_text())
 
 
-@pytest.mark.parametrize("case", PINNED, ids=[" ".join(c["argv"][1:3]) for c in PINNED])
+def _pin_id(argv: list[str]) -> str:
+    if argv[0] == "--json":
+        return " ".join(argv[1:3])
+    return " ".join(a for a in argv[:2] if not a.startswith("-")) + " text"
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[_pin_id(c["argv"]) for c in PINNED])
 def test_json_output_is_pinned(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert code == 0, err
     assert out == case["stdout"]
+
+
+def test_square_budget_lasts_one_call(capsys, monkeypatch):
+    """A budget read from the environment is gone once its call returns: a
+    later call in the same process decides what a fresh process decides."""
+    pin = next(c for c in PINNED if c["argv"][:3] == ["--json", "--seed", "7"])
+    cap = local_symbols.MAX_LIFT_EXPONENT
+    monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", cap)  # restored even on failure
+    monkeypatch.setenv("QUATBRAUER_SQUARE_BUDGET", "4")
+    assert run(capsys, "qx", "residues", "-f", "x^2+1", "-g", "3")[:2] == (0, "x^2 + 1: ramified\n")
+    monkeypatch.delenv("QUATBRAUER_SQUARE_BUDGET")
+    assert local_symbols.MAX_LIFT_EXPONENT == cap
+    assert run(capsys, *pin["argv"]) == (0, pin["stdout"], "")
 
 
 @pytest.mark.parametrize("name,value", [("QUATBRAUER_SEED", "abc"),

@@ -2,7 +2,8 @@
 
 Each record class, listed here with its fields, must refuse attribute
 assignment, hash as the tuple of its fields (RatFuncQ and SuiteResult are
-unhashable), and print as `Name(field=value, ...)`.
+unhashable), and print as `Name(field=value, ...)`.  IsomorphismVerdict is
+checked twice, as a Q(x) and as an F_p(x) verdict.
 """
 
 import random
@@ -21,10 +22,9 @@ from quatbrauer import (
 )
 from quatbrauer.brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from quatbrauer.exact_arith import FactoredRational, PolyFp, PolyQ, RatFuncQ, factor_rational
-from quatbrauer.funcfield import FactoredFunc, Place
-from quatbrauer.funcfield_fp import QuatClassFp, VerdictFp, class_fp, is_isomorphic_fpx
+from quatbrauer.funcfield import FactoredFunc, IsomorphismVerdict, Place
+from quatbrauer.funcfield_fp import QuatClassFp, class_fp, is_isomorphic_fpx
 from quatbrauer.funcfield_q import (
-    IsomorphismVerdict,
     QuaternionFF,
     ResidueCharacter,
     is_isomorphic_qx,
@@ -74,8 +74,6 @@ RECORDS = {
     FactoredFunc: (("constant", "factors"),
                    lambda: FactoredFunc.from_poly(PolyQ.make([-2, 0, 0, 3]))),
     QuatClassFp: (("p", "residues"), lambda: class_fp(*_fp_pair(3))),
-    VerdictFp: (("isomorphic", "witness_place"),
-                lambda: is_isomorphic_fpx(_fp_pair(3), _fp_pair(5))),
     QuaternionFF: (("f", "g"), lambda: _qff(3)),
     ResidueCharacter: (("place", "symbol", "trivial", "verdict"),
                        lambda: residue_at(_qff(3), Place(GAUSS), random.Random(2))),
@@ -87,6 +85,10 @@ RECORDS = {
 }
 # equal RatFuncQ values may have different (num, den); SuiteResult holds a list
 UNHASHABLE = {RatFuncQ, SuiteResult}
+# case -> (class, fields, make): one case per class, and an F_p(x) verdict
+CASES = {cls.__name__: (cls, *entry) for cls, entry in RECORDS.items()}
+CASES["IsomorphismVerdict-Fp"] = (IsomorphismVerdict, RECORDS[IsomorphismVerdict][0],
+                                  lambda: is_isomorphic_fpx(_fp_pair(3), _fp_pair(1)))
 
 
 def test_every_record_class_is_listed():
@@ -98,9 +100,9 @@ def test_every_record_class_is_listed():
     assert defined == set(RECORDS)
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
-def test_fields_cannot_be_assigned(cls):
-    fields, make = RECORDS[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_fields_cannot_be_assigned(case):
+    cls, fields, make = CASES[case]
     obj = make()
     assert type(obj) is cls
     for name in (*fields, "extra"):
@@ -108,9 +110,9 @@ def test_fields_cannot_be_assigned(cls):
             setattr(obj, name, None)
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
-def test_equal_records_hash_equal(cls):
-    fields, make = RECORDS[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_equal_records_hash_equal(case):
+    cls, fields, make = CASES[case]
     a, b = make(), make()
     assert a == b and not a != b
     if cls in UNHASHABLE:
@@ -120,11 +122,21 @@ def test_equal_records_hash_equal(cls):
         assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
-def test_repr_names_every_field(cls):
-    fields, make = RECORDS[cls]
+@pytest.mark.parametrize("case", CASES)
+def test_repr_names_every_field(case):
+    cls, fields, make = CASES[case]
     obj = make()
     assert repr(obj) == f"{cls.__name__}({', '.join(f'{f}={getattr(obj, f)!r}' for f in fields)})"
+
+
+@pytest.mark.parametrize("g,keys", [(1, {"isomorphic", "witness_place"}),
+                                    (5, {"isomorphic"})])
+def test_fp_verdict_sets_only_residue_fields(g, keys):
+    """Br(F_p) = 0: an F_p(x) verdict has no symbols, invariants, point or citations."""
+    v = is_isomorphic_fpx(_fp_pair(3), _fp_pair(g))
+    assert type(v) is IsomorphismVerdict and v.isomorphic == (g == 5)
+    assert set(v.to_json()) == keys
+    assert v._replace(witness_place=None) == IsomorphismVerdict(v.isomorphic)
 
 
 def test_ratfunc_equality_is_by_value():
