@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from math import prod
@@ -132,8 +131,7 @@ def cmd_qx_residues(args) -> int:
     from .funcfield import places
     from .funcfield_q import QuaternionFF, residue_at
     D = QuaternionFF(_funcfield(args.f), _funcfield(args.g))
-    rng = random.Random(args.seed)
-    table = {str(v): residue_at(D, v, rng).to_json() for v in places(D.f, D.g)}
+    table = {str(v): residue_at(D, v).to_json() for v in places(D.f, D.g)}
     ram = [v for v, t in table.items() if not t["trivial"]]
     _emit(args, {"residues": table, "ramified": ram},
           "\n".join(f"{v}: {'trivial' if t['trivial'] else 'ramified'}"
@@ -145,7 +143,7 @@ def cmd_qx_isom(args) -> int:
     from .funcfield_q import QuaternionFF, is_isomorphic_qx
     D1 = QuaternionFF(_funcfield(args.f1), _funcfield(args.g1))
     D2 = QuaternionFF(_funcfield(args.f2), _funcfield(args.g2))
-    verdict = is_isomorphic_qx(D1, D2, random.Random(args.seed))
+    verdict = is_isomorphic_qx(D1, D2)
     _emit(args, verdict.to_json(), str(verdict))
     return 0
 
@@ -220,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Q, Q(x) and F_p(x)")
     top.add_argument("--json", action="store_true", help="machine-readable output")
     top.add_argument("--seed", type=int,
-                     help="seed for Las Vegas subroutines (default: QUATBRAUER_SEED or 0)")
+                     help="seed of selftest's random cases (default: QUATBRAUER_SEED or 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hilbert", help="Hilbert symbols over Q")
@@ -303,7 +301,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     lift_cap = None  # the square budget before this call, restored on return
     try:
-        if budget := _env_int("QUATBRAUER_SQUARE_BUDGET", 0, positive=True):
+        budget = _env_int("QUATBRAUER_SQUARE_BUDGET", 0, positive=True)
+        if budget and args.command in ("qx", "selftest"):  # the square test's commands
             from . import local_symbols
             lift_cap, local_symbols.MAX_LIFT_EXPONENT = local_symbols.MAX_LIFT_EXPONENT, budget
         if args.seed is None:

@@ -122,8 +122,9 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             return g
 
 
-def _factor_positive(n: int, rng: random.Random) -> dict[int, int]:
+def _factor_positive(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
+    rng = random.Random(0x5EED)
     for p in (2, 3, 5):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -187,7 +188,7 @@ def factor_int(n: int) -> FactoredRational:
     """Factor a nonzero integer into certified primes, sorted."""
     if n == 0:
         raise DomainError("cannot factor zero")
-    facs = _factor_positive(abs(n), random.Random(0x5EED))
+    facs = _factor_positive(abs(n))
     probable = tuple(sorted(p for p in facs if p >= 2**64))
     return FactoredRational(1 if n > 0 else -1, tuple(sorted(facs.items())), probable)
 
@@ -973,14 +974,13 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random
     return _edf(h, d, ring, rows, rng) + _edf(g.divmod(h)[0], d, ring, rows, rng)
 
 
-def factor_poly_fp(f: PolyFp, rng: random.Random | None = None
-                   ) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
+def factor_poly_fp(f: PolyFp) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
     """Cantor-Zassenhaus factorization through the Frobenius matrix of each
     squarefree part, in one `ZxRing` per part; returns (unit, monic irreducible
     factors with multiplicity), re-verified by multiplying out."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    rng = rng or random.Random(0xCA2A)
+    rng = random.Random(0xCA2A)
     unit = f.lc()
     factors: list[tuple[PolyFp, int]] = []
     for sqf, mult in squarefree_parts(f):

@@ -18,7 +18,6 @@ carry the constant field: only their ring operations are called here.
 from __future__ import annotations
 
 import functools
-import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -88,7 +87,8 @@ class FactoredFunc(NamedTuple):
         return self.constant.p
 
     @staticmethod
-    def from_poly(f: Poly, rng: random.Random | None = None) -> "FactoredFunc":
+    def from_poly(f: Poly, rng=None) -> "FactoredFunc":
+        """`rng` is read by nothing; it stays for callers that still pass one."""
         if f.is_zero():
             raise DomainError(f"zero is not a unit of {_field(f.p)}")
         if f.p:

@@ -10,9 +10,7 @@ decides it inside Br(Q) via its local invariant vector.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from functools import partial
 from itertools import count
 from typing import NamedTuple
 
@@ -73,20 +71,17 @@ def tame_symbol(D: QuaternionFF, v: Place) -> NumberFieldElem:
     return num * den.inverse()
 
 
-def residue_at(D: QuaternionFF, v: Place,
-               rng: random.Random | None = None) -> ResidueCharacter:
+def residue_at(D: QuaternionFF, v: Place) -> ResidueCharacter:
     """The residue character of D at v: trivial iff the tame symbol is a
     square in the residue field (decided with a certificate)."""
     t = tame_symbol(D, v)
-    verdict = is_square_in_number_field(t, rng=rng)
+    verdict = is_square_in_number_field(t)
     return ResidueCharacter(v, t, verdict.is_square, verdict)
 
 
-def ramification_set(D: QuaternionFF,
-                     rng: random.Random | None = None) -> list[ResidueCharacter]:
+def ramification_set(D: QuaternionFF) -> list[ResidueCharacter]:
     """Nontrivial residue characters, each with its certificate."""
-    return [residue_at(D, v, rng) for v in residue_support(
-        [(D.f, D.g)], partial(_nonsquare_places, rng=rng))]
+    return [residue_at(D, v) for v in residue_support([(D.f, D.g)], _nonsquare_places)]
 
 
 def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
@@ -96,8 +91,7 @@ def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
     return QuaternionQ.make(D.f.value_at(alpha), D.g.value_at(alpha))
 
 
-def _nonsquare_places(h: PolyQ, bases: list[PolyQ],
-                      rng: random.Random | None) -> list[Place]:
+def _nonsquare_places(h: PolyQ, bases: list[PolyQ]) -> list[Place]:
     """The places pi | h where c, the product of the bases in Q[x]/(h), is a
     nonsquare in the component Q[x]/(pi).
 
@@ -111,13 +105,13 @@ def _nonsquare_places(h: PolyQ, bases: list[PolyQ],
     if c.value.degree == 0 and sqrt_fraction(c.value.lc()) is not None:
         return []
     tested = h.degree <= MAX_BASIS_TEST_DEGREE
-    if tested and is_square_in_number_field(c, rng=rng).is_square:
+    if tested and is_square_in_number_field(c).is_square:
         return []
     pis = irreducible_factors_q(h)
     if tested and len(pis) == 1:
         return [Place(h)]
     return [Place(pi) for pi in pis if not is_square_in_number_field(
-        NumberFieldElem.make(pi, c.value), rng=rng).is_square]
+        NumberFieldElem.make(pi, c.value)).is_square]
 
 
 def _unit_points(entries: list[FactoredFunc]):
@@ -129,8 +123,7 @@ def _unit_points(entries: list[FactoredFunc]):
                 yield Fraction(alpha)
 
 
-def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
-                     rng: random.Random | None = None) -> IsomorphismVerdict:
+def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF, rng=None) -> IsomorphismVerdict:
     """Decide isomorphism of two quaternion algebras over Q(x).
 
     Step 1 compares residues: the places where the residues of D1 + D2 are
@@ -138,9 +131,10 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
     `Place.sort_key` order, is reported with both tame symbols.  Step 2
     (equal residues) specializes both at the smallest common unit point and
     compares the constant classes in Br(Q) as local invariant vectors.
+    The verdict depends on the inputs alone; `rng` is read by nothing and
+    stays only for callers that still pass one.
     """
-    witnesses = residue_support([(D1.f, D1.g), (D2.f, D2.g)],
-                                partial(_nonsquare_places, rng=rng))
+    witnesses = residue_support([(D1.f, D1.g), (D2.f, D2.g)], _nonsquare_places)
     if witnesses:
         v = witnesses[0]
         return IsomorphismVerdict(
@@ -160,12 +154,11 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF,
         citations=("specialization homomorphism", "Albert-Hasse-Brauer-Noether"))
 
 
-def is_division_qx(D: QuaternionFF, rng: random.Random | None = None
-                   ) -> tuple[bool, str]:
+def is_division_qx(D: QuaternionFF) -> tuple[bool, str]:
     """A quaternion over Q(x) is division iff its class is nonzero, that is
     iff it is not isomorphic to the split algebra (1, 1)."""
     one = FactoredFunc.from_constant(1)
-    verdict = is_isomorphic_qx(D, QuaternionFF(one, one), rng)
+    verdict = is_isomorphic_qx(D, QuaternionFF(one, one))
     alpha = verdict.specialization_point
     if verdict.witness_place is not None:
         return True, f"ramified at {verdict.witness_place}"
@@ -174,15 +167,14 @@ def is_division_qx(D: QuaternionFF, rng: random.Random | None = None
     return False, f"split: unramified everywhere and trivial class at x = {alpha}"
 
 
-def same_maximal_subfields_qx(D1: QuaternionFF, D2: QuaternionFF,
-                              rng: random.Random | None = None) -> IsomorphismVerdict:
+def same_maximal_subfields_qx(D1: QuaternionFF, D2: QuaternionFF) -> IsomorphismVerdict:
     """Over Q(x) the same-maximal-subfields predicate for division algebras
     coincides with isomorphism; inputs must be division algebras."""
     for name, D in (("first", D1), ("second", D2)):
-        division, why = is_division_qx(D, rng)
+        division, why = is_division_qx(D)
         if not division:
             raise DomainError(f"{name} algebra is not a division algebra ({why})")
-    verdict = is_isomorphic_qx(D1, D2, rng)
+    verdict = is_isomorphic_qx(D1, D2)
     return verdict._replace(citations=verdict.citations + (
         "maximal-subfield equivalence over rational function fields",))
 

@@ -358,9 +358,9 @@ def _factors_and_witness(c: NumberFieldElem, p: int
     return moduli, next((NonsquareWitness(p, h) for h in moduli if fq_char(vp, h) == -1), None)
 
 
-def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = None
-                              ) -> SquareClassVerdict:
+def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:
     """Decide whether c is a square in Q[x]/(pi), with a certificate.
+    Las Vegas with a fixed seed, so the output depends on c alone.
 
     Norm first: pi is monic, so N(c) = Res(pi, c), and a square has a square
     norm; a good prime p with (N / p) = -1 certifies a nonsquare, with all of
@@ -376,7 +376,7 @@ def is_square_in_number_field(c: NumberFieldElem, rng: random.Random | None = No
     """
     if c.is_zero():
         raise DomainError("square test needs a nonzero element")
-    rng = rng or random.Random(0x5C1A55)
+    rng = random.Random(0x5C1A55)  # Tonelli-Shanks nonresidues: the signs of the roots
     pi, value = c.modulus, c.value
 
     # constants that are already rational squares need no p-adic work

@@ -162,7 +162,7 @@ def test_criterion_5_decision_mechanism(capsys):
                                                 rng.randint(1, 9)) ** 2)
         D1 = QuaternionFF(f, g)
         D2 = QuaternionFF(f, g * h * h * s)
-        assert is_isomorphic_qx(D1, D2, rng).isomorphic, (D1, D2)
+        assert is_isomorphic_qx(D1, D2).isomorphic, (D1, D2)
 
     # non-isomorphic by a nontrivial constant class, witnessed by
     # specialization; entries differ from the constants by polynomial squares
@@ -184,7 +184,7 @@ def test_criterion_5_decision_mechanism(capsys):
                           FactoredFunc.from_constant(b1) * sq())
         D2 = QuaternionFF(FactoredFunc.from_constant(a2) * sq(),
                           FactoredFunc.from_constant(b2) * sq())
-        verdict = is_isomorphic_qx(D1, D2, rng)
+        verdict = is_isomorphic_qx(D1, D2)
         assert not verdict.isomorphic, (D1, D2)
         assert verdict.specialization_point is not None
         assert verdict.witness_invariants is not None
@@ -206,10 +206,10 @@ def test_criterion_6_fp_reciprocity(capsys):
         for _ in range(500):
             f = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 5))] + [1]), rng)
+                                for _ in range(rng.randint(1, 5))] + [1]))
             g = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 5))] + [1]), rng)
+                                for _ in range(rng.randint(1, 5))] + [1]))
             prod = 1
             for v in places(f, g):
                 prod *= residue_fp(f, g, v)
@@ -246,7 +246,7 @@ def test_criterion_7_square_tester(capsys):
             continue
         c = NumberFieldElem.make(pi, (r * r) % pi)
         try:
-            verdict = is_square_in_number_field(c, rng=rng)
+            verdict = is_square_in_number_field(c)
         except BudgetError:
             undecided += 1
             continue
@@ -263,7 +263,7 @@ def test_criterion_7_square_tester(capsys):
             continue
         c = NumberFieldElem.make(pi, (PolyQ.const(q) * r * r) % pi)
         try:
-            verdict = is_square_in_number_field(c, rng=rng)
+            verdict = is_square_in_number_field(c)
         except BudgetError:
             undecided += 1
             continue

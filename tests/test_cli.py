@@ -303,6 +303,21 @@ def test_json_output_is_pinned(capsys, case):
     assert out == case["stdout"]
 
 
+def test_qx_residues_does_not_depend_on_the_seed(capsys):
+    """The seed reaches no certificate: the pinned x^2 - 2 root is the same
+    under any seed, and each entry is what `residue_at` certifies on its own."""
+    from quatbrauer.cli import _funcfield
+    from quatbrauer.funcfield import places
+    from quatbrauer.funcfield_q import QuaternionFF, residue_at
+
+    argv = ["qx", "residues", "-f", "(x^2-2)*(x^2+1)^3", "-g", "2"]
+    outs = {run(capsys, "--json", "--seed", seed, *argv)[1] for seed in ("0", "7")}
+    assert len(outs) == 1, outs
+    table = json.loads(outs.pop())["residues"]
+    D = QuaternionFF(_funcfield(argv[3]), _funcfield(argv[5]))
+    assert table == {str(v): residue_at(D, v).to_json() for v in places(D.f, D.g)}
+
+
 def test_square_budget_lasts_one_call(capsys, monkeypatch):
     """A budget read from the environment is gone once its call returns: a
     later call in the same process decides what a fresh process decides."""
@@ -494,6 +509,18 @@ def test_subcommand_loads_only_its_layers(argv, unloaded):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["code"] == 0 and not unloaded & set(result["loaded"]), result
     assert not result["dataclasses"], result
+
+
+def test_square_budget_loads_no_q_layer_for_ffx():
+    """QUATBRAUER_SQUARE_BUDGET is checked for every command, but only the
+    commands that run the square test apply it: `ffx` still loads no Q layer."""
+    argv = ["ffx", "isom", "--char", "5", "-f1", "x", "-g1", "2", "-f2", "x", "-g2", "8"]
+    out = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, json.dumps(argv)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**_child_env(), "QUATBRAUER_SQUARE_BUDGET": "64"})
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["code"] == 0 and "quatbrauer.local_symbols" not in result["loaded"], result
 
 
 def test_subset_budget_gives_exit_3(capsys, monkeypatch):

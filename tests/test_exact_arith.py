@@ -725,7 +725,7 @@ class TestPolyFp:
             p = rng.choice([3, 5, 7, 13])
             f = PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 9))] + [1])
-            unit, facs = factor_poly_fp(f, rng)
+            unit, facs = factor_poly_fp(f)
             prod = PolyFp.const(p, unit)
             for h, m in facs:
                 assert _irreducible(h) and h.is_monic()

@@ -9,7 +9,6 @@ Euler power of the residue-field element).
 import importlib
 import random
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -295,7 +294,7 @@ class TestTameSymbolOracle:
                 num = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [1])
                 den = PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
                 c = FactoredFunc.from_constant(rng.randrange(1, p), p)
-                return c * FactoredFunc.from_poly(num, rng) * FactoredFunc.from_poly(den, rng).inverse()
+                return c * FactoredFunc.from_poly(num) * FactoredFunc.from_poly(den).inverse()
 
             f, g = entry(), entry()
             for v in places(f, g):
@@ -357,7 +356,7 @@ def fp_entries(draw, n):
                                    max_size=3)):
             f = PolyFp.make(p, cs + [1])
             if m:
-                part = FactoredFunc.from_poly(f, random.Random(0))
+                part = FactoredFunc.from_poly(f)
                 out = out * (part if m > 0 else part.inverse())
         return out
 
@@ -387,7 +386,7 @@ def _support_fp(*pairs):
 
 
 def _support_q(*pairs):
-    return residue_support(pairs, partial(funcfield_q._nonsquare_places, rng=None))
+    return residue_support(pairs, funcfield_q._nonsquare_places)
 
 
 @st.composite
@@ -548,8 +547,7 @@ def test_decisions_do_not_depend_on_the_decisions_before(monkeypatch, field):
         f1, g1, f2, g2 = (FactoredFunc.from_poly(e) for e in cases[i])
         if field == "ffx":
             return is_isomorphic_fpx((f1, g1), (f2, g2)).to_json()
-        return is_isomorphic_qx(QuaternionFF(f1, g1), QuaternionFF(f2, g2),
-                                random.Random(i)).to_json()
+        return is_isomorphic_qx(QuaternionFF(f1, g1), QuaternionFF(f2, g2)).to_json()
 
     cold = {}
     for i in range(len(cases)):

@@ -24,7 +24,7 @@ class TestFactoredFuncFp:
             p = rng.choice([3, 5, 7, 11])
             f = PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 7))] + [1])
-            fz = FactoredFunc.from_poly(f, rng)
+            fz = FactoredFunc.from_poly(f)
             assert fz.constant == PolyFp.const(p, 1)  # f is monic
             prod = fz.constant
             for h, m in fz.factors:
@@ -90,10 +90,10 @@ class TestResidues:
             p = rng.choice([3, 5, 7, 11])
             f = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 6))] + [1]), rng)
+                                for _ in range(rng.randint(1, 6))] + [1]))
             g = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 6))] + [1]), rng)
+                                for _ in range(rng.randint(1, 6))] + [1]))
             prod = 1
             for v in places(f, g):
                 prod *= residue_fp(f, g, v)
@@ -115,10 +115,10 @@ class TestClassFp:
             p = rng.choice([3, 5, 7])
             f = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 5))] + [1]), rng)
+                                for _ in range(rng.randint(1, 5))] + [1]))
             g = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 5))] + [1]), rng)
+                                for _ in range(rng.randint(1, 5))] + [1]))
             assert len(class_fp(f, g).residues) % 2 == 0
 
     def test_json(self):
@@ -149,13 +149,13 @@ class TestIsomorphismFp:
             p = rng.choice([3, 5, 7])
             f = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 4))] + [1]), rng)
+                                for _ in range(rng.randint(1, 4))] + [1]))
             g = FactoredFunc.from_poly(
                 PolyFp.make(p, [rng.randrange(p)
-                                for _ in range(rng.randint(1, 4))] + [1]), rng)
+                                for _ in range(rng.randint(1, 4))] + [1]))
             h = PolyFp.make(p, [rng.randrange(p)
                                 for _ in range(rng.randint(1, 3))] + [1])
-            g2 = g * FactoredFunc.from_poly(h * h, rng)
+            g2 = g * FactoredFunc.from_poly(h * h)
             assert is_isomorphic_fpx((f, g), (f, g2)).isomorphic
 
 

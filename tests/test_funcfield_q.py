@@ -328,7 +328,7 @@ def test_common_basis_json_matches_the_per_place_decision(seed):
                 break
             except DomainError:  # a numerator or denominator above the degree cap
                 continue
-        got = json.dumps(is_isomorphic_qx(D1, D2, random.Random(seed)).to_json(), sort_keys=True)
+        got = json.dumps(is_isomorphic_qx(D1, D2).to_json(), sort_keys=True)
         want = json.dumps(_per_place_verdict(D1, D2).to_json(), sort_keys=True)
         assert got == want, (kind, f1, g1, f2, g2)
         kinds.append((kind, json.loads(got).get("witness_place")))
@@ -363,9 +363,9 @@ def test_basis_element_with_many_places_is_split_before_its_test(monkeypatch):
     assert len(D1.f.factors) == 1
     degrees, square = [], funcfield_q.is_square_in_number_field
 
-    def recording(c, rng=None):
+    def recording(c):
         degrees.append(c.modulus.degree)
-        return square(c, rng=rng)
+        return square(c)
 
     monkeypatch.setattr(funcfield_q, "is_square_in_number_field", recording)
     assert is_isomorphic_qx(D1, D2).to_json() == _per_place_verdict(D1, D2).to_json()
@@ -399,7 +399,7 @@ def test_irreducible_place_with_a_wide_lift_gets_a_verdict():
     # of D is the class of pi(0), not a square
     D1 = QuaternionFF(FactoredFunc.from_poly(pi), ff(1))
     bases = odd_tame_bases(Place(pi), (D1.f, D1.g), (D.f, D.g))
-    assert funcfield_q._nonsquare_places(pi, bases, None) == []
+    assert funcfield_q._nonsquare_places(pi, bases) == []
     verdict = is_isomorphic_qx(D1, D)
     assert str(verdict.witness_place) == "x"
     assert verdict.to_json() == _per_place_verdict(D1, D).to_json()
@@ -416,8 +416,7 @@ def test_decisions_agree_with_cold_and_warm_split_memos(monkeypatch):
 
     def decide(i, case):
         f1, g1, f2, g2 = (FactoredFunc.from_poly(PolyQ.make(cs)) for cs in case["coeffs"])
-        return is_isomorphic_qx(QuaternionFF(f1, g1), QuaternionFF(f2, g2),
-                                random.Random(i)).to_json()
+        return is_isomorphic_qx(QuaternionFF(f1, g1), QuaternionFF(f2, g2)).to_json()
 
     cold = []
     for i, case in enumerate(cases):
@@ -435,9 +434,9 @@ class TestCallCounts:
         calls = {"square": 0, "tame": []}
         square, tame = funcfield_q.is_square_in_number_field, funcfield_q.tame_symbol
 
-        def counting_square(c, rng=None):
+        def counting_square(c):
             calls["square"] += 1
-            return square(c, rng=rng)
+            return square(c)
 
         def counting_tame(D, v):
             calls["tame"].append(str(v))

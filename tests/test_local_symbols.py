@@ -213,7 +213,7 @@ class TestEtaleModuli:
     def test_square_in_one_factor_only_is_a_nonsquare(self, c):
         # 2 is a square only in Q(sqrt 2), -1 only in Q(i), -2 in neither
         e = NumberFieldElem.make(ETALE, PolyQ.const(c))
-        v = is_square_in_number_field(e, rng=random.Random(c))
+        v = is_square_in_number_field(e)
         assert not v.is_square and v.verified
         assert verify_nonsquare_certificate(e, v.witness)
 
@@ -236,7 +236,7 @@ class TestEtaleModuli:
                 if r.is_zero():
                     continue
                 c = r * r
-                v = is_square_in_number_field(c, rng=rng)
+                v = is_square_in_number_field(c)
                 assert v.is_square and v.verified
                 assert verify_square_certificate(c, v.root)
 
@@ -245,7 +245,7 @@ class TestEtaleModuli:
     def test_cyclotomic_field_of_8(self, c, square):
         # Q(zeta_8) holds i and sqrt 2 = zeta + zeta^-1, but not sqrt 3
         e = NumberFieldElem.make(CYCLOTOMIC8, PolyQ.const(c))
-        v = is_square_in_number_field(e, rng=random.Random(c))
+        v = is_square_in_number_field(e)
         assert v.is_square is square and v.verified
         if square:
             assert verify_square_certificate(e, v.root)
@@ -483,7 +483,7 @@ class TestSquareTester:
             if r.is_zero():
                 continue
             c = NumberFieldElem.make(pi, (r * r) % pi)
-            v = is_square_in_number_field(c, rng=rng)
+            v = is_square_in_number_field(c)
             assert v.is_square, (pi, r)
             assert (v.root * v.root) % pi == c.value
             count += 1
@@ -509,9 +509,9 @@ def _count_factorizations(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
     calls = []
     factor = exact_arith.factor_poly_fp
 
-    def counted(f, rng=None):
+    def counted(f):
         calls.append((f.p, f.coeffs))
-        return factor(f, rng)
+        return factor(f)
 
     monkeypatch.setattr(exact_arith, "factor_poly_fp", counted)
     return calls
