@@ -13,10 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import BudgetError, DomainError, InternalError
+from .errors import BUDGETS, BudgetError, DomainError, InternalError
 from .local_symbols import REAL, PlaceQ, hilbert, support_places
-
-QUATERNION_SEARCH_BUDGET = 10**5
 
 
 class QuaternionQ(NamedTuple):
@@ -158,9 +156,7 @@ def example_6_5(n: int, places: tuple[PlaceQ, PlaceQ, PlaceQ, PlaceQ]
     return c1, c2
 
 
-def quaternion_of_class(c: BrauerClassQ,
-                        rng: random.Random | None = None,
-                        budget: int = QUATERNION_SEARCH_BUDGET) -> QuaternionQ:
+def quaternion_of_class(c: BrauerClassQ, rng: random.Random | None = None) -> QuaternionQ:
     """A quaternion presentation of an exponent <= 2 class, by randomized
     search over small squarefree entries built from the support primes.
     Every candidate is verified by recomputing its invariant vector."""
@@ -181,10 +177,9 @@ def quaternion_of_class(c: BrauerClassQ,
                 v *= p
         return v
 
-    for _ in range(budget):
+    for _ in range(limit := BUDGETS.get().quaternion_candidates):
         a, b = candidate(), candidate()
         q = QuaternionQ.make(a, b)
         if class_of_quaternion(q) == c:
             return q
-    raise BudgetError(
-        f"no quaternion presentation found within {budget} candidates")
+    raise BudgetError(f"no quaternion presentation found within quaternion_candidates = {limit}")

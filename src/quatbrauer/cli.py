@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from math import prod
 
-from .errors import BudgetError, DomainError, InternalError, ParseError
+from .errors import BUDGETS, BudgetError, DomainError, InternalError, ParseError
 from .exact_arith import polyfp_from_string, ratfunc_from_string
 
 
@@ -299,12 +299,10 @@ def _env_int(name: str, default: int, positive: bool = False) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    lift_cap = None  # the square budget before this call, restored on return
+    token = BUDGETS.set(BUDGETS.get())  # the caller's budgets, restored on return
     try:
-        budget = _env_int("QUATBRAUER_SQUARE_BUDGET", 0, positive=True)
-        if budget and args.command in ("qx", "selftest"):  # the square test's commands
-            from . import local_symbols
-            lift_cap, local_symbols.MAX_LIFT_EXPONENT = local_symbols.MAX_LIFT_EXPONENT, budget
+        lift = _env_int("QUATBRAUER_SQUARE_BUDGET", BUDGETS.get().lift_exponent, positive=True)
+        BUDGETS.set(BUDGETS.get()._replace(lift_exponent=lift))
         if args.seed is None:
             args.seed = _env_int("QUATBRAUER_SEED", 0)
         return args.func(args)
@@ -321,8 +319,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     finally:
-        if lift_cap is not None:
-            local_symbols.MAX_LIFT_EXPONENT = lift_cap
+        BUDGETS.reset(token)
 
 
 if __name__ == "__main__":

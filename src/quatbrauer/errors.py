@@ -1,8 +1,30 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its search budgets.
 
 Exit-code mapping used by the CLI: DomainError -> 1, ParseError -> 2,
-BudgetError -> 3, InternalError -> 4.
+BudgetError -> 3 (naming the budget that ran out), InternalError -> 4.
 """
+
+from contextvars import ContextVar
+from typing import NamedTuple
+
+
+class Budgets(NamedTuple):
+    """The bounds past which a Las Vegas search raises BudgetError."""
+
+    lift_exponent: int = 1024   # the square test's lift stops at p^lift_exponent
+    witness_prime: int = 10**5  # and its nonsquare witnesses at this prime
+    # Subsets of lifted factors tried in Zassenhaus recombination.  The
+    # degree-16 Swinnerton-Dyer polynomial takes 162, and no degree-24 product of
+    # Swinnerton-Dyer, cyclotomic or binomial factors tried took more than 428;
+    # most subsets are dismissed by their degree or constant term in microseconds.
+    subsets: int = 2**16
+    # Pollard-Brent steps per cofactor, restarts included:
+    # 16x the most an 18-20 digit benchmark entry needed; 1.6 s at 49 digits.
+    pollard_steps: int = 2**20
+    quaternion_candidates: int = 10**5  # entry pairs `quaternion_of_class` tries
+
+
+BUDGETS = ContextVar("BUDGETS", default=Budgets())  # scoped by its set and reset
 
 
 class DomainError(ValueError):
@@ -14,7 +36,7 @@ class ParseError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A Las Vegas procedure ran out of its precision/prime budget.
+    """A Las Vegas procedure ran out of one of its `Budgets`.
 
     This is an explicit "undecided" outcome, never a guessed verdict.
     """

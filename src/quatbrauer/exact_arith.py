@@ -22,7 +22,7 @@ from itertools import zip_longest
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from .errors import BudgetError, DomainError, InternalError, ParseError
+from .errors import BUDGETS, BudgetError, DomainError, InternalError, ParseError
 
 # Factorization over Q is rejected above this degree; recombination cost is
 # unbounded in general.
@@ -35,10 +35,6 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # per entry was 64 ms with a bound of 10**6, 3.6 ms with 10**4 and 3.1 ms with
 # 10**3; lower bounds gained nothing.
 TRIAL_DIVISION_BOUND = 10**3
-
-# Pollard-Brent steps per cofactor, restarts included, before a BudgetError:
-# 16x the most an 18-20 digit benchmark entry needed; 1.6 s at 49 digits.
-POLLARD_STEPS = 2**20
 
 # Primes at which `_mod_p_splits` reduces a Q[x] polynomial to prove it
 # irreducible without `zassenhaus`.  On the benchmark's qx_isom and cli cases
@@ -93,14 +89,14 @@ def is_prime(n: int) -> bool:
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
     """Brent-cycle Pollard rho; a nontrivial factor of composite odd n."""
-    steps = 0
+    steps, limit = 0, BUDGETS.get().pollard_steps
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         x = ys = y
         while g == 1:
-            if (steps := steps + 2 * r) > POLLARD_STEPS:  # a block steps y 2r times
-                raise BudgetError(f"no factor of {n} found in {POLLARD_STEPS} Pollard rho steps")
+            if (steps := steps + 2 * r) > limit:  # a block steps y 2r times
+                raise BudgetError(f"no factor of {n} found within pollard_steps = {limit}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -22,7 +22,7 @@ from itertools import islice, zip_longest
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .errors import BudgetError, DomainError, InternalError
+from .errors import BUDGETS, BudgetError, DomainError, InternalError
 from .exact_arith import (
     PolyFp,
     PolyQ,
@@ -40,8 +40,6 @@ from .exact_arith import (
     sqrt_fraction,
 )
 
-WITNESS_PRIME_LIMIT = 10**5
-MAX_LIFT_EXPONENT = 1024
 NORM_PRIMES = 64        # norm-Legendre primes tried before any factoring
 LIFT_CANDIDATES = 4     # primes factored to pick the lifting prime
 
@@ -415,7 +413,8 @@ def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:
     mods = cache(lambda e: (ZxRing(coeffs_mod(pi, p0**e), p0**e), coeffs_mod(value, p0**e)))
     lift = _LiftState(y % pim, idems[1:], mods)
 
-    exp = min(16, MAX_LIFT_EXPONENT)
+    budgets = BUDGETS.get()
+    exp = min(16, budgets.lift_exponent)
     witnesses_exhausted = False
     while True:
         # lift and attempt rational reconstruction
@@ -425,14 +424,14 @@ def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:
 
         # witness batch, growing with the precision
         for p in islice(primes, max(1, 12 * exp // 16)):
-            if p > WITNESS_PRIME_LIMIT:
+            if p > budgets.witness_prime:
                 witnesses_exhausted = True
                 break
             w = _factors_and_witness(c, p)[1]
             if w is not None:
                 return _nonsquare(c, w)
 
-        if exp >= MAX_LIFT_EXPONENT and witnesses_exhausted:
-            raise BudgetError(
-                "square test undecided within precision/prime budget")
-        exp = min(2 * exp, MAX_LIFT_EXPONENT)
+        if exp >= budgets.lift_exponent and witnesses_exhausted:
+            raise BudgetError("square test undecided within lift_exponent = {lift_exponent}"
+                              " and witness_prime = {witness_prime}".format(**budgets._asdict()))
+        exp = min(2 * exp, budgets.lift_exponent)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, gcd, isqrt, prod
 
-from .errors import BudgetError
+from .errors import BUDGETS, BudgetError
 from .exact_arith import (
     IRREDUCIBILITY_PRIMES,
     PolyFp,
@@ -25,12 +25,6 @@ from .exact_arith import (
     poly_inverse,
     polyfp_from_polyq,
 )
-
-# Subsets of lifted factors tried in recombination before a BudgetError.  The
-# degree-16 Swinnerton-Dyer polynomial takes 162, and no degree-24 product of
-# Swinnerton-Dyer, cyclotomic or binomial factors tried took more than 428;
-# most subsets are dismissed by their degree or constant term in microseconds.
-MAX_SUBSETS = 2**16
 
 
 def split_q(f: PolyQ, degrees: int, splits) -> list[PolyQ]:
@@ -116,13 +110,13 @@ def _recombine(F: list[int], lifted: list[PolyFp], pe: int, degrees: int,
     of a degree that no screened prime allows, or whose constant term cannot
     divide lc(F) F(0), is skipped untried."""
     found, tried, k = [], 0, 1
-    half = pe // 2
+    half, limit = pe // 2, BUDGETS.get().subsets
     while 2 * k <= len(lifted):
         b = F[-1]
         for S in combinations(range(len(lifted)), k):
             tried += 1
-            if tried > MAX_SUBSETS:
-                raise BudgetError(f"no split of {f} within {MAX_SUBSETS} recombined subsets")
+            if tried > limit:
+                raise BudgetError(f"no split of {f} within subsets = {limit}")
             if not degrees >> sum(lifted[i].degree for i in S) & 1:
                 continue
             c0 = b * prod(lifted[i].coeffs[0] for i in S) % pe

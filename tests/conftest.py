@@ -2,6 +2,7 @@
 
 import pytest
 
+from quatbrauer.errors import BUDGETS
 from quatbrauer.exact_arith import _mod_p_splits, irreducible_factors_fp, irreducible_factors_q
 
 
@@ -12,3 +13,18 @@ def _clear_split_memos():
     irreducible_factors_fp.cache_clear()
     irreducible_factors_q.cache_clear()
     _mod_p_splits.cache_clear()
+
+
+@pytest.fixture
+def budgets():
+    """Narrow fields of this test's budgets, as in `budgets(witness_prime=50)`;
+    each call returns the budgets it set, and all of them end with the test."""
+    tokens = []
+
+    def narrow(**fields):
+        tokens.append(BUDGETS.set(BUDGETS.get()._replace(**fields)))
+        return BUDGETS.get()
+
+    yield narrow
+    for token in reversed(tokens):
+        BUDGETS.reset(token)

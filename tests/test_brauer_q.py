@@ -174,10 +174,11 @@ class TestQuaternionOfClass:
         with pytest.raises(DomainError):
             quaternion_of_class(c)
 
-    def test_search_budget_exhausted(self):
+    def test_search_budget_exhausted(self, budgets):
         c = BrauerClassQ.make({PlaceQ(3): Fraction(1, 2), PlaceQ(7): Fraction(1, 2)})
+        budgets(quaternion_candidates=0)
         with pytest.raises(BudgetError):
-            quaternion_of_class(c, random.Random(5), budget=0)
+            quaternion_of_class(c, random.Random(5))
 
 
 def test_scale_preserves_local_orders():

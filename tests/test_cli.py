@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
 
-from quatbrauer import exact_arith, funcfield_q, local_symbols
+from quatbrauer import exact_arith, funcfield_q
 from quatbrauer.cli import main
+from quatbrauer.errors import BUDGETS, BudgetError
 
 
 def run(capsys, *argv):
@@ -221,9 +223,8 @@ class TestQx:
                         "-f2", "(x^2-1)/(x+2)", "-g2", "27")
         assert data["isomorphic"] is True
 
-    def test_square_budget_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", 16)
-        monkeypatch.setattr(local_symbols, "WITNESS_PRIME_LIMIT", 50)
+    def test_square_budget_exit_3(self, capsys, budgets):
+        budgets(lift_exponent=16, witness_prime=50)
         code, _, err = run(capsys, "qx", "residues", "-f", "x^2+1",
                            "-g", f"(3*x+{10**40 + 7})^2")
         assert code == 3 and "undecided:" in err
@@ -289,6 +290,11 @@ class TestFfx:
 # job runs without sympy, and one per verdict shape that those lack).
 PINNED = json.loads((Path(__file__).with_name("cli_pinned.json")).read_text())
 
+# a square whose root has a 41-digit coefficient, and a product of two
+# 25-digit primes that Pollard rho cannot split within its budget
+SQUARE = f"(3*x+{10**40 + 7})^2"
+UNSPLITTABLE = (10**24 + 7) * (3 * 10**24 + 7)
+
 
 def _pin_id(argv: list[str]) -> str:
     if argv[0] == "--json":
@@ -322,13 +328,51 @@ def test_square_budget_lasts_one_call(capsys, monkeypatch):
     """A budget read from the environment is gone once its call returns: a
     later call in the same process decides what a fresh process decides."""
     pin = next(c for c in PINNED if c["argv"][:3] == ["--json", "--seed", "7"])
-    cap = local_symbols.MAX_LIFT_EXPONENT
-    monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", cap)  # restored even on failure
+    cap = BUDGETS.get()
     monkeypatch.setenv("QUATBRAUER_SQUARE_BUDGET", "4")
     assert run(capsys, "qx", "residues", "-f", "x^2+1", "-g", "3")[:2] == (0, "x^2 + 1: ramified\n")
     monkeypatch.delenv("QUATBRAUER_SQUARE_BUDGET")
-    assert local_symbols.MAX_LIFT_EXPONENT == cap
+    assert BUDGETS.get() == cap
     assert run(capsys, *pin["argv"]) == (0, pin["stdout"], "")
+
+
+def test_square_budget_lasts_one_call_that_exits_3(capsys, monkeypatch, budgets):
+    """An environment budget that stops its call is gone once the call
+    returns, and the budgets set before the call are back."""
+    pin = next(c for c in PINNED if c["argv"][:3] == ["--json", "--seed", "7"])
+    cap = budgets(witness_prime=50)
+    monkeypatch.setenv("QUATBRAUER_SQUARE_BUDGET", "16")
+    assert run(capsys, "qx", "residues", "-f", "x^2+1", "-g", SQUARE)[0] == 3
+    monkeypatch.delenv("QUATBRAUER_SQUARE_BUDGET")
+    assert BUDGETS.get() == cap
+    assert run(capsys, *pin["argv"]) == (0, pin["stdout"], "")
+
+
+@pytest.mark.parametrize("narrow,square_budget,argv,named", [
+    ({"pollard_steps": 2**10}, None, ["brq", "class", "-a", str(UNSPLITTABLE), "-b", "3"],
+     ["pollard_steps = 1024"]),
+    ({"subsets": 1}, None, ["qx", "residues", "-f", "x^4 + 1", "-g", "3"], ["subsets = 1"]),
+    ({"witness_prime": 50}, "16", ["qx", "residues", "-f", "x^2+1", "-g", SQUARE],
+     ["lift_exponent = 16", "witness_prime = 50"]),
+    ({"quaternion_candidates": 0}, None, None, ["quaternion_candidates = 0"]),
+], ids=["pollard_steps", "subsets", "square_test", "quaternion_candidates"])
+def test_every_exit_3_names_its_budget(capsys, monkeypatch, budgets,
+                                       narrow, square_budget, argv, named):
+    before = budgets(**narrow)
+    if argv is None:  # the quaternion search has no command
+        from quatbrauer.brauer_q import BrauerClassQ, quaternion_of_class
+        from quatbrauer.local_symbols import PlaceQ
+        with pytest.raises(BudgetError) as exc:
+            quaternion_of_class(BrauerClassQ.make({PlaceQ(3): Fraction(1, 2),
+                                                   PlaceQ(7): Fraction(1, 2)}))
+        err = str(exc.value)
+    else:
+        if square_budget:
+            monkeypatch.setenv("QUATBRAUER_SQUARE_BUDGET", square_budget)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("undecided: "), err
+        assert BUDGETS.get() == before
+    assert all(name in err for name in named), err
 
 
 @pytest.mark.parametrize("name,value", [("QUATBRAUER_SEED", "abc"),
@@ -512,8 +556,8 @@ def test_subcommand_loads_only_its_layers(argv, unloaded):
 
 
 def test_square_budget_loads_no_q_layer_for_ffx():
-    """QUATBRAUER_SQUARE_BUDGET is checked for every command, but only the
-    commands that run the square test apply it: `ffx` still loads no Q layer."""
+    """QUATBRAUER_SQUARE_BUDGET is applied for every command, but only the
+    commands that run the square test load it: `ffx` still loads no Q layer."""
     argv = ["ffx", "isom", "--char", "5", "-f1", "x", "-g1", "2", "-f2", "x", "-g2", "8"]
     out = subprocess.run([sys.executable, "-c", LAYERS_SCRIPT, json.dumps(argv)],
                          capture_output=True, text=True, timeout=120,
@@ -523,9 +567,8 @@ def test_square_budget_loads_no_q_layer_for_ffx():
     assert result["code"] == 0 and "quatbrauer.local_symbols" not in result["loaded"], result
 
 
-def test_subset_budget_gives_exit_3(capsys, monkeypatch):
-    from quatbrauer import zassenhaus
-    monkeypatch.setattr(zassenhaus, "MAX_SUBSETS", 1)
+def test_subset_budget_gives_exit_3(capsys, budgets):
+    budgets(subsets=1)
     code, out, err = run(capsys, "qx", "residues", "-f", "x^4 + 1", "-g", "3")
     assert code == 3 and out == ""
     assert err.startswith("undecided: ") and "x^4 + 1" in err

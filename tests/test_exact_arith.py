@@ -471,9 +471,8 @@ class TestZassenhaus:
         assert good and all(len(facs) == 8 for facs in good)
         assert factor_poly_q(SWINNERTON_DYER_16)[1] == ((SWINNERTON_DYER_16, 1),)
 
-    def test_subset_budget_runs_out_with_budget_error(self, monkeypatch):
-        from quatbrauer import zassenhaus
-        monkeypatch.setattr(zassenhaus, "MAX_SUBSETS", 1)
+    def test_subset_budget_runs_out_with_budget_error(self, budgets):
+        budgets(subsets=1)
         with pytest.raises(BudgetError, match=r"x\^4 \+ 1"):
             factor_poly_q(poly_from_string("x^4 + 1"))
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,7 +414,7 @@ class TestSquareTester:
         assert 0 < len(calls) <= 200, len(calls)
 
     @pytest.mark.parametrize("budget", [20, 8, 1])
-    def test_lift_stops_at_the_budget(self, monkeypatch, budget):
+    def test_lift_stops_at_the_budget(self, monkeypatch, budgets, budget):
         # a square whose root has a 41-digit coefficient: the lift climbs to
         # p^budget exactly, never to the next power of two above it, and
         # the witness search still runs out at a budget of 1
@@ -425,8 +426,7 @@ class TestSquareTester:
             return reduce(f, m)
 
         monkeypatch.setattr(local_symbols, "coeffs_mod", counted)
-        monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", budget)
-        monkeypatch.setattr(local_symbols, "WITNESS_PRIME_LIMIT", 50)
+        budgets(lift_exponent=budget, witness_prime=50)
         r = PolyQ.make([10**40 + 7, 3])
         with pytest.raises(BudgetError):
             is_square_in_number_field(NumberFieldElem.make(GAUSS, (r * r) % GAUSS))
@@ -493,14 +493,27 @@ class TestSquareTester:
         with pytest.raises(DomainError):
             is_square_in_number_field(c)
 
-    def test_small_budget_raises_budget_error(self, monkeypatch):
+    def test_small_budget_raises_budget_error(self, budgets):
         # a square whose root has a 41-digit coefficient: precision p^16
         # cannot reconstruct it, and no witness prime can exist for a square
-        monkeypatch.setattr(local_symbols, "MAX_LIFT_EXPONENT", 16)
-        monkeypatch.setattr(local_symbols, "WITNESS_PRIME_LIMIT", 50)
+        budgets(lift_exponent=16, witness_prime=50)
         r = PolyQ.make([10**40 + 7, 3])
         with pytest.raises(BudgetError):
             is_square_in_number_field(NumberFieldElem.make(GAUSS, (r * r) % GAUSS))
+
+    def test_budgets_are_per_context(self, budgets):
+        # the square above under the narrowed budgets of this test's context,
+        # and in a thread, which starts from the defaults
+        budgets(lift_exponent=16, witness_prime=50)
+        r = PolyQ.make([10**40 + 7, 3])
+        c = NumberFieldElem.make(GAUSS, (r * r) % GAUSS)
+        verdicts = []
+        thread = threading.Thread(target=lambda: verdicts.append(is_square_in_number_field(c)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and verdicts[0].is_square
+        with pytest.raises(BudgetError, match="lift_exponent = 16 and witness_prime = 50"):
+            is_square_in_number_field(c)
 
 
 def _count_factorizations(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:

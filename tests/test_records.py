@@ -12,6 +12,7 @@ import pytest
 
 from quatbrauer import (
     brauer_q,
+    errors,
     exact_arith,
     funcfield,
     funcfield_fp,
@@ -20,6 +21,7 @@ from quatbrauer import (
     selftest,
 )
 from quatbrauer.brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
+from quatbrauer.errors import Budgets
 from quatbrauer.exact_arith import FactoredRational, PolyFp, PolyQ, RatFuncQ, factor_rational
 from quatbrauer.funcfield import FactoredFunc, IsomorphismVerdict, Place
 from quatbrauer.funcfield_fp import QuatClassFp, class_fp, is_isomorphic_fpx
@@ -81,6 +83,8 @@ RECORDS = {
                          lambda: is_isomorphic_qx(_qff(3), _qff(5))),
     SuiteResult: (("name", "cases", "failures"),
                   lambda: SuiteResult("suite", 3, ["case 1: failed"])),
+    Budgets: (("lift_exponent", "witness_prime", "subsets", "pollard_steps",
+               "quaternion_candidates"), lambda: Budgets(subsets=1)),
 }
 # equal RatFuncQ values may have different (num, den); SuiteResult holds a list
 UNHASHABLE = {RatFuncQ, SuiteResult}
@@ -91,8 +95,8 @@ CASES["IsomorphismVerdict-Fp"] = (IsomorphismVerdict, RECORDS[IsomorphismVerdict
 
 
 def test_every_record_class_is_listed():
-    defined = {c for m in (exact_arith, local_symbols, brauer_q, funcfield, funcfield_fp,
-                           funcfield_q, selftest)
+    defined = {c for m in (errors, exact_arith, local_symbols, brauer_q, funcfield,
+                           funcfield_fp, funcfield_q, selftest)
                for c in vars(m).values()
                if isinstance(c, type) and issubclass(c, tuple) and c.__module__ == m.__name__
                and not c.__name__.startswith("_")}
