@@ -670,8 +670,8 @@ class PolyFp(NamedTuple):
         return not self.is_zero() and self.lc() == 1
 
     def monic(self) -> "PolyFp":
-        inv = pow(self.lc(), -1, self.p)
-        return PolyFp.reduced(self.p, [c * inv for c in self.coeffs])
+        p, inv = self.p, pow(self.lc(), -1, self.p)
+        return PolyFp(p, tuple([c * inv % p for c in self.coeffs]))  # trimmed: a unit on top
 
     def _chk(self, other: "PolyFp") -> None:
         if self.p != other.p:
@@ -807,14 +807,29 @@ class ZxRing:
         return self.unpack(r)
 
 
+def _rem(a, b, p: int) -> list[int]:
+    """a mod b over F_p, reduced and trimmed, as a and b are (b nonzero).  A
+    Euclid step's quotient q1 x + q0 mostly has degree 1 or less, read off the
+    top of a; then r_i = a_i - q1 b_(i-1) - q0 b_i is one pass.  Longer: `_reduce`."""
+    k, inv = len(a) - len(b), pow(b[-1], -1, p)
+    if k > 1:
+        _reduce(r := list(a), b, p, inv)
+        return _trimmed(r[:len(b) - 1], p)
+    q1, xb = a[-1] * inv % p if k == 1 else 0, [0, *b]  # xb = x b: xb[-2] is b[-2], or 0
+    q0 = (a[-1 - k] - q1 * xb[-2]) * inv % p if k >= 0 else 0  # k < 0: r = a
+    r = [(u - q1 * v - q0 * w) % p for u, v, w in zip(a, xb, b)]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:
     """Monic gcd (zero if both are zero); Euclid on coefficient lists."""
     f._chk(g)
-    p, a, b = f.p, list(f.coeffs), list(g.coeffs)
+    p, a, b = f.p, f.coeffs, g.coeffs
     while b:
-        _reduce(a, b, p, pow(b[-1], -1, p))
-        a, b = b, _trimmed(a[:len(b) - 1], p)
-    return PolyFp.reduced(p, a).monic() if a else PolyFp(p, ())
+        a, b = b, _rem(a, b, p)
+    return PolyFp(p, tuple(a)).monic() if a else PolyFp(p, ())
 
 
 def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
@@ -824,20 +839,16 @@ def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
 
 
 def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
-    """Resultant over F_p via the Euclidean recursion on coefficient lists,
-    as an integer in [0, p); 0 when f or g is zero."""
-    if f.is_zero() or g.is_zero():
-        return 0
-    p, acc, a, b = f.p, 1, list(f.coeffs), list(g.coeffs)
+    """Resultant over F_p in [0, p) by the Euclidean recursion on coefficient
+    lists; 0 when f or g is zero (the loop gives it, or the test at the end)."""
+    p, acc, a, b = f.p, 1, f.coeffs, g.coeffs
     while len(b) > 1:  # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
-        _reduce(a, b, p, pow(b[-1], -1, p))
-        r = _trimmed(a[:len(b) - 1], p)
+        r = _rem(a, b, p)
         if not r:
             return 0
-        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
-        acc = acc * sign * pow(b[-1], len(a) - len(r), p) % p
+        acc = acc * (-1) ** ((len(a) - 1) * (len(b) - 1)) * pow(b[-1], len(a) - len(r), p) % p
         a, b = b, r
-    return acc * pow(b[0], len(a) - 1, p) % p
+    return acc * pow(b[0], len(a) - 1, p) % p if a and b else 0
 
 
 def fq_char(t: PolyFp, h: PolyFp) -> int:
@@ -910,14 +921,12 @@ def poly_inverse(a, m):
     return s0.divmod(r0)[0] % m
 
 
-def _frobenius_rows(f: PolyFp, ring: ZxRing | None = None) -> list[list[int]]:
+def _frobenius_rows(f: PolyFp, ring: ZxRing) -> list[int]:
     """The rows x^(i p) mod f, i < deg f, of the Frobenius map t -> t^p of
-    F_p[x]/(f), f monic, as lists: one x^p, then one product per row in ring."""
-    p, rows, ring = f.p, [[1]], ring or ZxRing(f.coeffs, f.p)
-    if f.degree > 1:
-        xp = ring.pow([0, 1], p)
-        while len(rows) < f.degree:
-            rows.append(ring.mul(xp, rows[-1]))
+    F_p[x]/(f), f monic, packed in ring: x^0 packs to 1, then x^p times each."""
+    rows, xp = [1], ring.pack(ring.pow([0, 1], f.p)) if f.degree > 1 else 0
+    while len(rows) < f.degree:
+        rows.append(ring.fold(xp * rows[-1]))
     return rows
 
 
@@ -929,44 +938,38 @@ def _frobenius(t: list[int], rows: list[int], ring: ZxRing) -> list[int]:
 
 def _ddf(f: PolyFp, rows: list[int], ring: ZxRing) -> list[tuple[PolyFp, int]]:
     """Distinct-degree factorization of a monic squarefree f: x^(p^d) mod f
-    advances by one application of the Frobenius rows of f, and its gcd with
-    the shrinking cofactor `rest` (which divides f) is the degree-d part."""
+    advances by one application of the Frobenius rows of f, and gcd(x^(p^d) -
+    x, rest), rest the shrinking cofactor that divides f, is the degree-d part.
+    In the loop f has 2 or more roots, so x^(p^d) is no constant (Frobenius is 1-1)."""
     p, out, xq, d, rest = f.p, [], [0, 1], 0, f
     while rest.degree > 2 * d + 1:
         d += 1
         xq = _frobenius(xq, rows, ring)
-        g = polyfp_gcd(PolyFp.reduced(p, xq) - PolyFp.x(p), rest)
+        g = polyfp_gcd(PolyFp(p, tuple(_trimmed([xq[0], xq[1] - 1, *xq[2:]], p))), rest)
         if g.degree > 0:
             out.append((g, d))
             rest = rest.divmod(g)[0]
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
-    return out
+    return out + [(rest, rest.degree)] if rest.degree > 0 else out
 
 
-def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random
-         ) -> list[PolyFp]:
+def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random) -> list[PolyFp]:
     """Cantor-Zassenhaus splitting of g | f, a product of irreducibles of
     degree d, in the ring of f with its packed Frobenius rows.  As (p^d - 1)/2
     = (p - 1)/2 * (1 + p + ... + p^(d-1)), r^((p^d - 1)/2) is the norm r *
     r^p * ... * r^(p^(d-1)) (d - 1 applications of the rows and d - 1
     products mod f) to the power (p - 1)/2 mod g, log2(p) bits, not d log2(p)."""
-    p = g.p
     if g.degree == d:
         return [g]
-    while True:
-        r = PolyFp.reduced(p, [rng.randrange(p) for _ in range(g.degree)])
-        h = polyfp_gcd(r, g)
-        if 0 < h.degree < g.degree:
-            break
-        t = norm = list(r.coeffs)
-        for _ in range(d - 1):
-            t = _frobenius(t, rows, ring)
-            norm = ring.mul(t, norm)
-        h = polyfp_gcd(polyfp_pow_mod(PolyFp.reduced(p, norm), (p - 1) // 2, g)
-                       - PolyFp.const(p, 1), g)
-        if 0 < h.degree < g.degree:
-            break
+    p, h = g.p, g
+    while not 0 < h.degree < g.degree:
+        t = norm = [rng.randrange(p) for _ in range(g.degree)]
+        h = polyfp_gcd(PolyFp.reduced(p, t), g)
+        if h.degree == 0:  # t is a unit mod g: split g by its quadratic character
+            for _ in range(d - 1):
+                t = _frobenius(t, rows, ring)
+                norm = ring.mul(t, norm)
+            h = polyfp_gcd(polyfp_pow_mod(PolyFp.reduced(p, norm), (p - 1) // 2, g)
+                           - PolyFp.const(p, 1), g)
     return _edf(h, d, ring, rows, rng) + _edf(g.divmod(h)[0], d, ring, rows, rng)
 
 
@@ -976,12 +979,9 @@ def factor_poly_fp(f: PolyFp) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
     factors with multiplicity), re-verified by multiplying out."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    rng = random.Random(0xCA2A)
-    unit = f.lc()
-    factors: list[tuple[PolyFp, int]] = []
+    rng, unit, factors = random.Random(0xCA2A), f.lc(), []
     for sqf, mult in squarefree_parts(f):
-        ring = ZxRing(sqf.coeffs, f.p)
-        rows = [ring.pack(row) for row in _frobenius_rows(sqf, ring)]
+        rows = _frobenius_rows(sqf, ring := ZxRing(sqf.coeffs, f.p))
         for part, d in _ddf(sqf, rows, ring):
             factors.extend((h, mult) for h in _edf(part, d, ring, rows, rng))
     factors.sort(key=factor_key)

@@ -732,6 +732,41 @@ class TestPolyFp:
                     prod = prod * h
             assert prod == f
 
+    @pytest.mark.parametrize("p", [3, 10007, 2**31 - 1])
+    def test_remainder_step_matches_divmod(self, p):
+        # the one-pass step of the Euclids against `divmod`, which stays on
+        # `_reduce`: every degree gap k = deg a - deg b from -3 to 5, constant
+        # divisors (deg b = 0, where no b[-2] exists), non-monic divisors,
+        # zero remainders and the zero dividend
+        rng = random.Random(p % 1021)
+
+        def poly(n):
+            return PolyFp.make(p, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+
+        seen = set()  # (gap, constant divisor, nonzero remainder), gaps past 2 as 2
+        for db in range(8):
+            for _ in range(6):
+                b = poly(db)
+                cases = [poly(db + k) for k in range(-3, 6) if db + k >= 0]
+                cases += [PolyFp(p, ()), b * PolyFp.const(p, rng.randrange(1, p)),
+                          b * poly(1), b * poly(3)]
+                for a in cases:
+                    got = exact_arith._rem(a.coeffs, b.coeffs, p)
+                    assert got == list(a.divmod(b)[1].coeffs), (a, b)
+                    seen.add((max(-1, min(a.degree - db, 2)), db == 0, bool(got)))
+        assert {(k, False, True) for k in (-1, 0, 1, 2)} <= seen
+        assert {(k, False, False) for k in (-1, 0, 1, 2)} <= seen  # -1: the zero dividend
+        assert {(k, True, False) for k in (-1, 0, 1, 2)} <= seen
+
+    def test_gcd_and_resultant_of_zero(self):
+        f = PolyFp.make(7, [3, 1, 2])
+        zero = PolyFp(7, ())
+        assert polyfp_gcd(f, zero) == polyfp_gcd(zero, f) == f.monic()
+        assert polyfp_gcd(zero, zero) == zero
+        for a, b in ((f, zero), (zero, f), (zero, PolyFp.const(7, 4)), (PolyFp.const(7, 4), zero)):
+            assert polyfp_resultant(a, b) == 0
+        assert polyfp_resultant(PolyFp.const(7, 4), f) == pow(4, 2, 7)
+
 
 def _mod(cs, m):
     """Integer coefficients reduced mod m, trailing zeros dropped."""
@@ -858,10 +893,11 @@ class TestFactorPolyFpOracle:
         rng = random.Random(p + 3)
         for n in (2, cap // 2, cap):
             f = _random_monic(rng, p, n)
-            rows = exact_arith._frobenius_rows(f)
+            ring = ZxRing(f.coeffs, p)
+            rows = exact_arith._frobenius_rows(f, ring)
             assert len(rows) == n
             for i, row in enumerate(rows):
-                assert PolyFp.make(p, row) == polyfp_pow_mod(PolyFp.x(p), i * p, f)
+                assert PolyFp.make(p, ring.unpack(row)) == polyfp_pow_mod(PolyFp.x(p), i * p, f)
 
     @pytest.mark.parametrize("m", [10007, 2**31 - 1, 7**40, 10007**9])
     def test_kernel_matches_polynomial_remainder(self, m):
@@ -961,7 +997,7 @@ class TestZxRing:
         for n in KERNEL_DEGREES[1:]:
             for f in _kernel_moduli(rng, p, n):
                 ring = ZxRing(f, p)
-                rows = [ring.pack(r) for r in exact_arith._frobenius_rows(PolyFp.make(p, f), ring)]
+                rows = exact_arith._frobenius_rows(PolyFp.make(p, f), ring)
                 for t in ([], [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
                     assert exact_arith._frobenius(t, rows, ring) == _school_pow(t, p, f, p)
 
