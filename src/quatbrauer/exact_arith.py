@@ -810,8 +810,14 @@ class ZxRing:
 def _rem(a, b, p: int) -> list[int]:
     """a mod b over F_p, reduced and trimmed, as a and b are (b nonzero).  A
     Euclid step's quotient q1 x + q0 mostly has degree 1 or less, read off the
-    top of a; then r_i = a_i - q1 b_(i-1) - q0 b_i is one pass.  Longer: `_reduce`."""
+    top of a; then r_i = a_i - q1 b_(i-1) - q0 b_i is one pass.  Longer: by a
+    linear b, a at the root of b by Horner; else `_reduce`."""
     k, inv = len(a) - len(b), pow(b[-1], -1, p)
+    if k > 1 and len(b) == 2:
+        root, v = -b[0] * inv % p, 0
+        for c in reversed(a):
+            v = (v * root + c) % p
+        return [v] if v else []
     if k > 1:
         _reduce(r := list(a), b, p, inv)
         return _trimmed(r[:len(b) - 1], p)
@@ -829,6 +835,8 @@ def polyfp_gcd(f: PolyFp, g: PolyFp) -> PolyFp:
     p, a, b = f.p, f.coeffs, g.coeffs
     while b:
         a, b = b, _rem(a, b, p)
+        if len(b) >= len(a):
+            raise InternalError(f"a remainder step over F_{p} kept the degree {len(a) - 1}")
     return PolyFp(p, tuple(a)).monic() if a else PolyFp(p, ())
 
 
@@ -846,6 +854,8 @@ def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
         r = _rem(a, b, p)
         if not r:
             return 0
+        if len(r) >= len(b):
+            raise InternalError(f"a remainder step over F_{p} kept the degree {len(b) - 1}")
         acc = acc * (-1) ** ((len(a) - 1) * (len(b) - 1)) * pow(b[-1], len(a) - len(r), p) % p
         a, b = b, r
     return acc * pow(b[0], len(a) - 1, p) % p if a and b else 0
@@ -861,6 +871,24 @@ def fq_char(t: PolyFp, h: PolyFp) -> int:
     if n == 0:
         raise InternalError(f"quadratic character of a non-unit mod {h}")
     return 1 if pow(n, (h.p - 1) // 2, h.p) == 1 else -1
+
+
+def sqrt_tonelli_shanks(a, z, q: int, mul, power, one):
+    """A square root of a nonzero square a in F_q by its mul and power, z a
+    nonsquare (Tonelli-Shanks; Cohen, GTM 138, Alg. 1.5.1): r^2 = a t, ord t < 2^m."""
+    m = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^m e, e odd
+    e = (q - 1) >> m
+    c, t, r = power(z, e), power(a, e), power(a, (e + 1) // 2)
+    while t != one:
+        i, t2 = 1, mul(t, t)
+        while t2 != one and i < m:
+            i, t2 = i + 1, mul(t2, t2)
+        if i == m:  # t^(2^(m-1)) != 1: a is no nonzero square
+            raise InternalError("square root of a nonsquare or of zero")
+        b = power(c, 1 << (m - i - 1))
+        m, c = i, mul(b, b)
+        t, r = mul(t, c), mul(r, b)
+    return r
 
 
 def coeffs_mod(f: PolyQ, m: int) -> list[int]:
@@ -940,7 +968,11 @@ def _ddf(f: PolyFp, rows: list[int], ring: ZxRing) -> list[tuple[PolyFp, int]]:
     """Distinct-degree factorization of a monic squarefree f: x^(p^d) mod f
     advances by one application of the Frobenius rows of f, and gcd(x^(p^d) -
     x, rest), rest the shrinking cofactor that divides f, is the degree-d part.
-    In the loop f has 2 or more roots, so x^(p^d) is no constant (Frobenius is 1-1)."""
+    In the loop f has 2 or more roots, so x^(p^d) is no constant (Frobenius is 1-1).
+    A quadratic needs no rows: two roots iff its discriminant is a square."""
+    if f.degree == 2:
+        (c, b, _), p = f.coeffs, f.p
+        return [(f, 1 if pow(b * b - 4 * c, p // 2, p) == 1 else 2)]
     p, out, xq, d, rest = f.p, [], [0, 1], 0, f
     while rest.degree > 2 * d + 1:
         d += 1
@@ -957,9 +989,17 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random) -
     degree d, in the ring of f with its packed Frobenius rows.  As (p^d - 1)/2
     = (p - 1)/2 * (1 + p + ... + p^(d-1)), r^((p^d - 1)/2) is the norm r *
     r^p * ... * r^(p^(d-1)) (d - 1 applications of the rows and d - 1
-    products mod f) to the power (p - 1)/2 mod g, log2(p) bits, not d log2(p)."""
+    products mod f) to the power (p - 1)/2 mod g, log2(p) bits, not d log2(p).
+    A quadratic g = x^2 + b x + c with two roots needs none of it: with s^2 =
+    b^2 - 4c by the least nonresidue, its factors are x + (b -+ s)/2."""
     if g.degree == d:
         return [g]
+    if g.degree == 2:
+        (c, b, _), p, half = g.coeffs, g.p, (g.p + 1) // 2
+        z = next(z for z in range(2, p) if pow(z, p // 2, p) == p - 1)
+        s = sqrt_tonelli_shanks((b * b - 4 * c) % p, z, p, lambda u, v: u * v % p,
+                                functools.partial(pow, mod=p), 1)
+        return [PolyFp(p, ((b - s) * half % p, 1)), PolyFp(p, ((b + s) * half % p, 1))]
     p, h = g.p, g
     while not 0 < h.degree < g.degree:
         t = norm = [rng.randrange(p) for _ in range(g.degree)]
@@ -975,13 +1015,14 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random) -
 
 def factor_poly_fp(f: PolyFp) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
     """Cantor-Zassenhaus factorization through the Frobenius matrix of each
-    squarefree part, in one `ZxRing` per part; returns (unit, monic irreducible
-    factors with multiplicity), re-verified by multiplying out."""
+    squarefree part of degree 3 or more, in one `ZxRing` per part (None below);
+    returns (unit, monic irreducible factors with multiplicity), re-verified by multiplying out."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     rng, unit, factors = random.Random(0xCA2A), f.lc(), []
     for sqf, mult in squarefree_parts(f):
-        rows = _frobenius_rows(sqf, ring := ZxRing(sqf.coeffs, f.p))
+        ring = ZxRing(sqf.coeffs, f.p) if sqf.degree > 2 else None
+        rows = ring and _frobenius_rows(sqf, ring)
         for part, d in _ddf(sqf, rows, ring):
             factors.extend((h, mult) for h in _edf(part, d, ring, rows, rng))
     factors.sort(key=factor_key)

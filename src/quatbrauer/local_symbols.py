@@ -38,6 +38,7 @@ from .exact_arith import (
     power,
     resultant,
     sqrt_fraction,
+    sqrt_tonelli_shanks,
 )
 
 NORM_PRIMES = 64        # norm-Legendre primes tried before any factoring
@@ -211,8 +212,7 @@ class SquareClassVerdict(NamedTuple):
 def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     """Square root in F_{p^d} = F_p[x]/(h), or None for a nonresidue; the
     powers and products run on coefficient lists in one `ZxRing` of h."""
-    p, d = h.p, h.degree
-    q = p**d
+    p, d, q = h.p, h.degree, h.p**h.degree
     if val.is_zero():
         return val
     if fq_char(val, h) == -1:
@@ -220,27 +220,11 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     ring = ZxRing(h.coeffs, p)
     if q % 4 == 3:
         return PolyFp(p, tuple(ring.pow(val.coeffs, (q + 1) // 4)))
-    qq, s = q - 1, 0
-    while qq % 2 == 0:
-        qq //= 2
-        s += 1
     while True:
         z = PolyFp.make(p, [rng.randrange(p) for _ in range(d)])
         if not z.is_zero() and fq_char(z, h) == -1:
             break
-    m = s
-    c = ring.pow(z.coeffs, qq)
-    t = ring.pow(val.coeffs, qq)
-    r = ring.pow(val.coeffs, (qq + 1) // 2)
-    while t != [1]:
-        i, t2 = 0, t
-        while t2 != [1]:
-            t2 = ring.mul(t2, t2)
-            i += 1
-        b = ring.pow(c, 1 << (m - i - 1))
-        m, c = i, ring.mul(b, b)
-        t, r = ring.mul(t, c), ring.mul(r, b)
-    return PolyFp(p, tuple(r))
+    return PolyFp(p, tuple(sqrt_tonelli_shanks(val.coeffs, z.coeffs, q, ring.mul, ring.pow, [1])))
 
 
 def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:

@@ -43,6 +43,7 @@ from quatbrauer.exact_arith import (
     ratfunc_from_string,
     resultant,
     sqrt_fraction,
+    sqrt_tonelli_shanks,
     squarefree_parts,
 )
 from quatbrauer.funcfield import FactoredFunc
@@ -737,26 +738,48 @@ class TestPolyFp:
         # the one-pass step of the Euclids against `divmod`, which stays on
         # `_reduce`: every degree gap k = deg a - deg b from -3 to 5, constant
         # divisors (deg b = 0, where no b[-2] exists), non-monic divisors,
-        # zero remainders and the zero dividend
+        # zero remainders and the zero dividend; linear divisors (Horner at
+        # gaps of 2 or more) also with root 0 and dividends of degree 12
         rng = random.Random(p % 1021)
 
         def poly(n):
             return PolyFp.make(p, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
 
         seen = set()  # (gap, constant divisor, nonzero remainder), gaps past 2 as 2
+        horner = set()  # nonzero remainder, by a linear divisor at a gap of 2 or more
         for db in range(8):
-            for _ in range(6):
-                b = poly(db)
+            for j in range(6):
+                b = poly(db) if (db, j) != (1, 0) else PolyFp(p, (0, rng.randrange(1, p)))
                 cases = [poly(db + k) for k in range(-3, 6) if db + k >= 0]
                 cases += [PolyFp(p, ()), b * PolyFp.const(p, rng.randrange(1, p)),
                           b * poly(1), b * poly(3)]
+                if db == 1:
+                    cases += [poly(12), b * poly(11), poly(12) * PolyFp.x(p)]
                 for a in cases:
                     got = exact_arith._rem(a.coeffs, b.coeffs, p)
                     assert got == list(a.divmod(b)[1].coeffs), (a, b)
                     seen.add((max(-1, min(a.degree - db, 2)), db == 0, bool(got)))
+                    if db == 1 and a.degree >= 3:
+                        horner.add(bool(got))
         assert {(k, False, True) for k in (-1, 0, 1, 2)} <= seen
         assert {(k, False, False) for k in (-1, 0, 1, 2)} <= seen  # -1: the zero dividend
         assert {(k, True, False) for k in (-1, 0, 1, 2)} <= seen
+        assert horner == {True, False}
+
+    @pytest.mark.parametrize("euclid", [polyfp_gcd, polyfp_resultant])
+    def test_remainder_step_that_keeps_the_degree_raises(self, monkeypatch, euclid):
+        # a remainder kernel that hands back its divisor once is caught by
+        # the degree test of the Euclid, not turned into a wrong answer
+        rem, calls = exact_arith._rem, []
+
+        def once_unreduced(a, b, p):
+            calls.append(1)
+            return list(b) if len(calls) == 1 else rem(a, b, p)
+
+        monkeypatch.setattr(exact_arith, "_rem", once_unreduced)
+        f, g = PolyFp.make(7, [1, 2, 0, 1]), PolyFp.make(7, [3, 1, 1])
+        with pytest.raises(InternalError):
+            euclid(f, g)
 
     def test_gcd_and_resultant_of_zero(self):
         f = PolyFp.make(7, [3, 1, 2])
@@ -887,6 +910,35 @@ class TestFactorPolyFpOracle:
                                 for i in range(p * g.degree + 1)])
             f = f * _random_monic(rng, p, rng.randint(0, 24 - f.degree))
             assert factor_poly_fp(f) == _sympy_factors(f), f
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
+    def test_every_monic_quadratic_by_its_roots(self, monkeypatch, p):
+        # split by the discriminant, with no ring built: irreducible iff no
+        # root in F_p, else x - r for each root r, a double root squared
+        monkeypatch.setattr(exact_arith, "ZxRing", None)
+        for c in range(p):
+            for b in range(p):
+                f = PolyFp(p, (c, b, 1))
+                roots = [r for r in range(p) if f.evaluate(r) == 0]
+                if not roots:
+                    want = ((f, 1),)
+                elif len(roots) == 1:
+                    want = ((PolyFp.make(p, [-roots[0], 1]), 2),)
+                else:
+                    want = tuple(sorted(((PolyFp.make(p, [-r, 1]), 1) for r in roots),
+                                        key=factor_key))
+                assert factor_poly_fp(f) == (1, want), f
+
+    @pytest.mark.parametrize("p", [10009, 65537, 2**31 - 1])
+    def test_random_quadratics_match_sympy(self, p):
+        # non-monic, with two roots (the product of two linear factors) or
+        # random (as often irreducible as split)
+        rng = random.Random(p + 5)
+        for _ in range(200):
+            f = PolyFp.make(p, [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)])
+            two = PolyFp.make(p, [rng.randrange(p), rng.randrange(1, p)]) * _random_monic(rng, p, 1)
+            for g in (f, two):
+                assert factor_poly_fp(g) == _sympy_factors(g), g
 
     @pytest.mark.parametrize("p,cap", FACTOR_TIERS)
     def test_frobenius_rows_are_powers_of_x(self, p, cap):
@@ -1063,6 +1115,37 @@ class TestSplitFp:
     def test_irreducible_factors_fp_refuse_non_squarefree_or_non_monic(self, coeffs):
         with pytest.raises(DomainError):
             irreducible_factors_fp(PolyFp.make(5, coeffs))
+
+
+def _sqrt_mod(a, p):
+    """sqrt_tonelli_shanks on built-in integers mod p, with the least nonresidue."""
+    z = next(z for z in range(2, p) if pow(z, p // 2, p) == p - 1)
+    return sqrt_tonelli_shanks(a, z, p, lambda u, v: u * v % p, lambda u, e: pow(u, e, p), 1)
+
+
+class TestTonelliShanks:
+    """The square root loop on built-in integers mod p, as the F_p split of
+    a quadratic runs it; p - 1 = 2^s e with s from 1 to 16."""
+
+    @pytest.mark.parametrize("p,s", [(7, 1), (5, 2), (13, 2), (41, 3), (73, 3), (17, 4), (113, 4)])
+    def test_every_square(self, p, s):
+        assert (p - 1) % 2**s == 0 and (p - 1) // 2**s % 2 == 1
+        for a in sorted({x * x % p for x in range(1, p)}):
+            r = _sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a, (a, r)
+
+    def test_random_squares_mod_65537(self):
+        p, rng = 65537, random.Random(65537)  # p - 1 = 2^16
+        for _ in range(300):
+            a = rng.randrange(1, p) ** 2 % p
+            assert _sqrt_mod(a, p) ** 2 % p == a, a
+
+    @pytest.mark.parametrize("p", [7, 13, 17, 65537])
+    def test_nonsquare_and_zero_raise(self, p):
+        # unguarded, the loop would run forever on 0 and shift by -1 on a nonsquare
+        for a in (0, next(z for z in range(2, p) if pow(z, p // 2, p) == p - 1)):
+            with pytest.raises(InternalError):
+                _sqrt_mod(a, p)
 
 
 def test_sqrt_fraction():
