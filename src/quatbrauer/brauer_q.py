@@ -8,13 +8,14 @@ and same-subgroup predicates compare local invariant orders.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .errors import BUDGETS, BudgetError, DomainError, InternalError
-from .local_symbols import REAL, PlaceQ, hilbert, support_places
+from .errors import DomainError, InternalError
+from .exact_arith import is_prime
+from .local_symbols import REAL, PlaceQ, hilbert, legendre, support_places
 
 
 class QuaternionQ(NamedTuple):
@@ -156,30 +157,29 @@ def example_6_5(n: int, places: tuple[PlaceQ, PlaceQ, PlaceQ, PlaceQ]
     return c1, c2
 
 
-def quaternion_of_class(c: BrauerClassQ, rng: random.Random | None = None) -> QuaternionQ:
-    """A quaternion presentation of an exponent <= 2 class, by randomized
-    search over small squarefree entries built from the support primes.
-    Every candidate is verified by recomputing its invariant vector."""
+def quaternion_of_class(c: BrauerClassQ) -> QuaternionQ:
+    """The quaternion presentation (a, b / Q) of an exponent <= 2 class, built
+    as over global fields in Voight, Quaternion Algebras (GTM 288): s = -1 iff
+    the real place ramifies, a = s * prod(P) over the finite support P, and
+    b = s * q for the least prime q with s q a nonresidue mod each odd p in P
+    and s q = 5 (2 in P) or 1 mod 8.  The product formula leaves q unramified;
+    Hilbert symbols at real, 2, P and q check it, factoring nothing.  A q above
+    2^64 is a Miller-Rabin probable prime, the trust `factor_int` marks."""
     if c.exponent() > 2:
         raise DomainError("class has exponent > 2, not quaternion")
     if len(c.invariants) % 2 != 0:
         raise DomainError("odd support size violates the parity invariant")
     if c.is_zero():
         return QuaternionQ.make(1, 1)
-    rng = rng or random.Random(0xABD)
-    base = [p.p for p in c.support() if not p.is_real]
-    pool = sorted(set(base) | {2, 3, 5, 7})
-
-    def candidate() -> Fraction:
-        v = Fraction(rng.choice([1, -1]))
-        for p in pool:
-            if rng.random() < 0.5:
-                v *= p
-        return v
-
-    for _ in range(limit := BUDGETS.get().quaternion_candidates):
-        a, b = candidate(), candidate()
-        q = QuaternionQ.make(a, b)
-        if class_of_quaternion(q) == c:
-            return q
-    raise BudgetError(f"no quaternion presentation found within quaternion_candidates = {limit}")
+    s, primes = -1 if REAL in c.support() else 1, [p.p for p in c.support() if not p.is_real]
+    r, m = s * (5 if 2 in primes else 1) % 8, 8  # q = r mod m, joined by CRT
+    for p in (p for p in primes if p != 2):
+        n = next(n for n in count(2) if legendre(n, p) == -1)  # least nonresidue
+        r, m = r + m * ((s * n - r) * pow(m, -1, p) % p), m * p
+    q = next(q for q in count(r, m) if is_prime(q))
+    a, b = s * prod(primes), s * q
+    places = {REAL, PlaceQ(2), PlaceQ(q), *map(PlaceQ, primes)}
+    found = BrauerClassQ.make({v: Fraction(1, 2) for v in places if hilbert(a, b, v) == -1})
+    if found != c:
+        raise InternalError(f"({a}, {b} / Q) has class {found}, not {c}")
+    return QuaternionQ.make(a, b)

@@ -21,7 +21,6 @@ class Budgets(NamedTuple):
     # Pollard-Brent steps per cofactor, restarts included:
     # 16x the most an 18-20 digit benchmark entry needed; 1.6 s at 49 digits.
     pollard_steps: int = 2**20
-    quaternion_candidates: int = 10**5  # entry pairs `quaternion_of_class` tries
 
 
 BUDGETS = ContextVar("BUDGETS", default=Budgets())  # scoped by its set and reset

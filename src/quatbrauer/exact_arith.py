@@ -120,7 +120,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 
 def _factor_positive(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
-    rng = random.Random(0x5EED)
+    rng = None  # seeded at the first Pollard-Brent call, its only reader
     for p in (2, 3, 5):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -139,7 +139,7 @@ def _factor_positive(n: int) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        g = _pollard_brent(m, rng)
+        g = _pollard_brent(m, rng := rng or random.Random(0x5EED))
         stack.extend((g, m // g))
     return factors
 

@@ -358,7 +358,6 @@ def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:
     """
     if c.is_zero():
         raise DomainError("square test needs a nonzero element")
-    rng = random.Random(0x5C1A55)  # Tonelli-Shanks nonresidues: the signs of the roots
     pi, value = c.modulus, c.value
 
     # constants that are already rational squares need no p-adic work
@@ -386,6 +385,7 @@ def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:
             best = (p, moduli)
     p0, moduli = best
     pim, vp = polyfp_from_polyq(pi, p0), polyfp_from_polyq(value, p0)
+    rng = random.Random(0x5C1A55)  # Tonelli-Shanks nonresidues: the signs of the roots
     # CRT: y = 1/s mod each factor h, for its root s, and the idempotents of
     # the factors; the global sign is free, so the first factor's stays fixed
     y, idems = PolyFp.const(p0, 0), []

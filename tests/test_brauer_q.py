@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatbrauer import exact_arith
 from quatbrauer.brauer_q import (
     BrauerClassQ,
     QuaternionQ,
@@ -16,7 +18,8 @@ from quatbrauer.brauer_q import (
     same_maximal_subfields_q,
     same_subgroup,
 )
-from quatbrauer.errors import BudgetError, DomainError
+from quatbrauer.errors import DomainError
+from quatbrauer.exact_arith import is_prime
 from quatbrauer.local_symbols import REAL, PlaceQ, hilbert
 
 
@@ -163,8 +166,42 @@ class TestQuaternionOfClass:
             a = Fraction(rng.randint(1, 30) * rng.choice([1, -1]))
             b = Fraction(rng.randint(1, 30) * rng.choice([1, -1]))
             cls = class_of_quaternion(QuaternionQ.make(a, b))
-            q = quaternion_of_class(cls, rng)
+            q = quaternion_of_class(cls)
             assert class_of_quaternion(q) == cls
+
+    def test_roundtrip_every_even_support(self):
+        small = (REAL,) + places(2, 3, 5, 7, 11, 13, 17)
+        supports = [s for k in range(0, len(small) + 1, 2) for s in combinations(small, k)]
+        assert len(supports) == 128
+        for support in supports:
+            cls = BrauerClassQ.make(dict.fromkeys(support, Fraction(1, 2)))
+            assert class_of_quaternion(quaternion_of_class(cls)) == cls, cls
+
+    def test_deterministic(self):
+        c = BrauerClassQ.make(dict.fromkeys((REAL,) + places(3, 7, 13), Fraction(1, 2)))
+        assert quaternion_of_class(c) == quaternion_of_class(c)
+
+    def test_factors_nothing(self, monkeypatch):
+        def refuse(n):
+            raise RuntimeError(f"factored {n}")
+
+        c = BrauerClassQ.make(dict.fromkeys((REAL,) + places(2, 3, 5, 7, 11, 13, 17),
+                                            Fraction(1, 2)))
+        monkeypatch.setattr(exact_arith, "_factor_positive", refuse)
+        q = quaternion_of_class(c)
+        monkeypatch.undo()
+        assert class_of_quaternion(q) == c
+
+    def test_twenty_digit_primes(self):
+        """Checking candidates by their invariant vectors factors their
+        entries, which exhausts pollard_steps on this support; the
+        construction's entries are p1 p2 and a prime."""
+        p1, p2 = 10**19 + 51, 3 * 10**19 + 41
+        q = quaternion_of_class(BrauerClassQ.make(dict.fromkeys(places(p1, p2), Fraction(1, 2))))
+        assert q.a == p1 * p2 and q.b.denominator == 1 and is_prime(abs(q.b.numerator))
+        ramified = {v for v in (REAL,) + places(2, p1, p2, abs(q.b.numerator))
+                    if hilbert(q.a, q.b, v) == -1}
+        assert ramified == set(places(p1, p2))
 
     def test_zero_class(self):
         assert class_of_quaternion(quaternion_of_class(BrauerClassQ.zero())).is_zero()
@@ -173,12 +210,6 @@ class TestQuaternionOfClass:
         c = BrauerClassQ.make({PlaceQ(2): Fraction(1, 3), PlaceQ(3): Fraction(2, 3)})
         with pytest.raises(DomainError):
             quaternion_of_class(c)
-
-    def test_search_budget_exhausted(self, budgets):
-        c = BrauerClassQ.make({PlaceQ(3): Fraction(1, 2), PlaceQ(7): Fraction(1, 2)})
-        budgets(quaternion_candidates=0)
-        with pytest.raises(BudgetError):
-            quaternion_of_class(c, random.Random(5))
 
 
 def test_scale_preserves_local_orders():

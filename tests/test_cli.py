@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ import sympy
 
 from quatbrauer import exact_arith, funcfield_q
 from quatbrauer.cli import main
-from quatbrauer.errors import BUDGETS, BudgetError
+from quatbrauer.errors import BUDGETS
 
 
 def run(capsys, *argv):
@@ -354,24 +353,15 @@ def test_square_budget_lasts_one_call_that_exits_3(capsys, monkeypatch, budgets)
     ({"subsets": 1}, None, ["qx", "residues", "-f", "x^4 + 1", "-g", "3"], ["subsets = 1"]),
     ({"witness_prime": 50}, "16", ["qx", "residues", "-f", "x^2+1", "-g", SQUARE],
      ["lift_exponent = 16", "witness_prime = 50"]),
-    ({"quaternion_candidates": 0}, None, None, ["quaternion_candidates = 0"]),
-], ids=["pollard_steps", "subsets", "square_test", "quaternion_candidates"])
+], ids=["pollard_steps", "subsets", "square_test"])
 def test_every_exit_3_names_its_budget(capsys, monkeypatch, budgets,
                                        narrow, square_budget, argv, named):
     before = budgets(**narrow)
-    if argv is None:  # the quaternion search has no command
-        from quatbrauer.brauer_q import BrauerClassQ, quaternion_of_class
-        from quatbrauer.local_symbols import PlaceQ
-        with pytest.raises(BudgetError) as exc:
-            quaternion_of_class(BrauerClassQ.make({PlaceQ(3): Fraction(1, 2),
-                                                   PlaceQ(7): Fraction(1, 2)}))
-        err = str(exc.value)
-    else:
-        if square_budget:
-            monkeypatch.setenv("QUATBRAUER_SQUARE_BUDGET", square_budget)
-        code, out, err = run(capsys, *argv)
-        assert code == 3 and out == "" and err.startswith("undecided: "), err
-        assert BUDGETS.get() == before
+    if square_budget:
+        monkeypatch.setenv("QUATBRAUER_SQUARE_BUDGET", square_budget)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("undecided: "), err
+    assert BUDGETS.get() == before
     assert all(name in err for name in named), err
 
 

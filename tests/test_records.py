@@ -83,8 +83,8 @@ RECORDS = {
                          lambda: is_isomorphic_qx(_qff(3), _qff(5))),
     SuiteResult: (("name", "cases", "failures"),
                   lambda: SuiteResult("suite", 3, ["case 1: failed"])),
-    Budgets: (("lift_exponent", "witness_prime", "subsets", "pollard_steps",
-               "quaternion_candidates"), lambda: Budgets(subsets=1)),
+    Budgets: (("lift_exponent", "witness_prime", "subsets", "pollard_steps"),
+              lambda: Budgets(subsets=1)),
 }
 # equal RatFuncQ values may have different (num, den); SuiteResult holds a list
 UNHASHABLE = {RatFuncQ, SuiteResult}
