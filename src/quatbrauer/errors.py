@@ -18,8 +18,8 @@ class Budgets(NamedTuple):
     # Swinnerton-Dyer, cyclotomic or binomial factors tried took more than 428;
     # most subsets are dismissed by their degree or constant term in microseconds.
     subsets: int = 2**16
-    # Pollard-Brent steps per cofactor, restarts included:
-    # 16x the most an 18-20 digit benchmark entry needed; 1.6 s at 49 digits.
+    # Pollard-Brent steps per cofactor, restarts included; 16x the most an 18-20 digit
+    # benchmark entry needed.  Rho takes about sqrt(q) for the least prime q: q of 11 digits.
     pollard_steps: int = 2**20
 
 

@@ -231,7 +231,7 @@ class PolyQ(NamedTuple):
 
     @staticmethod
     def const(c) -> "PolyQ":
-        c = Fraction(c)  # already in lowest terms with a positive denominator
+        c = c if type(c) is int else Fraction(c)  # in lowest terms, denominator > 0
         return PolyQ((c.numerator,), c.denominator) if c else PolyQ(())
 
     scalar = const  # f.scalar(c): the constant c of f's ring, as in PolyFp
@@ -297,20 +297,21 @@ class PolyQ(NamedTuple):
         """(q, r), self = q * other + r and deg r < deg other, by pseudo-division
         of the numerators (s * a = q * b + r, s a power of lc(b) and 1 for a
         monic integer b)."""
-        if other.is_zero():
-            raise DomainError("polynomial division by zero")
-        a, b = list(self.nums), other.nums
-        q, s = _pseudo_reduce(a, b)
+        q, s = _pseudo_reduce(a := list(self.nums), b := other.nums)  # reduces a in place
         return (PolyQ.reduced([c * other.den for c in q], s * self.den),
                 PolyQ.reduced(a[:len(b) - 1], s * self.den))
 
     def __mod__(self, other: "PolyQ") -> "PolyQ":
-        return self.divmod(other)[1]
+        """`divmod`'s remainder alone; a self of lower degree is its own remainder."""
+        if len(self.nums) < len(other.nums):
+            return self
+        s = _pseudo_reduce(a := list(self.nums), other.nums)[1]  # reduces a in place
+        return PolyQ.reduced(a[:len(other.nums) - 1], s * self.den)
 
     def evaluate(self, x) -> Fraction:
         """Homogeneous Horner on the numerators: at x = a/b the sum of n_i a^i
         b^(d-i), over den b^d, so one Fraction at the end."""
-        x = Fraction(x)
+        x = x if type(x) is int else Fraction(x)
         a, b, acc, bk = x.numerator, x.denominator, 0, 1
         for n in reversed(self.nums):
             acc, bk = acc * a + n * bk, bk * b  # bk = b^k after k coefficients
@@ -327,6 +328,8 @@ def _pseudo_reduce(r: list[int], b: list[int]) -> tuple[list[int], int]:
     """Pseudo-divide r by b over Z in place: returns (q, s) with s * r = q * b
     + r[:deg b] afterwards.  s = lc(b)^k multiplies in only at a step whose
     leading term lc(b) does not divide, so a monic b never scales."""
+    if not b:
+        raise DomainError("polynomial division by zero")
     d, lc = len(b) - 1, b[-1]
     q, s = [0] * max(0, len(r) - d), 1
     for k in range(len(q) - 1, -1, -1):
@@ -554,11 +557,14 @@ def poly_to_string(f: PolyQ) -> str:
 
 # -- factorization over Q ----------------------------------------------------
 
+def poly_key(f):
+    """Sort key of a PolyQ or PolyFp: degree, then coefficients from the constant
+    term up, ints where they are (Python compares int and Fraction by value)."""
+    return f.degree, (f.coeffs if f.p or f.den != 1 else f.nums)
+
+
 def factor_key(fm):
-    """Sort key of a (factor, multiplicity) pair over Q or F_p: degree, then
-    coefficients from the constant term up."""
-    f, _ = fm
-    return (f.degree, tuple(f.coeffs))
+    return poly_key(fm[0])  # of a (factor, multiplicity) pair
 
 
 def factor_poly_q(f: PolyQ) -> tuple[Fraction, tuple[tuple[PolyQ, int], ...]]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
-from .exact_arith import (DEFAULT_DEGREE_CAP, PolyFp, PolyQ, factor_key, is_prime,
+from .exact_arith import (DEFAULT_DEGREE_CAP, PolyFp, PolyQ, factor_key, is_prime, poly_key,
                           squarefree_parts)
 
 if TYPE_CHECKING:
@@ -45,9 +45,7 @@ class Place(NamedTuple):
     modulus: Poly | None
 
     def sort_key(self):
-        if self.modulus is None:
-            return (1, 0, ())
-        return (0, self.modulus.degree, self.modulus.coeffs)
+        return (1,) if self.modulus is None else (0, *poly_key(self.modulus))
 
     def __str__(self) -> str:
         return "inf" if self.modulus is None else str(self.modulus)

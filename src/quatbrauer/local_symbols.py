@@ -227,10 +227,6 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     return PolyFp(p, tuple(sqrt_tonelli_shanks(val.coeffs, z.coeffs, q, ring.mul, ring.pow, [1])))
 
 
-def _zx_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    return [(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 def _rational_reconstruct(r: list[int], m: int) -> PolyQ | None:
     """Balanced rational reconstruction of each coefficient mod m (|num|,
     |den| <= sqrt(m/2)), or None at the first coefficient that has none."""
@@ -274,7 +270,7 @@ class _LiftState:
     root with the signs of those factors flipped: one lift for all patterns."""
 
     def __init__(self, y: PolyFp, idems: list[PolyFp], mods):
-        self.p, self.mods, self.exp = y.p, mods, 1
+        self.mods, self.exp = mods, 1
         self.y, self.idems = list(y.coeffs), [list(e.coeffs) for e in idems]
 
     def roots(self, exp: int):
@@ -283,21 +279,21 @@ class _LiftState:
         mask flips the sign at idems[j]."""
         while self.exp < exp:
             self.exp = min(2 * self.exp, exp)
-            m = self.p ** self.exp
             ring, cm = self.mods(self.exp)
-            # y <- y (3 - c y^2) / 2 and e <- e^2 (3 - 2e)
-            t = _zx_sub([3], ring.mul(cm, ring.mul(self.y, self.y)), m)
-            self.y = [a * (m + 1) // 2 % m for a in ring.mul(self.y, t)]
-            self.idems = [ring.mul(ring.mul(e, e), _zx_sub([3], [2 * a for a in e], m))
+            # y <- y (3 - c y^2) / 2 and e <- e^2 (3 - 2e), reduced by `ring.mul`
+            cy2 = ring.mul(cm, ring.mul(self.y, self.y))
+            t = [u - v for u, v in zip_longest([3], cy2, fillvalue=0)]
+            self.y = [a * (ring.m + 1) // 2 % ring.m for a in ring.mul(self.y, t)]
+            self.idems = [ring.mul(ring.mul(e, e),
+                                   [u - 2 * v for u, v in zip_longest([3], e, fillvalue=0)])
                           for e in self.idems]
-        m = self.p ** self.exp
         ring, cm = self.mods(self.exp)
         cands = [ring.mul(cm, self.y)]
         for e in self.idems:
             flip = ring.mul([2 * a for a in cands[0]], e)
-            cands += [_zx_sub(r, flip, m) for r in cands]
+            cands += [[u - v for u, v in zip_longest(r, flip, fillvalue=0)] for r in cands]
         for r in cands:
-            if (cand := _rational_reconstruct(r, m)) is not None:
+            if (cand := _rational_reconstruct(r, ring.m)) is not None:
                 yield cand
 
 

@@ -109,6 +109,14 @@ class TestFactorInt:
         assert factor_int(p**3).factors == ((p, 3),)
         assert factor_int(-1009 * 1013 * p**2).value() == -1009 * 1013 * p**2
 
+    def test_pollard_budget_covers_an_11_digit_least_factor(self):
+        # rho takes about sqrt(q) steps for the least prime factor q: 2^20
+        # steps reach q of 11 digits, not of 12
+        fz = factor_int(99999999977 * 100000000003)
+        assert fz.factors == ((99999999977, 1), (100000000003, 1)) and not fz.probable
+        with pytest.raises(BudgetError, match="pollard_steps = 1048576"):
+            factor_int(469895971357 * 1336448565469)
+
     def test_18_to_20_digit_entries(self):
         # two 8-digit primes times small primes, as in the CLI's integer entries
         rng = random.Random(2009)
@@ -153,8 +161,14 @@ class TestPolyQ:
 
     def test_evaluate(self):
         f = PolyQ.make([1, -2, 1])  # (x-1)^2
-        assert f.evaluate(3) == 4
+        assert f.evaluate(3) == 4 and isinstance(f.evaluate(3), Fraction)
         assert f.evaluate(Fraction(1, 2)) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("c", [0, 1, -4, 10**30, Fraction(3), Fraction(-6, 4), "5/10"])
+    def test_const_of_an_int_or_a_fraction(self, c):
+        f = PolyQ.const(c)
+        assert f == PolyQ.make([Fraction(c)]) and hash(f) == hash(PolyQ.make([Fraction(c)]))
+        assert all(type(n) is int for n in f.nums) and type(f.den) is int
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fractions(-40, 40, max_denominator=12), max_size=9),
@@ -363,6 +377,30 @@ class TestIntegerPathOracle:
         want_q, want_r = _qq(f).div(_qq(g))
         assert (q, r) == (_from_qq(want_q), _from_qq(want_r))
         assert f % g == r
+
+    @settings(max_examples=300, deadline=None)
+    @given(POLYS, DIVISORS)
+    @example([], [Fraction(2, 3), 5])                            # zero dividend
+    @example([Fraction(1, 2), 3], [1, 0, Fraction(-2, 7)])       # deg a < deg b: a itself
+    @example([Fraction(3, 4), -1, 5], [Fraction(-5, 3)])         # constant divisor: zero
+    @example([2, 0, 4], [7])                                     # integer constant divisor
+    @example([1, Fraction(1, 6), 0, 2], [Fraction(1, 2), 0, Fraction(3, 5)])  # non-monic
+    @example([Fraction(5, 2), 1, Fraction(-1, 3), 1], [2, 1])    # monic integer divisor
+    def test_mod_is_the_divmod_remainder(self, a, b):
+        """`%` builds no quotient; its remainder is divmod's, in canonical form."""
+        f, g = PolyQ.make(a), PolyQ.make(b)
+        r = f % g
+        assert r == f.divmod(g)[1]
+        canonical = PolyQ.make(r.coeffs)
+        assert (r.nums, r.den) == (canonical.nums, canonical.den) and hash(r) == hash(canonical)
+
+    @pytest.mark.parametrize("a", [[], [3], [Fraction(1, 2), 0, 5]])
+    def test_division_by_zero_raises(self, a):
+        f, zero = PolyQ.make(a), PolyQ.make([])
+        with pytest.raises(DomainError, match="division by zero"):
+            f % zero
+        with pytest.raises(DomainError, match="division by zero"):
+            f.divmod(zero)
 
     @settings(max_examples=60, deadline=None)
     @given(NONZERO, st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=3),

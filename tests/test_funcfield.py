@@ -127,6 +127,56 @@ class TestFactoredFunc:
         assert sorted([Place(None), v], key=Place.sort_key) == [v, Place(None)]
 
 
+# -- sort keys: integer numerators where they serve, the order of Fractions ----
+
+def _fraction_factor_key(fm):
+    """`factor_key` as it was, with every PolyQ coefficient a Fraction."""
+    f, _ = fm
+    return (f.degree, tuple(f.coeffs))
+
+
+def _fraction_place_key(v):
+    """`Place.sort_key` as it was, with every PolyQ coefficient a Fraction."""
+    if v.modulus is None:
+        return (1, 0, ())
+    return (0, v.modulus.degree, v.modulus.coeffs)
+
+
+# monic, so that x + 1/2, x + 1 and x - 3 (den 2, 1 and 1) share a degree
+MONIC_Q = st.builds(lambda cs: PolyQ.make(cs + [1]),
+                    st.lists(st.fractions(-3, 3, max_denominator=3), max_size=3))
+MONIC_FP = st.builds(lambda cs: PolyFp.make(7, cs + [1]), st.lists(st.integers(0, 6), max_size=3))
+EQUAL_DEGREE_Q = [PolyQ.make(c) for c in ([Fraction(1, 2), 1], [1, 1], [-3, 1],
+                                          [Fraction(-7, 3), 1], [0, 1])]
+
+
+class TestSortKeys:
+    """The keys compare PolyQ numerators as ints when den = 1 and Fractions
+    otherwise; int and Fraction compare by value, so every order stays that
+    of the all-Fraction keys (ties too, sorted being stable)."""
+
+    def test_equal_degree_linears(self):
+        facs = [(f, 1) for f in EQUAL_DEGREE_Q]
+        want = ["x - 3", "x - 7/3", "x", "x + 1/2", "x + 1"]
+        assert [str(f) for f, _ in sorted(facs, key=factor_key)] == want
+        assert sorted(facs, key=factor_key) == sorted(facs, key=_fraction_factor_key)
+        vs = [Place(f) for f in EQUAL_DEGREE_Q] + [Place(None)]
+        assert [str(v) for v in sorted(vs, key=Place.sort_key)] == want + ["inf"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(MONIC_Q, st.integers(-2, 2)), max_size=8))
+    def test_factor_key_keeps_the_fraction_order_over_q(self, facs):
+        assert sorted(facs, key=factor_key) == sorted(facs, key=_fraction_factor_key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(MONIC_Q, max_size=8) | st.lists(MONIC_FP, max_size=8), st.booleans())
+    def test_place_key_keeps_the_fraction_order(self, mods, infinity):
+        vs = [Place(f) for f in mods] + [Place(None)] * infinity
+        got = sorted(vs, key=Place.sort_key)
+        assert got == sorted(vs, key=_fraction_place_key)
+        assert not infinity or got[-1] == Place(None)
+
+
 # -- one ring arithmetic over Q (p = 0) and F_p --------------------------------
 
 CHARS = [0, 3, 5, 7]
