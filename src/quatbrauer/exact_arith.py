@@ -761,19 +761,26 @@ def _product(a, b) -> list[int]:
 
 class ZxRing:
     """Z/m[x]/(f), f monic of degree n, m a prime or a prime power, by
-    Kronecker substitution: coefficients a_i in [0, m) pack into the integer
-    sum of a_i 2^(i w), so a product is one bigint multiply.  The slot width
-    w = 2 bitlen(m) + bitlen(2n) cannot carry: a product slot sums n products
-    below m^2, `fold` adds at most n - 1 more, and 2n m^2 < 2^w."""
+    Kronecker substitution: coefficients a_i pack into the integer sum of
+    a_i 2^(i w), so a product is one bigint multiply.  With t = bitlen(m),
+    every slot that `fold` reduces is below 2^b, b = 2t + bitlen(4n).
+    Barrett's reduction (Barrett, CRYPTO '86; Menezes et al., HAC 14.42)
+    multiplies a slot's top b - t + 2 bits by k = 2^(b+1) // m, below
+    2^(b-t+2), so w = 2(b - t) + 5 holds that product, and its quotient
+    then ends 2 bits below the next slot's: no packed step ever carries."""
 
     def __init__(self, f, m: int):
         self.f, self.m, self.n = f, m, len(f) - 1
-        self.w = w = 2 * m.bit_length() + (2 * self.n).bit_length()
+        t, b = m.bit_length(), 2 * m.bit_length() + (4 * self.n).bit_length()
+        self.w = w = 2 * (b - t) + 5
         self.top, self.mask = self.n * w, (1 << w) - 1  # top: bits of n slots
-        # packed x^(n+k) mod f for k < n - 1: x^n, then one shift and fold each
-        self.rows = [self.pack([-c for c in f[:-1]])]
-        while len(self.rows) < self.n - 1:
-            self.rows.append(self.fold(self.rows[-1] << w))
+        self.low = (1 << self.top) - 1
+        self.ones = self.low // self.mask  # a 1 in each of the n slots
+        self.s, self.sh, self.k = t - 2, b - t + 3, (1 << b + 1) // m
+        self.qmask, self.bias = self.ones * ((1 << b - t + 2) - 1), self.ones * ((1 << w - 1) - m)
+        # mu = x^(2n) // f: the quotient of a below x^(2n) by f is (a // x^n) mu // x^n
+        self.mu, self.negf = (sum(c % m << i * w for i, c in enumerate(a)) for a in
+                              (_reduce([0] * 2 * self.n + [1], f, m), [-c for c in f[:-1]]))
 
     def pack(self, a) -> int:
         """The packed residue of an integer list of any length and signs."""
@@ -788,23 +795,33 @@ class ZxRing:
         """The trimmed coefficients mod m of a packed value of n slots."""
         return _trimmed([v >> s & self.mask for s in range(0, self.top, self.w)], self.m)
 
+    def _barrett(self, v: int) -> int:
+        """The n slots of v, each below 2^b, reduced to [0, 2m) mod m:
+        Barrett's quotient ((v_i >> (t-2)) k) >> (b-t+3) errs by less than
+        v_i / 2^(b+1) + 2^(t-2) / m, below 1/2 + 1/2, so is short by one at most."""
+        qmask = self.qmask
+        return v - ((v >> self.s & qmask) * self.k >> self.sh & qmask) * self.m
+
     def fold(self, v: int) -> int:
-        """The packed residue v mod f, v of at most 2n - 1 slots: high slots mod
-        m times their rows x^(n+k) mod f join the low half; its n slots go mod m."""
-        m, w, mask, out = self.m, self.w, self.mask, 0
-        hi, v = v >> self.top, v & ((1 << self.top) - 1)
-        for row, s in zip(self.rows, range(0, hi.bit_length(), w)):
-            v += (hi >> s & mask) % m * row
-        for s in range(self.top - w, -1, -w):
-            out = out << w | (v >> s & mask) % m
-        return out
+        """The packed residue v mod (f, m), v of at most 2n slots, each below
+        2^(b-1), as a product of two packed residues is (its slots sum at most
+        n products below m^2).  With v = lo + hi x^n, the quotient by f is q =
+        (hi mod m) mu // x^n exactly, as polynomials have no carries (von zur
+        Gathen-Gerhard, Modern Computer Algebra, 9.1); then v - q f mod m is
+        lo + q (-f mod m) on the low n slots.  hi and q are only brought below
+        2m, so those slots stay below 2n m^2 and 2^(b-1) + 2n m^2 < 2^b; the
+        result's slots go below m by adding 2^(w-1) - m to each, which sets a
+        slot's top bit just when one m is still due."""
+        q = self._barrett(self._barrett(v >> self.top) * self.mu >> self.top)
+        v = self._barrett((v & self.low) + q * self.negf & self.low)
+        return v - ((v + self.bias) >> self.w - 1 & self.ones) * self.m
 
     def mul(self, a, b) -> list[int]:
         return self.unpack(self.fold(self.pack(a) * self.pack(b)))
 
     def pow(self, a, e: int) -> list[int]:
-        """a^e, left-to-right: each step squares the packed value.  The base x
-        packs to 2^w, so its multiply is a shift and its fold reads one slot."""
+        """a^e, left-to-right: each step squares the packed value, then a 1
+        bit multiplies by the base; a fold per product."""
         b, r = self.pack(a), self.pack([1])
         for bit in bin(e)[2:]:
             r = self.fold(r * r)
@@ -957,8 +974,12 @@ def poly_inverse(a, m):
 
 def _frobenius_rows(f: PolyFp, ring: ZxRing) -> list[int]:
     """The rows x^(i p) mod f, i < deg f, of the Frobenius map t -> t^p of
-    F_p[x]/(f), f monic, packed in ring: x^0 packs to 1, then x^p times each."""
-    rows, xp = [1], ring.pack(ring.pow([0, 1], f.p)) if f.degree > 1 else 0
+    F_p[x]/(f), f monic, packed in ring: x^0 packs to 1, then x^p times each.
+    x^p takes one fold per bit of p: a 1 bit shifts the square by one slot
+    (times x), and the 2n slots that leaves are within `fold`'s input."""
+    rows, xp = [1], 1
+    for bit in bin(f.p)[2:]:
+        xp = ring.fold(xp * xp << ring.w * (bit == "1"))
     while len(rows) < f.degree:
         rows.append(ring.fold(xp * rows[-1]))
     return rows
@@ -966,7 +987,8 @@ def _frobenius_rows(f: PolyFp, ring: ZxRing) -> list[int]:
 
 def _frobenius(t: list[int], rows: list[int], ring: ZxRing) -> list[int]:
     """t^p mod f = sum of t_i * x^(i p) mod f, as t_i^p = t_i in F_p: one
-    packed sum of n products below p^2 a slot (within the bound), one unpack."""
+    packed sum of n products below p^2 a slot (no carry), which `unpack`
+    reduces with no fold."""
     return ring.unpack(sum(c * row for c, row in zip(t, rows) if c))
 
 

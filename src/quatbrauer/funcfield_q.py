@@ -15,8 +15,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .brauer_q import QuaternionQ, class_of_quaternion
-from .errors import DomainError
-from .exact_arith import PolyQ, RatFuncQ, irreducible_factors_q, sqrt_fraction
+from .exact_arith import PolyQ, irreducible_factors_q, sqrt_fraction
 from .funcfield import FactoredFunc, IsomorphismVerdict, Place, residue_support, tame_terms
 from .local_symbols import (
     NumberFieldElem,
@@ -77,11 +76,6 @@ def residue_at(D: QuaternionFF, v: Place) -> ResidueCharacter:
     t = tame_symbol(D, v)
     verdict = is_square_in_number_field(t)
     return ResidueCharacter(v, t, verdict.is_square, verdict)
-
-
-def ramification_set(D: QuaternionFF) -> list[ResidueCharacter]:
-    """Nontrivial residue characters, each with its certificate."""
-    return [residue_at(D, v) for v in residue_support([(D.f, D.g)], _nonsquare_places)]
 
 
 def specialize(D: QuaternionFF, alpha) -> QuaternionQ:
@@ -153,48 +147,3 @@ def is_isomorphic_qx(D1: QuaternionFF, D2: QuaternionFF, rng=None) -> Isomorphis
         False, witness_invariants=diff, specialization_point=alpha,
         citations=("specialization homomorphism", "Albert-Hasse-Brauer-Noether"))
 
-
-def is_division_qx(D: QuaternionFF) -> tuple[bool, str]:
-    """A quaternion over Q(x) is division iff its class is nonzero, that is
-    iff it is not isomorphic to the split algebra (1, 1)."""
-    one = FactoredFunc.from_constant(1)
-    verdict = is_isomorphic_qx(D, QuaternionFF(one, one))
-    alpha = verdict.specialization_point
-    if verdict.witness_place is not None:
-        return True, f"ramified at {verdict.witness_place}"
-    if not verdict.isomorphic:
-        return True, f"nonzero constant class {verdict.witness_invariants} at x = {alpha}"
-    return False, f"split: unramified everywhere and trivial class at x = {alpha}"
-
-
-def same_maximal_subfields_qx(D1: QuaternionFF, D2: QuaternionFF) -> IsomorphismVerdict:
-    """Over Q(x) the same-maximal-subfields predicate for division algebras
-    coincides with isomorphism; inputs must be division algebras."""
-    for name, D in (("first", D1), ("second", D2)):
-        division, why = is_division_qx(D)
-        if not division:
-            raise DomainError(f"{name} algebra is not a division algebra ({why})")
-    verdict = is_isomorphic_qx(D1, D2)
-    return verdict._replace(citations=verdict.citations + (
-        "maximal-subfield equivalence over rational function fields",))
-
-
-def _expand(f: FactoredFunc) -> RatFuncQ:
-    num, den = f.constant, PolyQ.const(1)
-    for q, m in f.factors:
-        if m > 0:
-            num = num * q**m
-        else:
-            den = den * q ** (-m)
-    return RatFuncQ(num, den)
-
-
-def qform_represents(D: QuaternionFF, d: FactoredFunc,
-                     s: RatFuncQ, t: RatFuncQ, u: RatFuncQ) -> bool:
-    """Certificate check: a s^2 + b t^2 - a b u^2 = d exactly in Q(x),
-    for the norm-type form attached to the symbol algebra (a, b)."""
-    if s.is_zero() and t.is_zero() and u.is_zero():
-        raise DomainError("need a nonzero representation triple")
-    a, b = _expand(D.f), _expand(D.g)
-    lhs = a * s * s + b * t * t - a * b * u * u
-    return lhs == _expand(d)

@@ -46,7 +46,7 @@ from quatbrauer.exact_arith import (
     sqrt_tonelli_shanks,
     squarefree_parts,
 )
-from quatbrauer.funcfield import FactoredFunc
+from quatbrauer.funcfield import MAX_DEGREE, FactoredFunc
 
 
 class TestPrimality:
@@ -978,7 +978,9 @@ class TestFactorPolyFpOracle:
             for g in (f, two):
                 assert factor_poly_fp(g) == _sympy_factors(g), g
 
-    @pytest.mark.parametrize("p,cap", FACTOR_TIERS)
+    # 65537 = 2^16 + 1: a bitlen just past a power of two, and x^p by 15
+    # squarings between its two 1 bits
+    @pytest.mark.parametrize("p,cap", FACTOR_TIERS + ((65537, 16),))
     def test_frobenius_rows_are_powers_of_x(self, p, cap):
         rng = random.Random(p + 3)
         for n in (2, cap // 2, cap):
@@ -1014,9 +1016,15 @@ class TestFactorPolyFpOracle:
 
 # (m, p): primes, and prime powers as in the p-adic lift.  Only an m just below
 # a power of two, as 2^31 - 1 is, lets a product fill a slot to its width.
-# Modulus degrees run from the zero ring to twice the largest F_p cap.
+# Modulus degrees run from the zero ring to twice the largest F_p cap, and to
+# the F_p(x) entry cap MAX_DEGREE for the moduli of TOP_DEGREE_MODULI.
 KERNEL_MODULI = ((3, 3), (10007, 10007), (2**31 - 1, 2**31 - 1), (7**40, 7), (10007**9, 10007))
 KERNEL_DEGREES = (0, 1, 2, 3, 7, 15, 31, 48)
+TOP_DEGREE_MODULI = (3, 2**31 - 1, 7**40)
+
+
+def _kernel_degrees(m):
+    return KERNEL_DEGREES + ((MAX_DEGREE,) if m in TOP_DEGREE_MODULI else ())
 
 
 def _school_mulmod(a, b, f, m):
@@ -1058,7 +1066,7 @@ class TestZxRing:
     @pytest.mark.parametrize("m", [m for m, _ in KERNEL_MODULI])
     def test_mulmod_matches_schoolbook(self, m):
         rng = random.Random(m % 1009)
-        for n in KERNEL_DEGREES:
+        for n in _kernel_degrees(m):
             for f in _kernel_moduli(rng, m, n):
                 ops = _edge_operands(rng, m, n)
                 for a in ops:
@@ -1068,7 +1076,7 @@ class TestZxRing:
     @pytest.mark.parametrize("m,p", KERNEL_MODULI)
     def test_pow_matches_schoolbook(self, m, p):
         rng = random.Random(m % 1013)
-        for n in KERNEL_DEGREES:
+        for n in _kernel_degrees(m):
             # the Euler exponent (p^d - 1)/2 is too long for the reference at d = 48
             exps = (0, 1, p) + (((p**n - 1) // 2,) if n <= 15 else ())
             for f in _kernel_moduli(rng, m, n):
@@ -1081,10 +1089,44 @@ class TestZxRing:
                             got = polyfp_pow_mod(PolyFp.make(p, a), e, PolyFp.make(p, f))
                             assert list(got.coeffs) == want
 
+    @pytest.mark.parametrize("m", [m for m, _ in KERNEL_MODULI])
+    def test_fold_of_worst_case_inputs(self, m):
+        # every one of 2n slots at its largest: a product's n (m - 1)^2, and
+        # 2^(b-1) - 1, the bound `fold` admits (b = 2 bitlen(m) + bitlen(4n)),
+        # where the low half plus q (-f mod m) comes closest to 2^b
+        rng = random.Random(m % 1021)
+        for n in _kernel_degrees(m):
+            top = 1 << (2 * m.bit_length() + (4 * n).bit_length() - 1)
+            for f in _kernel_moduli(rng, m, n) + [[m - 1] * n + [1], [1] * (n + 1)]:
+                ring = ZxRing(f, m)
+                for slot in (n * (m - 1) ** 2, top - 1, top - 1 - rng.randrange(m)):
+                    # all slots at the largest, then about half of them
+                    for slots in ([slot] * 2 * n, [rng.choice([slot, rng.randrange(slot)])
+                                                   for _ in range(2 * n)]):
+                        v = sum(c << i * ring.w for i, c in enumerate(slots))
+                        assert ring.fold(v) == ring.pack(_school_mulmod(slots, [1], f, m)), (n, f)
+
+    # Fermat primes 2^(2^j) + 1, just past a power of two, are where a Barrett
+    # quotient that truncates one bit more would come out short by two
+    @pytest.mark.parametrize("m", [m for m, _ in KERNEL_MODULI] + [17, 257, 65537])
+    def test_barrett_step_brings_slots_below_2m(self, m):
+        rng = random.Random(m % 1031)
+        for n in (1, 2, 9):
+            ring, b = ZxRing([rng.randrange(m) for _ in range(n)] + [1], m), \
+                2 * m.bit_length() + (4 * n).bit_length()
+            for _ in range(2000 // n):
+                # any slot below 2^b, its low bits often all ones
+                slots = [rng.randrange(1 << b) | (1 << rng.randrange(b)) - 1 for _ in range(n)]
+                v = ring._barrett(sum(c << i * ring.w for i, c in enumerate(slots)))
+                for i, c in enumerate(slots):
+                    r = v >> i * ring.w & ring.mask
+                    assert r < 2 * m and r % m == c % m, (n, c)
+                assert v >> n * ring.w == 0
+
     @pytest.mark.parametrize("p", [3, 10007, 2**31 - 1])
     def test_packed_frobenius_is_pth_power(self, p):
         rng = random.Random(p % 1019)
-        for n in KERNEL_DEGREES[1:]:
+        for n in _kernel_degrees(p)[1:]:
             for f in _kernel_moduli(rng, p, n):
                 ring = ZxRing(f, p)
                 rows = exact_arith._frobenius_rows(PolyFp.make(p, f), ring)

@@ -16,6 +16,7 @@ from quatbrauer.cli import _funcfield
 from quatbrauer.errors import DomainError
 from quatbrauer.exact_arith import (
     PolyQ,
+    RatFuncQ,
     factor_key,
     factor_poly_fp,
     factor_poly_q,
@@ -25,18 +26,13 @@ from quatbrauer.exact_arith import (
     polyfp_from_polyq,
     sqrt_fraction,
 )
-from quatbrauer.funcfield import Place, odd_tame_bases, places
+from quatbrauer.funcfield import Place, odd_tame_bases, places, residue_support
 from quatbrauer.funcfield_q import (
     FactoredFunc,
     IsomorphismVerdict,
     QuaternionFF,
-    RatFuncQ,
-    is_division_qx,
     is_isomorphic_qx,
-    qform_represents,
-    ramification_set,
     residue_at,
-    same_maximal_subfields_qx,
     specialize,
     tame_symbol,
 )
@@ -51,6 +47,11 @@ def ff(s):
 
 def alg(f, g):
     return QuaternionFF(ff(f), ff(g))
+
+
+def support(D):
+    """The places where D ramifies, sorted."""
+    return residue_support([(D.f, D.g)], funcfield_q._nonsquare_places)
 
 
 X_PLACE = Place(PolyQ.x())
@@ -114,15 +115,17 @@ class TestResidues:
         assert ch.trivial
 
     def test_constant_algebra_unramified(self):
-        assert ramification_set(alg(5, 7)) == []
+        assert support(alg(5, 7)) == []
 
     def test_gauss_place(self):
-        ram = ramification_set(alg("x^2 + 1", 2))
-        assert [str(ch.place) for ch in ram] == ["x^2 + 1"]
+        D = alg("x^2 + 1", 2)
+        assert [str(v) for v in support(D)] == ["x^2 + 1"]
+        assert not residue_at(D, support(D)[0]).trivial
 
     def test_even_valuations_unramified(self):
-        ram = ramification_set(alg("x^2", "3*x^4"))
-        assert ram == []
+        D = alg("x^2", "3*x^4")
+        assert support(D) == []
+        assert residue_at(D, X_PLACE).trivial
 
 
 class TestSpecialize:
@@ -463,49 +466,18 @@ class TestCallCounts:
 
 
 class TestDivision:
+    # a quaternion algebra over Q(x) is division iff its class is nonzero, that
+    # is iff it is not isomorphic to the split algebra (1, 1)
     def test_ramified_is_division(self):
-        division, why = is_division_qx(alg("x", 3))
-        assert division and "ramified" in why
+        verdict = is_isomorphic_qx(alg("x", 3), alg(1, 1))
+        assert not verdict.isomorphic and verdict.witness_place == X_PLACE
 
     def test_constant_division(self):
-        division, why = is_division_qx(alg(2, 3))
-        assert division
+        verdict = is_isomorphic_qx(alg(2, 3), alg(1, 1))
+        assert not verdict.isomorphic and not verdict.witness_invariants.is_zero()
 
     def test_split(self):
-        division, why = is_division_qx(alg(1, "x"))
-        assert not division
-
-
-class TestSameMaximalSubfields:
-    def test_division_precondition(self):
-        with pytest.raises(DomainError):
-            same_maximal_subfields_qx(alg(1, "x"), alg("x", 3))
-
-    def test_agrees_with_isomorphism(self):
-        v = same_maximal_subfields_qx(alg("x", 3), alg("x", 12))
-        assert v.isomorphic
-        v = same_maximal_subfields_qx(alg("x", 3), alg("x", 5))
-        assert not v.isomorphic
-
-
-class TestQuadraticForm:
-    def test_first_entry_represented(self):
-        D = alg("x", 3)
-        one = RatFuncQ.make(PolyQ.const(1))
-        zero = RatFuncQ.make(PolyQ.make([]))
-        assert qform_represents(D, ff("x"), one, zero, zero)
-
-    def test_wrong_value(self):
-        D = alg("x", 3)
-        one = RatFuncQ.make(PolyQ.const(1))
-        zero = RatFuncQ.make(PolyQ.make([]))
-        assert not qform_represents(D, ff("x + 1"), one, zero, zero)
-
-    def test_zero_triple_rejected(self):
-        D = alg("x", 3)
-        zero = RatFuncQ.make(PolyQ.make([]))
-        with pytest.raises(DomainError):
-            qform_represents(D, ff("x"), zero, zero, zero)
+        assert is_isomorphic_qx(alg(1, "x"), alg(1, 1)).isomorphic
 
 
 def test_ratfunc_equality_cross_multiplies():

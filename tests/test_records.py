@@ -30,7 +30,6 @@ from quatbrauer.funcfield_q import (
     ResidueCharacter,
     is_isomorphic_qx,
     residue_at,
-    same_maximal_subfields_qx,
 )
 from quatbrauer.local_symbols import (
     NonsquareWitness,
@@ -146,17 +145,3 @@ def test_ratfunc_equality_is_by_value():
     a, b = RatFuncQ.make(PolyQ.x(), PolyQ.x()), RatFuncQ.make(PolyQ.const(1))
     assert a == b and not a != b
     assert a != RatFuncQ.make(PolyQ.x()) and not a == RatFuncQ.make(PolyQ.x())
-
-
-@pytest.mark.parametrize("g,citations", [
-    (5, ("Faddeev exact sequence (residue comparison)",)),
-    (12, ("Faddeev exact sequence", "specialization homomorphism",
-          "Albert-Hasse-Brauer-Noether")),
-])
-def test_same_maximal_subfields_appends_one_citation(g, citations):
-    v = same_maximal_subfields_qx(_qff(3), _qff(g))
-    w = is_isomorphic_qx(_qff(3), _qff(g))
-    assert w.citations == citations
-    assert v.citations == citations + (
-        "maximal-subfield equivalence over rational function fields",)
-    assert type(v) is IsomorphismVerdict and v._replace(citations=citations) == w
