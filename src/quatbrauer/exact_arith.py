@@ -8,8 +8,8 @@ Canonical forms are used throughout so that equality of values is structural
 equality: rationals are reduced with positive denominator, Q[x] polynomials
 are integer numerators over one coprime positive denominator, polynomial
 factorizations carry monic irreducible factors sorted by (degree, coeffs).
-PolyQ and PolyFp share `p`, `scalar`, `gcd` and `places`; one
-`squarefree_parts` serves both, on the ring operations they have in common.
+PolyQ and PolyFp share `p`, `scalar`, `gcd` and `places`; `squarefree_parts`
+and the factoring skeleton `_factor` serve both, on the ring operations they share.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from .errors import BUDGETS, BudgetError, DomainError, InternalError, ParseError
-
-# Factorization over Q is rejected above this degree; recombination cost is
-# unbounded in general.
-DEFAULT_DEGREE_CAP = 24
 
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -567,28 +563,33 @@ def factor_key(fm):
     return poly_key(fm[0])  # of a (factor, multiplicity) pair
 
 
-def factor_poly_q(f: PolyQ) -> tuple[Fraction, tuple[tuple[PolyQ, int], ...]]:
-    """Exact factorization over Q: (unit lc(f), monic irreducible factors with
-    multiplicity), as `factor_poly_fp` returns over F_p.  A squarefree part
-    that `_mod_p_splits` cannot prove irreducible goes to `zassenhaus`,
-    imported on the first split; lc(f) * prod g^m is compared with f."""
+def _factor(f, split):
+    """(lc(f), the monic irreducible factors with multiplicity, sorted by
+    `factor_key`) of a PolyQ or PolyFp f, `split` factoring each squarefree
+    part; lc(f) * prod g^m is multiplied back and compared with f."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    if f.degree > DEFAULT_DEGREE_CAP:
-        raise DomainError(
-            f"degree {f.degree} exceeds the factorization cap {DEFAULT_DEGREE_CAP}")
-    factors = []
-    for part, m in squarefree_parts(f):
-        degrees, splits = _mod_p_splits(part)
-        if not degrees:
-            factors.append((part, m))
-        else:
-            from .zassenhaus import split_q
-            factors += [(g, m) for g in split_q(part, degrees, splits)]
-    if prod((g**m for g, m in factors), start=PolyQ.const(f.lc())) != f:
-        raise InternalError("factorization failed to reconstruct input")
-    factors.sort(key=factor_key)
+    factors = sorted(((g, m) for part, m in squarefree_parts(f) for g in split(part)),
+                     key=factor_key)
+    if prod((g for g, m in factors for _ in range(m)), start=f.scalar(f.lc())) != f:
+        field = f"F_{f.p}" if f.p else "Q"
+        raise InternalError(f"factorization over {field} failed to reconstruct the input")
     return f.lc(), tuple(factors)
+
+
+def factor_poly_q(f: PolyQ) -> tuple[Fraction, tuple[tuple[PolyQ, int], ...]]:
+    """Exact factorization over Q, as `_factor` returns it.  A squarefree
+    part that `_mod_p_splits` cannot prove irreducible goes to `zassenhaus`,
+    imported on the first split; its recombination is bounded by
+    `Budgets.subsets`, not by the degree."""
+    return _factor(f, _split_q)
+
+
+def _split_q(f: PolyQ) -> list[PolyQ]:
+    if not (screen := _mod_p_splits(f))[0]:
+        return [f]
+    from .zassenhaus import split_q
+    return split_q(f, *screen)
 
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
@@ -613,11 +614,19 @@ def _mod_p_splits(f: PolyQ) -> tuple[int, tuple]:
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def irreducible_factors_q(f: PolyQ) -> tuple[PolyQ, ...]:
     """The monic irreducible factors of a monic squarefree f, sorted; memoized
-    on f like `irreducible_factors_fp`.  `_mod_p_splits` proves most f
-    irreducible; `factor_poly_q` splits the rest, x^4 + 1 always."""
-    if not f.is_monic() or poly_gcd(f, f.derivative()).degree > 0:
+    on f like `irreducible_factors_fp`.  `_mod_p_splits` proves most monic f
+    irreducible unfactored; `factor_poly_q` splits the rest, x^4 + 1 always."""
+    if f.is_monic() and not _mod_p_splits(f)[0]:
+        return (f,)
+    return _places(f, factor_poly_q)
+
+
+def _places(f, factor) -> tuple:
+    """The factors of `factor(f)`, whose unit must be 1 and every multiplicity 1."""
+    unit, facs = factor(f)
+    if unit != 1 or any(m != 1 for _, m in facs):
         raise DomainError(f"{f} is not monic and squarefree")
-    return tuple(g for g, _ in factor_poly_q(f)[1]) if _mod_p_splits(f)[0] else (f,)
+    return tuple(g for g, _ in facs)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,31 +1051,23 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random) -
 
 
 def factor_poly_fp(f: PolyFp) -> tuple[int, tuple[tuple[PolyFp, int], ...]]:
-    """Cantor-Zassenhaus factorization through the Frobenius matrix of each
-    squarefree part of degree 3 or more, in one `ZxRing` per part (None below);
-    returns (unit, monic irreducible factors with multiplicity), re-verified by multiplying out."""
-    if f.is_zero():
-        raise DomainError("cannot factor the zero polynomial")
-    rng, unit, factors = random.Random(0xCA2A), f.lc(), []
-    for sqf, mult in squarefree_parts(f):
-        ring = ZxRing(sqf.coeffs, f.p) if sqf.degree > 2 else None
-        rows = ring and _frobenius_rows(sqf, ring)
-        for part, d in _ddf(sqf, rows, ring):
-            factors.extend((h, mult) for h in _edf(part, d, ring, rows, rng))
-    factors.sort(key=factor_key)
-    if prod((h for h, m in factors for _ in range(m)), start=PolyFp.const(f.p, unit)) != f:
-        raise InternalError(f"factorization over F_{f.p} failed to reconstruct the input")
-    return unit, tuple(factors)
+    """`_factor` by Cantor-Zassenhaus: the Frobenius matrix of each squarefree
+    part of degree 3 or more in its own `ZxRing` (None below); one seeded rng."""
+    rng = random.Random(0xCA2A)
+
+    def split(g: PolyFp) -> list[PolyFp]:
+        ring = ZxRing(g.coeffs, g.p) if g.degree > 2 else None
+        rows = ring and _frobenius_rows(g, ring)
+        return [h for part, d in _ddf(g, rows, ring) for h in _edf(part, d, ring, rows, rng)]
+
+    return _factor(f, split)
 
 
 @functools.lru_cache(maxsize=SPLIT_CACHE_SIZE)
 def irreducible_factors_fp(h: PolyFp) -> tuple[PolyFp, ...]:
     """The monic irreducible factors of a monic squarefree h, sorted; memoized
     on h (and so on p), as the entries of a decision share most parts."""
-    unit, facs = factor_poly_fp(h)
-    if unit != 1 or any(m != 1 for _, m in facs):
-        raise DomainError(f"{h} is not monic and squarefree")
-    return tuple(g for g, _ in facs)
+    return _places(h, factor_poly_fp)
 
 
 # the ring operations that funcfield calls, under the same names over Q and F_p

@@ -22,15 +22,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
-from .exact_arith import (DEFAULT_DEGREE_CAP, PolyFp, PolyQ, factor_key, is_prime, poly_key,
-                          squarefree_parts)
+from .exact_arith import PolyFp, PolyQ, factor_key, is_prime, poly_key, squarefree_parts
 
 if TYPE_CHECKING:
     from .brauer_q import BrauerClassQ
     from .local_symbols import NumberFieldElem
 
 MAX_CHAR = 2**31
-MAX_DEGREE = 64  # F_p(x) entries of higher degree are refused before factoring
+MAX_DEGREE = 64  # entries of higher degree, over F_p or Q, are refused before factoring
 
 Poly = PolyQ | PolyFp
 
@@ -91,9 +90,8 @@ class FactoredFunc(NamedTuple):
             raise DomainError(f"zero is not a unit of {_field(f.p)}")
         if f.p:
             check_char(f.p)
-        cap = MAX_DEGREE if f.p else DEFAULT_DEGREE_CAP
-        if f.degree > cap:
-            raise DomainError(f"degree {f.degree} exceeds the {_field(f.p)} cap {cap}")
+        if f.degree > MAX_DEGREE:
+            raise DomainError(f"degree {f.degree} exceeds the {_field(f.p)} cap {MAX_DEGREE}")
         return FactoredFunc(f.scalar(f.lc()), tuple(sorted(squarefree_parts(f), key=factor_key)))
 
     @staticmethod

@@ -229,7 +229,10 @@ class TestQx:
         assert code == 3 and "undecided:" in err
 
     def test_degree_cap_exit_1(self, capsys):
-        code, _, err = run(capsys, "qx", "residues", "-f", "(x^2+1)^13", "-g", "3")
+        # degree 26 needs no factoring: Q(x) entries share the F_p(x) cap of 64
+        code, out, _ = run(capsys, "qx", "residues", "-f", "(x^2+1)^13", "-g", "3")
+        assert code == 0 and out == "x^2 + 1: ramified\n"
+        code, _, err = run(capsys, "qx", "residues", "-f", "(x^2+1)^32*(x+1)", "-g", "3")
         assert code == 1 and "exceeds" in err
 
     def test_injection_is_a_parse_error(self, capsys, tmp_path):

@@ -15,7 +15,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from quatbrauer import exact_arith
-from quatbrauer.errors import BudgetError, DomainError, InternalError, ParseError
+from quatbrauer.errors import BudgetError, Budgets, DomainError, InternalError, ParseError
 from quatbrauer.exact_arith import (
     MAX_POWER_SIZE,
     TRIAL_DIVISION_BOUND,
@@ -475,6 +475,23 @@ SWINNERTON_DYER_16 = PolyQ.make(
 FOUR_SEXTICS = prod((PolyQ.make([int(c) for c in reversed(
     sympy.Poly(sympy.cyclotomic_poly(n, X), X).all_coeffs())]) for n in (7, 9, 14, 18)),
     start=PolyQ.const(Fraction(-3, 4)))
+
+
+def _swinnerton_dyer(primes) -> PolyQ:
+    """The product of x - (+-sqrt(p_1) +- ... +- sqrt(p_k)) over all signs,
+    prime by prime: with g(x + sqrt(p)) = a + sqrt(p) b, a and b in Q[x] (by
+    Horner in Q(sqrt(p))[x]), g(x + sqrt(p)) g(x - sqrt(p)) = a^2 - p b^2."""
+    g, x = PolyQ.x(), PolyQ.x()
+    for p in primes:
+        a = b = PolyQ.const(0)
+        for c in reversed(g.coeffs):  # (a + sqrt(p) b)(x + sqrt(p)) + c
+            a, b = a * x + b.scale(p) + PolyQ.const(c), b * x + a
+        g = a * a - (b * b).scale(p)
+    return g
+
+
+SWINNERTON_DYER_32 = _swinnerton_dyer((2, 3, 5, 7, 11))
+SWINNERTON_DYER_64 = _swinnerton_dyer((2, 3, 5, 7, 11, 13))
 # 24 linear factors: every screening prime divides the discriminant, so the
 # Hensel prime comes from the primes beyond them
 LINEARS_24 = prod((PolyQ.make([-i, 1]) for i in range(-12, 12)), start=PolyQ.const(1))
@@ -491,7 +508,7 @@ class TestZassenhaus:
                               (PolyQ.make([1, 0, 0, 0, 1]), 1)])
     def test_products_of_irreducibles_match_sympy(self, content, parts):
         f = prod((g**m for g, m in parts), start=PolyQ.const(content))
-        assume(f.degree <= exact_arith.DEFAULT_DEGREE_CAP)
+        assume(f.degree <= 24)
         assert factor_poly_q(f) == _sympy_factorization(f)
 
     @pytest.mark.parametrize("f", [poly_from_string("x^4 + 1"), SWINNERTON_DYER_16,
@@ -509,6 +526,23 @@ class TestZassenhaus:
         good = [facs for _, facs in splits if all(m == 1 for _, m in facs)]
         assert good and all(len(facs) == 8 for facs in good)
         assert factor_poly_q(SWINNERTON_DYER_16)[1] == ((SWINNERTON_DYER_16, 1),)
+
+    def test_swinnerton_dyer_construction_matches_sympy(self):
+        assert _swinnerton_dyer((2, 3, 5, 7)) == SWINNERTON_DYER_16
+        assert SWINNERTON_DYER_32.degree == 32 and SWINNERTON_DYER_64.degree == MAX_DEGREE
+
+    def test_swinnerton_dyer_32_proved_irreducible_within_the_bound(self):
+        # 16 quadratics mod the Hensel prime: all 39202 subsets of up to 8 are tried
+        t0 = time.perf_counter()
+        assert factor_poly_q(SWINNERTON_DYER_32) == (1, ((SWINNERTON_DYER_32, 1),))
+        assert time.perf_counter() - t0 < HARD_CASE_SECONDS
+
+    def test_swinnerton_dyer_64_runs_out_of_subsets(self):
+        # 32 quadratics mod the Hensel prime: the default budget runs out among the 5-subsets
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"subsets = {Budgets().subsets}$"):
+            factor_poly_q(SWINNERTON_DYER_64)
+        assert time.perf_counter() - t0 < HARD_CASE_SECONDS
 
     def test_subset_budget_runs_out_with_budget_error(self, budgets):
         budgets(subsets=1)
@@ -593,7 +627,7 @@ class TestSquarefreeAndIrreducible:
 
     def test_squarefree_parts_refuse_the_degree_cap(self):
         with pytest.raises(DomainError, match="exceeds"):
-            FactoredFunc.from_poly(PolyQ.make([1, 1]) ** (exact_arith.DEFAULT_DEGREE_CAP + 1))
+            FactoredFunc.from_poly(PolyQ.make([1, 1]) ** (MAX_DEGREE + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=4), min_size=1, max_size=3))
@@ -607,14 +641,16 @@ class TestSquarefreeAndIrreducible:
     @pytest.mark.parametrize("s", ["x^3 - 2", "x^4 + x + 1", "x^5 - x - 1",
                                    "x^6 + x^3 + 1/2", "x^2 + 1/3"])
     def test_irreducible_proved_without_sympy(self, monkeypatch, s):
+        # the id predates in-house factoring: the proof must not factor at all
         monkeypatch.setattr(exact_arith, "factor_poly_q", None)
         f = poly_from_string(s).monic()
         assert irreducible_factors_q(f) == (f,)
 
     @pytest.mark.parametrize("s", ["x^4 + 1", "(x^2 - 2)*(x^2 + 1)", "(x - 1)*(x^3 - 2)"])
     def test_unproved_polynomials_go_to_sympy(self, monkeypatch, s):
-        # x^4 + 1 is irreducible but splits mod every prime, and a reducible
-        # polynomial has no irreducibility proof
+        # the id predates in-house factoring: these reach factor_poly_q and
+        # its Zassenhaus split. x^4 + 1 is irreducible but splits mod every
+        # prime, and a reducible polynomial has no irreducibility proof
         calls = []
         factor = exact_arith.factor_poly_q
         monkeypatch.setattr(exact_arith, "factor_poly_q",
@@ -646,7 +682,10 @@ class TestSquarefreeAndIrreducible:
             i += 1
         assert squarefree_parts(f) == tuple(want)
 
-    @pytest.mark.parametrize("s", ["2*x^2 + 2", "2*x^2 - 2", "(x + 1)^2"])
+    # 2*x^3 - 4 and (x^3 - 2)^9 (degree 27) have one irreducible factor,
+    # which the primes of _mod_p_splits prove irreducible
+    @pytest.mark.parametrize("s", ["2*x^2 + 2", "2*x^2 - 2", "(x + 1)^2", "2*x^3 - 4",
+                                   "(x^3 - 2)^9"])
     def test_irreducible_factors_q_refuse_non_squarefree_or_non_monic(self, s):
         with pytest.raises(DomainError, match="not monic and squarefree"):
             irreducible_factors_q(poly_from_string(s))

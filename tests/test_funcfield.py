@@ -315,6 +315,14 @@ class TestDegreeCap:
         with pytest.raises(DomainError, match="exceeds"):
             FactoredFunc.from_poly(PolyFp.make(1000003, [3] + [0] * MAX_DEGREE + [1]))
 
+    def test_q_cap_accepted(self):
+        f = FactoredFunc.from_poly(PolyQ.make([1, 0, 1]) ** (MAX_DEGREE // 2))
+        assert sum(q.degree * m for q, m in f.factors) == MAX_DEGREE
+
+    def test_q_above_cap_refused(self):
+        with pytest.raises(DomainError, match="exceeds"):
+            FactoredFunc.from_poly(PolyQ.make([3] + [0] * MAX_DEGREE + [1]))
+
 
 class TestTameSymbolOracle:
     def test_q_tame_symbol_matches_sympy_reduction(self):

@@ -329,7 +329,7 @@ def test_common_basis_json_matches_the_per_place_decision(seed):
                 D1 = QuaternionFF(_funcfield(f1), _funcfield(g1))
                 D2 = QuaternionFF(_funcfield(f2), _funcfield(g2))
                 break
-            except DomainError:  # a numerator or denominator above the degree cap
+            except DomainError:  # a numerator or denominator above funcfield.MAX_DEGREE
                 continue
         got = json.dumps(is_isomorphic_qx(D1, D2).to_json(), sort_keys=True)
         want = json.dumps(_per_place_verdict(D1, D2).to_json(), sort_keys=True)
