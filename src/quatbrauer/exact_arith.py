@@ -43,11 +43,12 @@ IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
 # `irreducible_factors_fp` and `irreducible_factors_q`.
 SPLIT_CACHE_SIZE = 256
 
-# The prime below 2^30 at which `poly_gcd` screens for coprimality.  Let it
-# divide no denominator of f or g and not the numerator of lc(f).  A common
+# The prime below 2^30 at which `poly_gcd` takes the gcd h of f and g.  Let
+# it divide no denominator of f or g and not the numerator of lc(f).  A common
 # factor of f and g over Q, taken primitive in Z[x], divides both numerator
 # lists in Z[x] (Gauss) and its leading coefficient divides lc(f)'s, so it
-# keeps its degree mod the prime: a gcd of degree 0 there proves f, g coprime.
+# keeps its degree mod the prime: deg h bounds the degree of the gcd over Q.
+# So h = 1 proves f, g coprime, and a lift of h that divides f and g is the gcd.
 _GCD_SCREEN_PRIME = 1073741789
 
 
@@ -276,9 +277,8 @@ class PolyQ(NamedTuple):
 
     def mulmod(self, other: "PolyQ", m: "PolyQ") -> "PolyQ":
         """self * other mod m: the product of the numerators, pseudo-reduced by m's."""
-        r = _product(self.nums, other.nums)
-        s = _pseudo_reduce(r, m.nums)[1]  # reduces r in place
-        return PolyQ.reduced(r[:len(m.nums) - 1], s * self.den * other.den)
+        _, r, s = _pseudo_divmod(_product(self.nums, other.nums), m.nums)
+        return PolyQ.reduced(r, s * self.den * other.den)
 
     def scale(self, c) -> "PolyQ":
         c = Fraction(c)
@@ -290,19 +290,18 @@ class PolyQ(NamedTuple):
         return power(self, n, PolyQ.const(1))
 
     def divmod(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
-        """(q, r), self = q * other + r and deg r < deg other, by pseudo-division
-        of the numerators (s * a = q * b + r, s a power of lc(b) and 1 for a
-        monic integer b)."""
-        q, s = _pseudo_reduce(a := list(self.nums), b := other.nums)  # reduces a in place
+        """(q, r), self = q * other + r and deg r < deg other, by `_pseudo_divmod`
+        of the numerators."""
+        q, r, s = _pseudo_divmod(self.nums, other.nums)
         return (PolyQ.reduced([c * other.den for c in q], s * self.den),
-                PolyQ.reduced(a[:len(b) - 1], s * self.den))
+                PolyQ.reduced(r, s * self.den))
 
     def __mod__(self, other: "PolyQ") -> "PolyQ":
         """`divmod`'s remainder alone; a self of lower degree is its own remainder."""
         if len(self.nums) < len(other.nums):
             return self
-        s = _pseudo_reduce(a := list(self.nums), other.nums)[1]  # reduces a in place
-        return PolyQ.reduced(a[:len(other.nums) - 1], s * self.den)
+        _, r, s = _pseudo_divmod(self.nums, other.nums)
+        return PolyQ.reduced(r, s * self.den)
 
     def evaluate(self, x) -> Fraction:
         """Homogeneous Horner on the numerators: at x = a/b the sum of n_i a^i
@@ -320,13 +319,13 @@ class PolyQ(NamedTuple):
         return poly_to_string(self)
 
 
-def _pseudo_reduce(r: list[int], b: list[int]) -> tuple[list[int], int]:
-    """Pseudo-divide r by b over Z in place: returns (q, s) with s * r = q * b
-    + r[:deg b] afterwards.  s = lc(b)^k multiplies in only at a step whose
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
+    """Pseudo-division over Z: (q, r, s) with s * a = q * b + r, r trimmed and
+    of degree below b's.  s = lc(b)^k multiplies in only at a step whose
     leading term lc(b) does not divide, so a monic b never scales."""
     if not b:
         raise DomainError("polynomial division by zero")
-    d, lc = len(b) - 1, b[-1]
+    d, lc, r = len(b) - 1, b[-1], list(a)
     q, s = [0] * max(0, len(r) - d), 1
     for k in range(len(q) - 1, -1, -1):
         c, t = divmod(r[k + d], lc)
@@ -338,7 +337,10 @@ def _pseudo_reduce(r: list[int], b: list[int]) -> tuple[list[int], int]:
         q[k] = c
         if c:
             r[k:k + d] = [u - c * v for u, v in zip(r[k:k + d], b)]
-    return q, s
+    del r[d:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
 
 
 def power(base, n: int, one):
@@ -350,34 +352,60 @@ def power(base, n: int, one):
     return out
 
 
+def rational_reconstruct(r, m: int) -> PolyQ | None:
+    """The polynomial whose coefficients n/d in lowest terms, |n|, d <= sqrt(m/2),
+    are the residues r_i mod m (balanced rational reconstruction), or None."""
+    bound, coeffs = isqrt(m // 2), []
+    for a in r:
+        r0, r1, s0, s1 = m, a % m, 0, 1
+        while r1 > bound:  # extended Euclid of m and a: s1 a = r1 mod m throughout
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        coeffs.append((r1 if s1 > 0 else -r1, abs(s1)))
+    d = lcm(*(e for _, e in coeffs))
+    return PolyQ.reduced([n * (d // e) for n, e in coeffs], d)
+
+
 def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
-    """Monic gcd over Q (monic of the nonzero one if the other is zero).  A
-    gcd of degree 0 mod _GCD_SCREEN_PRIME proves 1; otherwise Euclid by
-    primitive remainders: each remainder is cut to its integer numerators
-    over their content, so the coefficients do not grow from step to step."""
-    q = _GCD_SCREEN_PRIME
-    if f.nums and g.nums and f.nums[-1] % q and f.den % q and g.den % q and \
-            polyfp_gcd(polyfp_from_polyq(f, q), polyfp_from_polyq(g, q)).degree == 0:
+    """Monic gcd over Q (monic of the nonzero one if the other is zero): the
+    lift of the gcd mod _GCD_SCREEN_PRIME, else Euclid by primitive remainders."""
+    if f.degree == 0 or g.degree == 0:
         return PolyQ.const(1)
-    while not g.is_zero():
-        r = f % g
-        c = gcd(*r.nums)
-        f, g = g, PolyQ(tuple(n // c for n in r.nums))
-    return f if f.is_zero() else f.monic()
+    q, a, b = _GCD_SCREEN_PRIME, f.nums, g.nums
+    if a and b and a[-1] % q and f.den % q and g.den % q:
+        h = polyfp_gcd(polyfp_from_polyq(f, q), polyfp_from_polyq(g, q))
+        if h.degree == 0:
+            return PolyQ.const(1)
+        lift = rational_reconstruct(h.coeffs, q)
+        if lift and not _pseudo_divmod(a, lift.nums)[1] and not _pseudo_divmod(b, lift.nums)[1]:
+            return lift
+    while b:
+        r = _pseudo_divmod(a, b)[1]
+        c = gcd(*r)
+        a, b = b, [n // c for n in r]
+    return PolyQ.reduced(list(a), a[-1]) if a else PolyQ(())
 
 
 def resultant(f: PolyQ, g: PolyQ) -> Fraction:
-    """Resultant over Q via the Euclidean recursion."""
+    """Resultant over Q by a primitive pseudo-remainder sequence of the
+    numerators A, B: Res(f, g) = Res(A, B) / (den(f)^deg g den(g)^deg f), and
+    for s A = q B + c R, R primitive, of degrees m, n and k, Res(A, B) =
+    (-1)^(mn) lc(B)^(m-k) c^n Res(B, R) / s^n; one Fraction at the end."""
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial")
-    acc = Fraction(1)
-    while g.degree > 0:
-        r = f % g
-        if r.is_zero():
+    a, b, num, den = f.nums, g.nums, 1, f.den ** g.degree * g.den ** f.degree
+    while len(b) > 1:
+        _, r, s = _pseudo_divmod(a, b)
+        if not r:
             return Fraction(0)
-        acc *= (-1) ** (f.degree * g.degree) * g.lc() ** (f.degree - r.degree)
-        f, g = g, r
-    return acc * g.lc() ** f.degree
+        m, n, c = len(a) - 1, len(b) - 1, gcd(*r)
+        num *= (-1) ** (m * n) * b[-1] ** (m - len(r) + 1) * c ** n
+        den *= s ** n
+        a, b = b, [u // c for u in r]
+    return Fraction(num * b[0] ** (len(a) - 1), den)
 
 
 class RatFuncQ(NamedTuple):
@@ -968,17 +996,26 @@ def squarefree_parts(f):
 
 
 def poly_inverse(a, m):
-    """1/a mod m, both PolyQ or both PolyFp, by extended Euclid: s a = r mod m
-    for the constant gcd r, and 1/a is s divided by r."""
-    r0, r1 = m, a % m
-    s0, s1 = m.scalar(0), m.scalar(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
+    """1/a mod m (deg m > 0), both PolyQ or both PolyFp: extended Euclid by
+    pseudo-remainders from (r, t) = (m, 0), (a, 1), each r = t a mod m, to a
+    constant r; r and t reduced mod p, or over Q cut by their common content."""
+    p, t0, t1 = m.p, [], [1]
+    r0, r1 = (m.coeffs, a.coeffs) if p else (m.nums, a.nums)
+    while len(r1) > 1:
+        q, r, s = _pseudo_divmod(r0, r1)
+        t = [s * u - v for u, v in zip_longest(t0, _product(q, t1), fillvalue=0)]
+        if p:
+            r, t = _trimmed(r, p), _trimmed(t, p)
+        else:
+            c = gcd(*r, *t)
+            r, t = [u // c for u in r], [u // c for u in t]
+        r0, r1, t0, t1 = r1, r, t1, t
+    if not r1:
         raise DomainError(f"{a} is not invertible mod {m}")
-    return s0.divmod(r0)[0] % m
+    if p:
+        inv = pow(r1[0], -1, p)
+        return PolyFp(p, tuple([c * inv % p for c in t1]))  # trimmed: a unit on top
+    return PolyQ.reduced([c * a.den for c in t1], r1[0])  # t A = r, A = a den(a)
 
 
 def _frobenius_rows(f: PolyFp, ring: ZxRing) -> list[int]:

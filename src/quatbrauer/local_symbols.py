@@ -19,7 +19,6 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import islice, zip_longest
-from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import BUDGETS, BudgetError, DomainError, InternalError
@@ -36,6 +35,7 @@ from .exact_arith import (
     polyfp_from_polyq,
     polyfp_gcd,
     power,
+    rational_reconstruct,
     resultant,
     sqrt_fraction,
     sqrt_tonelli_shanks,
@@ -227,22 +227,6 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     return PolyFp(p, tuple(sqrt_tonelli_shanks(val.coeffs, z.coeffs, q, ring.mul, ring.pow, [1])))
 
 
-def _rational_reconstruct(r: list[int], m: int) -> PolyQ | None:
-    """Balanced rational reconstruction of each coefficient mod m (|num|,
-    |den| <= sqrt(m/2)), or None at the first coefficient that has none."""
-    bound, coeffs = isqrt(m // 2), []
-    for a in r:
-        r0, r1, s0, s1 = m, a % m, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
-            return None
-        coeffs.append(Fraction(r1, s1))
-    return PolyQ.make(coeffs)
-
-
 def _good_primes(pi: PolyQ, value: PolyQ, norm: Fraction):
     """Odd primes where pi stays squarefree and the value, of norm `norm`,
     stays a unit.  No prime qualifies when pi is not squarefree or the value
@@ -293,7 +277,7 @@ class _LiftState:
             flip = ring.mul([2 * a for a in cands[0]], e)
             cands += [[u - v for u, v in zip_longest(r, flip, fillvalue=0)] for r in cands]
         for r in cands:
-            if (cand := _rational_reconstruct(r, ring.m)) is not None:
+            if (cand := rational_reconstruct(r, ring.m)) is not None:
                 yield cand
 
 

@@ -19,7 +19,7 @@ from .exact_arith import (
     IRREDUCIBILITY_PRIMES,
     PolyFp,
     PolyQ,
-    _pseudo_reduce,
+    _pseudo_divmod,
     factor_poly_fp,
     is_prime,
     poly_inverse,
@@ -39,7 +39,7 @@ def split_q(f: PolyQ, degrees: int, splits) -> list[PolyQ]:
     while p**e <= bound:
         e += 1
     return [PolyQ.reduced(g, g[-1])
-            for g in _recombine(F, _hensel_lift(F, factors, p**e), p**e, degrees, f)]
+            for g in _recombine(F, _hensel_lift(F, factors, p**e), p**e, degrees)]
 
 
 def _hensel_prime(f: PolyQ, splits) -> tuple[int, list[PolyFp]]:
@@ -100,8 +100,7 @@ def _hensel_lift(F: list[int], factors: list[PolyFp], pe: int) -> list[PolyFp]:
     return lifted + [rest]
 
 
-def _recombine(F: list[int], lifted: list[PolyFp], pe: int, degrees: int,
-               f: PolyQ) -> list[list[int]]:
+def _recombine(F: list[int], lifted: list[PolyFp], pe: int, degrees: int) -> list[list[int]]:
     """The primitive irreducible factors of F in Z[x], positive leading
     coefficients.  Subsets S of the lifted factors are taken by size k, from
     1 up to half of those left; the candidate lc(F) prod S mod pe, symmetric
@@ -116,7 +115,8 @@ def _recombine(F: list[int], lifted: list[PolyFp], pe: int, degrees: int,
         for S in combinations(range(len(lifted)), k):
             tried += 1
             if tried > limit:
-                raise BudgetError(f"no split of {f} within subsets = {limit}")
+                raise BudgetError(f"no split of a degree-{len(F) - 1} polynomial"
+                                  f" within subsets = {limit}")
             if not degrees >> sum(lifted[i].degree for i in S) & 1:
                 continue
             c0 = b * prod(lifted[i].coeffs[0] for i in S) % pe
@@ -127,9 +127,8 @@ def _recombine(F: list[int], lifted: list[PolyFp], pe: int, degrees: int,
             g = [c - pe if c > half else c for c in g.coeffs]
             content = gcd(*g) if g[-1] > 0 else -gcd(*g)
             g = [c // content for c in g]
-            r = list(F)
-            q, s = _pseudo_reduce(r, g)
-            if s != 1 or any(r[:len(g) - 1]):
+            q, r, s = _pseudo_divmod(F, g)
+            if s != 1 or r:
                 continue
             found.append(g)
             F, lifted = q, [u for i, u in enumerate(lifted) if i not in S]
