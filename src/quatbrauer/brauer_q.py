@@ -104,14 +104,18 @@ def class_of_quaternion(q: QuaternionQ) -> BrauerClassQ:
     Only the real place and primes dividing 2 or one of the entries can
     carry a nontrivial symbol (unit criterion), so the scan is finite.
     """
-    support = {}
-    for place in support_places(q.a, q.b):
-        if hilbert(q.a, q.b, place) == -1:
-            support[place] = Fraction(1, 2)
-    cls = BrauerClassQ.make(support)
-    if len(cls.invariants) % 2:
-        raise InternalError("quaternion support must have even size")
-    return cls
+    return _class_of_symbols(q.a, q.b, support_places(q.a, q.b))
+
+
+def _class_of_symbols(a, b, places) -> BrauerClassQ:
+    """The class of (a, b / Q) from its Hilbert symbols at places, which hold
+    its support.  Reciprocity wants an even count of symbols -1, so an odd one
+    is a faulty symbol, never an invalid input."""
+    ramified = [v for v in places if hilbert(a, b, v) == -1]
+    if len(ramified) % 2:
+        raise InternalError(f"the Hilbert symbol ({a}, {b}) is -1 at an odd number of "
+                            f"places: {', '.join(map(str, ramified))}")
+    return BrauerClassQ.make(dict.fromkeys(ramified, Fraction(1, 2)))
 
 
 def same_maximal_subfields_q(c1: BrauerClassQ, c2: BrauerClassQ) -> bool:
@@ -178,8 +182,7 @@ def quaternion_of_class(c: BrauerClassQ) -> QuaternionQ:
         r, m = r + m * ((s * n - r) * pow(m, -1, p) % p), m * p
     q = next(q for q in count(r, m) if is_prime(q))
     a, b = s * prod(primes), s * q
-    places = {REAL, PlaceQ(2), PlaceQ(q), *map(PlaceQ, primes)}
-    found = BrauerClassQ.make({v: Fraction(1, 2) for v in places if hilbert(a, b, v) == -1})
+    found = _class_of_symbols(a, b, {REAL, PlaceQ(2), PlaceQ(q), *map(PlaceQ, primes)})
     if found != c:
         raise InternalError(f"({a}, {b} / Q) has class {found}, not {c}")
     return QuaternionQ.make(a, b)

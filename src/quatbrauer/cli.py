@@ -104,11 +104,11 @@ def cmd_brq_samesub(args) -> int:
 def cmd_brq_ex65(args) -> int:
     from .brauer_q import example_6_5, same_maximal_subfields_q, same_subgroup
     from .local_symbols import PlaceQ
-    try:
-        places = tuple(PlaceQ.finite(int(p)) for p in args.places.split(","))
+    try:  # only int's ValueError: PlaceQ.finite's DomainError (exit 1) is one too
+        primes = [int(p) for p in args.places.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad place list {args.places!r}: {exc}") from None
-    c1, c2 = example_6_5(args.n, places)
+    c1, c2 = example_6_5(args.n, tuple(map(PlaceQ.finite, primes)))
     preds = {
         "same_maximal_subfields": same_maximal_subfields_q(c1, c2),
         "same_subgroup": same_subgroup(c1, c2),

@@ -423,9 +423,6 @@ class RatFuncQ(NamedTuple):
             raise DomainError("zero denominator")
         return RatFuncQ(num, den)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __add__(self, o: "RatFuncQ") -> "RatFuncQ":
         return RatFuncQ(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -921,16 +918,21 @@ def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
     return acc * pow(b[0], len(a) - 1, p) % p if a and b else 0
 
 
+def euler_char(n: int, p: int) -> int:
+    """(n / p) = n^((p-1)/2) for n prime to the odd prime p, unchecked: the Euler
+    criterion that every quadratic character of the package ends in."""
+    return 1 if pow(n, p // 2, p) == 1 else -1
+
+
 def fq_char(t: PolyFp, h: PolyFp) -> int:
     """Quadratic character of t in F_q = F_p[x]/(h), h monic irreducible.
 
     t^((q-1)/2) = (N t / p) with N t = Res(h, t), so the character is one
-    resultant over F_p and one Legendre symbol: the only quadratic-character
-    routine of the package."""
+    resultant over F_p and one Euler criterion."""
     n = polyfp_resultant(h, t)
     if n == 0:
         raise InternalError(f"quadratic character of a non-unit mod {h}")
-    return 1 if pow(n, (h.p - 1) // 2, h.p) == 1 else -1
+    return euler_char(n, h.p)
 
 
 def sqrt_tonelli_shanks(a, z, q: int, mul, power, one):
@@ -1046,7 +1048,7 @@ def _ddf(f: PolyFp, rows: list[int], ring: ZxRing) -> list[tuple[PolyFp, int]]:
     A quadratic needs no rows: two roots iff its discriminant is a square."""
     if f.degree == 2:
         (c, b, _), p = f.coeffs, f.p
-        return [(f, 1 if pow(b * b - 4 * c, p // 2, p) == 1 else 2)]
+        return [(f, 1 if euler_char(b * b - 4 * c, p) == 1 else 2)]
     p, out, xq, d, rest = f.p, [], [0, 1], 0, f
     while rest.degree > 2 * d + 1:
         d += 1
@@ -1070,7 +1072,7 @@ def _edf(g: PolyFp, d: int, ring: ZxRing, rows: list[int], rng: random.Random) -
         return [g]
     if g.degree == 2:
         (c, b, _), p, half = g.coeffs, g.p, (g.p + 1) // 2
-        z = next(z for z in range(2, p) if pow(z, p // 2, p) == p - 1)
+        z = next(z for z in range(2, p) if euler_char(z, p) == -1)
         s = sqrt_tonelli_shanks((b * b - 4 * c) % p, z, p, lambda u, v: u * v % p,
                                 functools.partial(pow, mod=p), 1)
         return [PolyFp(p, ((b - s) * half % p, 1)), PolyFp(p, ((b + s) * half % p, 1))]

@@ -27,6 +27,7 @@ from .exact_arith import (
     PolyQ,
     ZxRing,
     coeffs_mod,
+    euler_char,
     factor_rational,
     fq_char,
     irreducible_factors_fp,
@@ -55,10 +56,6 @@ class PlaceQ(NamedTuple):
     p: int | None
 
     @staticmethod
-    def real() -> "PlaceQ":
-        return PlaceQ(None)
-
-    @staticmethod
     def finite(p: int) -> "PlaceQ":
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
@@ -77,12 +74,10 @@ class PlaceQ(NamedTuple):
     @staticmethod
     def parse(s: str) -> "PlaceQ":
         s = s.strip().lower()
-        if s in ("real", "oo", "inf"):
-            return PlaceQ.real()
-        return PlaceQ.finite(int(s))
+        return REAL if s in ("real", "oo", "inf") else PlaceQ.finite(int(s))
 
 
-REAL = PlaceQ.real()
+REAL = PlaceQ(None)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +85,10 @@ REAL = PlaceQ.real()
 # ---------------------------------------------------------------------------
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p), the character of F_p = F_p[x]/(x); 0 iff p | a."""
+    """Legendre symbol (a/p): `euler_char` behind a primality check; 0 iff p | a."""
     if p == 2 or not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
-    if a % p == 0:
-        return 0
-    return fq_char(PolyFp.const(p, a), PolyFp.x(p))
+    return euler_char(a, p) if a % p else 0
 
 
 def _val_unit(a: Fraction, p: int) -> tuple[int, int, int]:

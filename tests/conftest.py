@@ -28,3 +28,14 @@ def budgets():
     yield narrow
     for token in reversed(tokens):
         BUDGETS.reset(token)
+
+
+@pytest.fixture
+def flipped_real_symbol(monkeypatch):
+    """brauer_q's Hilbert symbol with its sign at the real place flipped: a
+    fault that breaks reciprocity for every pair of entries."""
+    from quatbrauer import brauer_q
+
+    hilbert = brauer_q.hilbert
+    monkeypatch.setattr(brauer_q, "hilbert",
+                        lambda a, b, v: -hilbert(a, b, v) if v.is_real else hilbert(a, b, v))

@@ -18,7 +18,7 @@ from quatbrauer.brauer_q import (
     same_maximal_subfields_q,
     same_subgroup,
 )
-from quatbrauer.errors import DomainError
+from quatbrauer.errors import DomainError, InternalError
 from quatbrauer.exact_arith import is_prime
 from quatbrauer.local_symbols import REAL, PlaceQ, hilbert
 
@@ -209,6 +209,21 @@ class TestQuaternionOfClass:
     def test_exponent_cap(self):
         c = BrauerClassQ.make({PlaceQ(2): Fraction(1, 3), PlaceQ(3): Fraction(2, 3)})
         with pytest.raises(DomainError):
+            quaternion_of_class(c)
+
+
+class TestReciprocityCheck:
+    """An odd count of symbols -1 is a faulty symbol: both scans into Br(Q)
+    raise InternalError, not the DomainError that would blame the input."""
+
+    def test_class_of_quaternion(self, flipped_real_symbol):
+        with pytest.raises(InternalError, match=r"\(2, 5\) is -1 at an odd number of "
+                                                r"places: real, 2, 5$"):
+            class_of_quaternion(QuaternionQ.make(2, 5))
+
+    def test_quaternion_of_class(self, flipped_real_symbol):
+        c = BrauerClassQ.make(dict.fromkeys(places(2, 5), Fraction(1, 2)))
+        with pytest.raises(InternalError, match="is -1 at an odd number of places"):
             quaternion_of_class(c)
 
 

@@ -113,6 +113,21 @@ class TestBrq:
         code, _, _ = run(capsys, "brq", "ex65", "-n", "3", "-p", "2,3,5")
         assert code == 1
 
+    def test_ex65_non_prime_place_exit_1(self, capsys):
+        # a place that is no prime is a domain error, as for hilbert's -p;
+        # text that is no integer stays a parse error
+        for argv in (("brq", "ex65", "-n", "3", "-p", "2,3,5,9"),
+                     ("hilbert", "-a", "2", "-b", "3", "-p", "9")):
+            assert run(capsys, *argv) == (1, "", "error: 9 is not prime\n")
+        code, _, err = run(capsys, "brq", "ex65", "-n", "3", "-p", "2,3,5,x")
+        assert code == 2 and err.startswith("parse error: bad place list")
+
+    def test_faulty_symbol_exit_4(self, capsys, flipped_real_symbol):
+        code, out, err = run(capsys, "brq", "class", "-a", "2", "-b", "5")
+        assert code == 4 and not out
+        assert err == ("internal error: the Hilbert symbol (2, 5) is -1 at an odd "
+                       "number of places: real, 2, 5\n")
+
     def test_samesub(self, capsys, tmp_path):
         f1 = tmp_path / "c1.json"
         f2 = tmp_path / "c2.json"
@@ -419,6 +434,17 @@ def test_selftest_reports_internal_errors_as_failures(capsys, monkeypatch):
     assert "[FAIL] Q[x] factorization round-trip (10 cases)" in lines
     assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 8
     assert "internal error: factorization over F_" in out
+    assert lines[-1] == "selftest seed=0: FAILURES"
+
+
+def test_selftest_fails_a_suite_on_a_faulty_symbol(capsys, flipped_real_symbol):
+    # the parity suite's InternalError fails that suite, and the run goes on
+    code, out, err = run(capsys, "selftest", "--cases", "3")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert "[FAIL] quaternion support parity (3 cases)" in lines
+    assert "[PASS] hilbert product formula (3 cases)" in lines
+    assert sum(line.startswith(("[PASS]", "[FAIL]")) for line in lines) == 8
     assert lines[-1] == "selftest seed=0: FAILURES"
 
 

@@ -17,7 +17,14 @@ from sympy.polys.specialpolys import swinnerton_dyer_poly
 from oracles import hilbert_oracle
 from quatbrauer import exact_arith, local_symbols
 from quatbrauer.errors import BudgetError, DomainError, InternalError
-from quatbrauer.exact_arith import PolyFp, PolyQ, factor_rational, irreducible_factors_fp
+from quatbrauer.exact_arith import (
+    PolyFp,
+    PolyQ,
+    euler_char,
+    factor_rational,
+    fq_char,
+    irreducible_factors_fp,
+)
 from quatbrauer.local_symbols import (
     REAL,
     NonsquareWitness,
@@ -48,7 +55,21 @@ class TestLegendre:
         for p in [3, 5, 7, 11, 13]:
             residues = {x * x % p for x in range(1, p)}
             for a in range(1, p):
-                assert legendre(a, p) == (1 if a in residues else -1)
+                want = 1 if a in residues else -1
+                assert legendre(a, p) == euler_char(a, p) == euler_char(a - 3 * p, p) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2**70, 2**70), st.integers(3, 2**31 - 2).map(sympy.nextprime))
+    @example(0, 3)
+    @example(2**31 - 1, 2**31 - 1)
+    @example(-1, 2**31 - 1)
+    def test_matches_the_norm_character_route(self, a, p):
+        """legendre against the quadratic character of F_p = F_p[x]/(x) by
+        `fq_char`, which reaches the same Euler criterion through a resultant."""
+        if a % p:
+            assert legendre(a, p) == fq_char(PolyFp.const(p, a), PolyFp.x(p))
+        else:
+            assert legendre(a, p) == 0
 
     def test_multiplicativity(self):
         rng = random.Random(2)
