@@ -43,12 +43,12 @@ IRREDUCIBILITY_PRIMES = (3, 5, 7, 11, 13, 17)
 # `irreducible_factors_fp` and `irreducible_factors_q`.
 SPLIT_CACHE_SIZE = 256
 
-# The prime below 2^30 at which `poly_gcd` takes the gcd h of f and g.  Let
-# it divide no denominator of f or g and not the numerator of lc(f).  A common
-# factor of f and g over Q, taken primitive in Z[x], divides both numerator
-# lists in Z[x] (Gauss) and its leading coefficient divides lc(f)'s, so it
-# keeps its degree mod the prime: deg h bounds the degree of the gcd over Q.
-# So h = 1 proves f, g coprime, and a lift of h that divides f and g is the gcd.
+# The prime below 2^30 at which `poly_gcd` takes the gcd h of the numerator
+# lists A and B of f and g, which have the gcd of f and g over Q.  Let it not
+# divide lc(A).  A common factor of A and B, primitive in Z[x], divides both in
+# Z[x] (Gauss) and its leading coefficient divides lc(A), so it keeps its degree
+# mod the prime, in B's image too: deg h bounds the degree of the gcd over Q.
+# So h = 1 proves f, g coprime; a lift of h dividing both is the gcd.
 _GCD_SCREEN_PRIME = 1073741789
 
 
@@ -375,11 +375,14 @@ def poly_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
     if f.degree == 0 or g.degree == 0:
         return PolyQ.const(1)
     q, a, b = _GCD_SCREEN_PRIME, f.nums, g.nums
-    if a and b and a[-1] % q and f.den % q and g.den % q:
-        h = polyfp_gcd(polyfp_from_polyq(f, q), polyfp_from_polyq(g, q))
-        if h.degree == 0:
+    if a and b and a[-1] % q:
+        h, r = _trimmed(a, q), _trimmed(b, q)
+        while r:  # Euclid over F_q on the lists
+            h, r = r, _rem(h, r, q)
+        if len(h) == 1:
             return PolyQ.const(1)
-        lift = rational_reconstruct(h.coeffs, q)
+        inv = pow(h[-1], -1, q)
+        lift = rational_reconstruct([c * inv for c in h], q)
         if lift and not _pseudo_divmod(a, lift.nums)[1] and not _pseudo_divmod(b, lift.nums)[1]:
             return lift
     while b:

@@ -9,10 +9,10 @@ F_p(x); a monic squarefree modulus on a `common_basis` of the entries
 stands for all its irreducible factors at once.  The tame symbol of (f, g)
 at a place is returned as (base, exponent) terms whose bases are units
 there; `residue_support`, the residue step of both fields, reads their
-`odd_tame_bases` once per basis element h, and `funcfield_fp` decides their
-square class by the norm-Legendre character at each place of h,
-`funcfield_q` by the certified square test in Q[x]/(h).  The polynomials
-carry the constant field: only their ring operations are called here.
+`odd_tame_bases` at each basis element h from the entries' exponents of h,
+and `funcfield_fp` decides their square class by the norm-Legendre character
+at each place of h, `funcfield_q` by the certified square test in Q[x]/(h).
+The polynomials carry the constant field; only their ring operations are used.
 """
 
 from __future__ import annotations
@@ -199,16 +199,17 @@ def places(*entries: FactoredFunc) -> list[Place]:
     return sorted((Place(m) for m in mods), key=Place.sort_key)
 
 
-def tame_terms(f: FactoredFunc, g: FactoredFunc, v: Place) -> list[tuple[Poly, int]]:
+def tame_terms(f: FactoredFunc, g: FactoredFunc, v: Place, vals=None) -> list[tuple[Poly, int]]:
     """The tame symbol (-1)^(v(f)v(g)) f^v(g) g^(-v(f)) at v as (base, exponent)
     pairs whose product it is.
 
     Every base is a unit at v: -1, the two constants and, at a finite place,
     the factors other than v's own, after `split_at`.  At infinity only -1
-    and the constants appear, the factors being monic."""
+    and the constants appear, the factors being monic.  On a common basis of
+    f, g and v's modulus, vals = (v(f), v(g)) may be given: nothing splits."""
     if f.p != g.p:
         raise DomainError("characteristic mismatch")
-    (f, vf), (g, vg) = f.split_at(v), g.split_at(v)
+    (f, vf), (g, vg) = zip((f, g), vals) if vals else (f.split_at(v), g.split_at(v))
     terms = [(f.constant.scalar(-1), vf * vg), (f.constant, vg), (g.constant, -vf)]
     if v.modulus is not None:
         terms += [(fac, m * vg) for fac, m in f.factors if fac != v.modulus]
@@ -216,12 +217,13 @@ def tame_terms(f: FactoredFunc, g: FactoredFunc, v: Place) -> list[tuple[Poly, i
     return terms
 
 
-def odd_tame_bases(v: Place, *pairs: tuple[FactoredFunc, FactoredFunc]) -> list[Poly]:
-    """The bases whose tame-term exponents, summed over all (f, g) pairs at v,
-    are odd.  Their product is that of the pairs' tame symbols up to squares,
-    as prod b^e = prod b^(e mod 2) * (prod b^(e div 2))^2; equal bases merge."""
+def odd_tame_bases(v: Place, *pairs: tuple) -> list[Poly]:
+    """The bases whose tame-term exponents, summed over the pairs (f, g) or
+    (f, g, vals) at v, `vals` passed to `tame_terms`, are odd.  Their product is
+    that of the pairs' tame symbols up to squares, as prod b^e = prod b^(e mod 2)
+    * (prod b^(e div 2))^2; equal bases merge."""
     exps: dict[Poly, int] = {}
-    for base, e in (t for f, g in pairs for t in tame_terms(f, g, v)):
+    for base, e in (t for f, g, *vals in pairs for t in tame_terms(f, g, v, *vals)):
         exps[base] = exps.get(base, 0) + e
     return [base for base, e in exps.items() if e % 2]
 
@@ -230,11 +232,14 @@ def residue_support(pairs, nonsquare_places) -> list[Place]:
     """The finite places, sorted, where the sum of the pairs' symbols (f, g) has
     a nontrivial residue: at each element h of the entries' common basis, in
     order, `nonsquare_places(h, bases)` names the places pi | h where the
-    product of the odd tame bases is a nonsquare mod pi."""
+    product of the odd tame bases is a nonsquare mod pi.  There v_h(e) is read
+    off e's exponent of h, not by division, and a pair of valuations 0 is skipped."""
     basis, entries = common_basis(*(e for pair in pairs for e in pair))
-    pairs = list(zip(entries[::2], entries[1::2]))
-    return sorted((v for h in basis if (bases := odd_tame_bases(h, *pairs))
-                   for v in nonsquare_places(h.modulus, bases)), key=Place.sort_key)
+    split = [(e, dict(e.factors)) for e in entries]
+    return sorted((v for h in basis if (bases := odd_tame_bases(h, *(
+        (f, g, vals) for (f, ef), (g, eg) in zip(split[::2], split[1::2])
+        for vals in [(ef.get(h.modulus, 0), eg.get(h.modulus, 0))] if vals != (0, 0))))
+        for v in nonsquare_places(h.modulus, bases)), key=Place.sort_key)
 
 
 class IsomorphismVerdict(NamedTuple):

@@ -265,11 +265,13 @@ class _LiftState:
                                    [u - 2 * v for u, v in zip_longest([3], e, fillvalue=0)])
                           for e in self.idems]
         ring, cm = self.mods(self.exp)
-        cands = [ring.mul(cm, self.y)]
-        for e in self.idems:
-            flip = ring.mul([2 * a for a in cands[0]], e)
-            cands += [[u - v for u, v in zip_longest(r, flip, fillvalue=0)] for r in cands]
-        for r in cands:
+        r = ring.mul(cm, self.y)
+        flips = [ring.mul([2 * a for a in r], e) for e in self.idems]
+        cols = list(zip_longest(r, *flips, fillvalue=0))  # r and the flips, padded alike
+        r = [c[0] for c in cols]
+        steps = [[sum(c[1:j + 1]) - c[j + 1] for c in cols] for j in range(len(flips))]
+        for i in range(1 << len(flips)):  # steps[j]: bit j sets, the bits below it clear
+            r = [u + v for u, v in zip(r, steps[(i & -i).bit_length() - 1])] if i else r
             if (cand := rational_reconstruct(r, ring.m)) is not None:
                 yield cand
 

@@ -612,6 +612,19 @@ class TestGcdScreen:
         assert poly_gcd(f, g) == h
         assert poly_gcd(f, PolyQ.make([1, 0, 1])) == PolyQ.const(1)
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_screen_runs_with_q_in_a_denominator(self, monkeypatch, first):
+        # q in lc(f)'s denominator, or anywhere in g's: the numerator lists
+        # keep the screen's conditions, so h lifts and divides f and g, with
+        # no Euclid step
+        h = PolyQ.make([Fraction(1, 3), 1])
+        f, g = h * PolyQ.make([3, Fraction(1, self.Q)]), h * PolyQ.make([-3, 1])
+        f, g = (f, g) if first else (g, f)
+        assert (f.den if first else g.den) % self.Q == 0 and f.nums[-1] % self.Q
+        seen = self._divisors(monkeypatch)
+        assert poly_gcd(f, g) == h
+        assert seen == [h.nums, h.nums]
+
     def _divisors(self, monkeypatch):
         """The divisors that `_pseudo_divmod` sees from here on."""
         seen, divmod_ = [], exact_arith._pseudo_divmod
@@ -643,10 +656,53 @@ class TestGcdScreen:
 
     @pytest.mark.parametrize("c", [Fraction(5), Fraction(-2, 3)])
     def test_nonzero_constant_needs_no_screen(self, monkeypatch, c):
-        monkeypatch.setattr(exact_arith, "polyfp_gcd", None)  # a call would raise
+        monkeypatch.setattr(exact_arith, "_rem", None)  # a screen step would raise
         f = PolyQ.make([1, 2, 3])
         assert poly_gcd(PolyQ.const(c), f) == poly_gcd(f, PolyQ.const(c)) == PolyQ.const(1)
         assert poly_gcd(PolyQ.const(c), PolyQ.const(0)) == PolyQ.const(1)
+
+
+    # common factors: none, one that the screen's lift reconstructs (small
+    # numerators and denominators), and one past the bound isqrt(q / 2)
+    COMMON = st.one_of(st.just([1]), st.lists(RATIONALS, min_size=1, max_size=3),
+                       st.builds(lambda n, cs: [Fraction(n, 23171)] + cs,
+                                 st.integers(1, 10**6), st.lists(RATIONALS, max_size=2)))
+    BIG = st.lists(st.integers(-2**90, 2**90), min_size=2, max_size=7)
+
+    def _matches_sympy(self, f, g):
+        want = sympy.gcd(_qq(f), _qq(g))
+        assert poly_gcd(f, g) == _from_qq(want).monic() == poly_gcd(g, f)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(DIVISORS, DIVISORS, COMMON, st.integers(1, 2**40), st.booleans())
+    @example([1, 1], [-1, 1], [1], 1, True)
+    def test_q_in_a_denominator_matches_sympy(self, a, b, c, n, in_f):
+        # a coefficient n / q in one cofactor puts q into that entry's
+        # denominator, where the screen used to be skipped
+        a = a + [Fraction(n, self.Q)] if in_f else a
+        b = b if in_f else b + [Fraction(n, self.Q)]
+        f, g = PolyQ.make(a) * PolyQ.make(c + [1]), PolyQ.make(b) * PolyQ.make(c + [1])
+        assert (f.den if in_f else g.den) % self.Q == 0
+        self._matches_sympy(f, g)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(DIVISORS, st.lists(RATIONALS, max_size=4), COMMON, st.integers(1, 2**40))
+    def test_q_divides_lc_of_g_matches_sympy(self, a, b, c, n):
+        # q | lc(g.nums): g's image mod q loses its leading term
+        f = PolyQ.make(a) * PolyQ.make(c + [1])
+        g = PolyQ.make(b + [n * self.Q]) * PolyQ.make(c + [1])
+        assert g.nums[-1] % self.Q == 0
+        self._matches_sympy(f, g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(BIG, BIG, COMMON)
+    def test_large_coefficients_match_sympy(self, a, b, c):
+        # with c = 1 the pair is coprime in all but rare draws
+        assume(a[-1] and b[-1])
+        h = PolyQ.make(c + [1])
+        f, g = PolyQ.make(a), PolyQ.make(b)
+        self._matches_sympy(f, g)
+        self._matches_sympy(f * h, g * h)
 
 
 def _reconstruct_by_fractions(r, m):

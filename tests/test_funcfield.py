@@ -27,6 +27,7 @@ from quatbrauer.exact_arith import (
     irreducible_factors_q,
     poly_from_string,
     poly_gcd,
+    poly_key,
     polyfp_from_string,
     polyfp_pow_mod,
     squarefree_parts,
@@ -496,6 +497,67 @@ def test_support_q_of_a_symbol_twice_is_empty(entries):
 def test_support_q_is_bilinear(entries):
     f, g, h = entries
     assert _support_q((f, g), (f, h)) == _support_q((f, g * h))
+
+
+def _support_by_division(pairs, nonsquare_places):
+    """The residue support built the old way: at each basis element h,
+    `odd_tame_bases` of every pair, its valuations found by `split_at`."""
+    basis, entries = common_basis(*(e for pair in pairs for e in pair))
+    pairs = list(zip(entries[::2], entries[1::2]))
+    return sorted((v for h in basis if (bases := odd_tame_bases(h, *pairs))
+                   for v in nonsquare_places(h.modulus, bases)), key=Place.sort_key)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(["fp", "q"]), st.data())
+def test_support_matches_the_support_by_division(field, data):
+    # pairs drawn from four entries, so entries repeat within and across
+    # pairs; the entries have repeated factors, or none (constants)
+    entries = data.draw(fp_entries(4) if field == "fp" else q_entries(4))
+    idx = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             min_size=1, max_size=2))
+    pairs = [(entries[i], entries[j]) for i, j in idx]
+    module = funcfield_fp if field == "fp" else funcfield_q
+
+    def recorded(calls):
+        def nonsquare_places(h, bases):
+            calls.append((h, sorted(bases, key=poly_key)))
+            return module._nonsquare_places(h, bases)
+        return nonsquare_places
+
+    new, old = [], []
+    assert residue_support(pairs, recorded(new)) == _support_by_division(pairs, recorded(old))
+    assert new == old
+
+
+def test_support_splits_no_entry_at_a_finite_place(monkeypatch):
+    # on the common basis every valuation is an exponent read off the entry:
+    # with `split_at` refused at finite places, Q(x) decisions with no
+    # residue witness and F_p(x) classes come out as before
+    x2, x1, x3 = (poly_from_string(s) for s in ("x^2 - 2", "x + 1", "x^2 + 1"))
+    f = FactoredFunc.from_poly(x2**3 * x1 * x3)
+    g = FactoredFunc.from_poly(x1**2 * x3 * PolyQ.const(3)) * FactoredFunc.from_poly(x2).inverse()
+    h, one = FactoredFunc.from_poly(x1 * x3), FactoredFunc.from_constant(1)
+    decisions = [(QuaternionFF(f, g), QuaternionFF(g, f)),
+                 (QuaternionFF(f, g), QuaternionFF(f, g * h * h)),
+                 (QuaternionFF(f, f * FactoredFunc.from_constant(-1)), QuaternionFF(one, one))]
+    fp = [(FactoredFunc.from_poly(polyfp_from_string(a, 5)),
+           FactoredFunc.from_poly(polyfp_from_string(b, 5)))
+          for a, b in [("(x^2+2)*(x+1)^3", "2*(x+1)*(x^2+x+1)"), ("x^3+x+1", "x*(x^3+x+1)^2")]]
+    want = ([is_isomorphic_qx(*d).to_json() for d in decisions],
+            [class_fp(*pair) for pair in fp])
+    split_at = FactoredFunc.split_at
+
+    def finite_refused(self, v):
+        if v.modulus is not None:
+            raise AssertionError(f"split_at({v}) on the common basis")
+        return split_at(self, v)
+
+    monkeypatch.setattr(FactoredFunc, "split_at", finite_refused)
+    assert ([is_isomorphic_qx(*d).to_json() for d in decisions],
+            [class_fp(*pair) for pair in fp]) == want
+    assert any(c.residues for c in want[1])
+    assert all(v["isomorphic"] for v in want[0])
 
 
 # -- factor refinement: a factor already on the basis --------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,36 @@ class TestSquareTester:
         v = is_square_in_number_field(NumberFieldElem.make(SWINNERTON_DYER, PolyQ.const(11)))
         assert not v.is_square and v.verified
         assert 0 < len(calls) <= 200, len(calls)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sign_patterns_in_doubling_order(self, monkeypatch, k):
+        # the candidates of `_LiftState.roots`, read off one running vector,
+        # are those of the doubling construction, mask by mask: bit j of the
+        # mask subtracts the flip 2 r E_j
+        rng, p = random.Random(k), 10007
+        f = [rng.randrange(p) for _ in range(6)] + [1]
+        cm = [rng.randrange(p) for _ in range(6)]
+        y = PolyFp.make(p, [rng.randrange(p) for _ in range(6)])
+        idems = [PolyFp.make(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))])
+                 for _ in range(k - 1)]
+        ring = exact_arith.ZxRing(f, p)
+        seen = []
+        monkeypatch.setattr(local_symbols, "rational_reconstruct",
+                            lambda r, m: seen.append(list(r)) or None)
+        state = local_symbols._LiftState(y, idems, lambda e: (ring, cm))
+        assert list(state.roots(1)) == []
+        cands = [ring.mul(cm, list(y.coeffs))]
+        for e in idems:
+            flip = ring.mul([2 * a for a in cands[0]], list(e.coeffs))
+            cands += [[u - v for u, v in zip_longest(r, flip, fillvalue=0)] for r in cands]
+
+        def trimmed(r):
+            while r and not r[-1]:
+                r = r[:-1]
+            return r
+
+        assert len(seen) == len(cands) == 2 ** (k - 1)
+        assert [trimmed(r) for r in seen] == [trimmed(r) for r in cands]
 
     @pytest.mark.parametrize("budget", [20, 8, 1])
     def test_lift_stops_at_the_budget(self, monkeypatch, budgets, budget):
