@@ -14,8 +14,8 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import DomainError, InternalError
-from .exact_arith import is_prime
-from .local_symbols import REAL, PlaceQ, hilbert, legendre, support_places
+from .exact_arith import euler_char, is_prime
+from .local_symbols import REAL, PlaceQ, hilbert, support_places
 
 
 class QuaternionQ(NamedTuple):
@@ -171,14 +171,12 @@ def quaternion_of_class(c: BrauerClassQ) -> QuaternionQ:
     2^64 is a Miller-Rabin probable prime, the trust `factor_int` marks."""
     if c.exponent() > 2:
         raise DomainError("class has exponent > 2, not quaternion")
-    if len(c.invariants) % 2 != 0:
-        raise DomainError("odd support size violates the parity invariant")
     if c.is_zero():
         return QuaternionQ.make(1, 1)
     s, primes = -1 if REAL in c.support() else 1, [p.p for p in c.support() if not p.is_real]
     r, m = s * (5 if 2 in primes else 1) % 8, 8  # q = r mod m, joined by CRT
     for p in (p for p in primes if p != 2):
-        n = next(n for n in count(2) if legendre(n, p) == -1)  # least nonresidue
+        n = next(n for n in count(2) if euler_char(n, p) == -1)  # least nonresidue
         r, m = r + m * ((s * n - r) * pow(m, -1, p) % p), m * p
     q = next(q for q in count(r, m) if is_prime(q))
     a, b = s * prod(primes), s * q

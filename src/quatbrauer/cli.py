@@ -47,6 +47,8 @@ def _load_class(path: str):
         raise ParseError(f"bad JSON in {path}: {exc}") from None
     try:
         return BrauerClassQ.from_json(data)
+    except DomainError:  # a place that is no prime, or no valid vector: exit 1, as `-p 9`
+        raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad class schema in {path}: {exc}") from None
 
@@ -124,6 +126,14 @@ def cmd_brq_scale(args) -> int:
     c = _load_class(args.file)
     out = c.scale(args.m)
     _emit(args, out.to_json(), f"{args.m} * {c} = {out}")
+    return 0
+
+
+def cmd_brq_present(args) -> int:
+    from .brauer_q import quaternion_of_class
+    c = _load_class(args.file)
+    q = quaternion_of_class(c)
+    _emit(args, {"a": str(q.a), "b": str(q.b)}, f"presentation of {c}: {q}")
     return 0
 
 
@@ -250,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     b4.add_argument("file")
     b4.add_argument("-m", type=int, required=True)
     b4.set_defaults(func=cmd_brq_scale)
+    b5 = bsub.add_parser("present")
+    b5.add_argument("file")
+    b5.set_defaults(func=cmd_brq_present)
 
     pq = sub.add_parser("qx", help="quaternions over Q(x)")
     qsub = pq.add_subparsers(dest="qx_command", required=True)

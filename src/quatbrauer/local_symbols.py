@@ -1,16 +1,16 @@
 """Local computations over Q and over Q[x]/(pi), pi monic squarefree.
 
-Provides Legendre and Hilbert symbols at every place of Q and a certified
-square test in number fields and, for reducible pi, in the etale algebra
-Q[x]/(pi), the product of the number fields of pi's irreducible factors,
-where an element is a square iff it is one in every factor.  The square
-test goes norm first: a prime p where the norm Res(pi, t) is a nonresidue
-certifies a nonsquare without any factoring.  Otherwise it lifts 1/sqrt and
-the factor idempotents at a prime where pi has few factors, reads every sign
-pattern's root off that one lift, and alternates it with a search for a
-witness: a prime p and a factor h of pi mod p where the element's
-norm-Legendre character (Res(h, t) / p) is -1.  Every verdict it returns
-carries an exactly re-verifiable certificate.
+Provides Hilbert symbols at every place of Q, at an odd prime the Euler
+character of the tame symbol, and a certified square test in number fields
+and, for reducible pi, in the etale algebra Q[x]/(pi), the product of the
+number fields of pi's irreducible factors, where an element is a square iff
+it is one in every factor.  The square test goes norm first: a prime p where
+the norm Res(pi, t) is a nonresidue certifies a nonsquare without any
+factoring.  Otherwise it lifts 1/sqrt and the factor idempotents at a prime
+where pi has few factors, reads every sign pattern's root off that one lift,
+and alternates it with a search for a witness: a prime p and a factor h of
+pi mod p where the element's norm-Legendre character (Res(h, t) / p) is -1.
+Every verdict it returns carries an exactly re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ LIFT_CANDIDATES = 4     # primes factored to pick the lifting prime
 # ---------------------------------------------------------------------------
 
 class PlaceQ(NamedTuple):
-    """A place of Q: a finite prime, or the real place (p is None)."""
+    """A place of Q: a finite prime, or the real place (p is None).  No symbol
+    checks p again: `finite` and `parse` check it where a prime enters, and
+    `support_places` takes its primes from `factor_int`."""
 
     p: int | None
 
@@ -81,27 +83,17 @@ REAL = PlaceQ(None)
 
 
 # ---------------------------------------------------------------------------
-# Legendre and Hilbert symbols
+# Hilbert symbols
 # ---------------------------------------------------------------------------
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p): `euler_char` behind a primality check; 0 iff p | a."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
-    return euler_char(a, p) if a % p else 0
-
-
-def _val_unit(a: Fraction, p: int) -> tuple[int, int, int]:
-    """(v_p(a), numerator of unit part, denominator of unit part)."""
-    n, d = a.numerator, a.denominator
-    v = 0
-    while n % p == 0:
-        n //= p
+def _val_unit(a: Fraction, p: int) -> tuple[int, int]:
+    """(v, u), u prime to p, with p^v u = a d^2 for a = n/d: the integer n d,
+    whose Hilbert symbols are a's, as d^2 is a square."""
+    v, u = 0, a.numerator * a.denominator
+    while u % p == 0:
+        u //= p
         v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v, n, d
+    return v, u
 
 
 def hilbert(a, b, place: PlaceQ) -> int:
@@ -113,20 +105,14 @@ def hilbert(a, b, place: PlaceQ) -> int:
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    alpha, an, ad = _val_unit(a, p)
-    beta, bn, bd = _val_unit(b, p)
+    alpha, u = _val_unit(a, p)
+    beta, w = _val_unit(b, p)
     if p != 2:
-        eps = (p - 1) // 2
-        s = (alpha * beta * eps) % 2
-        sym = -1 if s else 1
-        if beta % 2:
-            sym *= legendre(an * pow(ad, -1, p) % p, p)
-        if alpha % 2:
-            sym *= legendre(bn * pow(bd, -1, p) % p, p)
-        return sym
-    # p = 2: epsilon/omega formula on the unit parts
-    u = an * pow(ad, -1, 8) % 8
-    w = bn * pow(bd, -1, 8) % 8
+        # the character of the tame symbol (-1)^(alpha beta) a^beta b^-alpha
+        # (Serre III.1.2) on the unit parts, by the parities of the valuations
+        return euler_char((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)
+    # p = 2: epsilon/omega formula on the unit parts mod 8
+    u, w = u % 8, w % 8
     eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
     om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
     e = (eps_u * eps_w + alpha * om_w + beta * om_u) % 2
@@ -136,6 +122,8 @@ def hilbert(a, b, place: PlaceQ) -> int:
 def support_places(a, b) -> list[PlaceQ]:
     """The real place, 2 and the primes of a and b: outside these the Hilbert
     symbol (a, b) is 1 (unit criterion)."""
+    if a == 0 or b == 0:  # as `hilbert` says it, not as `factor_int` does
+        raise DomainError("Hilbert symbol needs nonzero arguments")
     primes = {2, *factor_rational(a).primes(), *factor_rational(b).primes()}
     return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
@@ -346,7 +334,7 @@ def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:
     if sqrt_fraction(norm) is None:
         n = norm.numerator * norm.denominator
         for p in islice(primes, NORM_PRIMES):
-            if legendre(n, p) == -1:
+            if euler_char(n, p) == -1:
                 return _nonsquare(c, NonsquareWitness(p, polyfp_from_polyq(pi, p)))
 
     # lift at the candidate prime with the fewest factors: an inert prime

@@ -60,6 +60,11 @@ class TestHilbert:
         code, _, err = run(capsys, "hilbert", "-a", "0", "-b", "1", "--real")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("place", [["--all"], ["--real"], ["-p", "3"]])
+    def test_zero_entry_one_message(self, capsys, place):
+        assert run(capsys, "hilbert", "-a", "0", "-b", "3", *place) == \
+            (1, "", "error: Hilbert symbol needs nonzero arguments\n")
+
     def test_negative_fraction_values(self, capsys):
         data = run_json(capsys, "hilbert", "-a", "-9/5", "-b", "-3", "--real")
         assert data == {"place": "real", "symbol": -1}
@@ -175,6 +180,37 @@ class TestBrq:
         data = run_json(capsys, "brq", "scale", str(f1), "-m", "2")
         assert data == {"invariants": [{"place": "2", "inv": "2/3"},
                                        {"place": "3", "inv": "1/3"}]}
+
+
+    def test_present_zero_class(self, capsys, tmp_path):
+        f1 = tmp_path / "zero.json"
+        f1.write_text(json.dumps({"invariants": []}))
+        assert run(capsys, "brq", "present", str(f1)) == (0, "presentation of 0: (1, 1 / Q)\n", "")
+        assert run_json(capsys, "brq", "present", str(f1)) == {"a": "1", "b": "1"}
+
+    @pytest.mark.parametrize("a,b", [("2", "5"), ("-1", "-1"), ("-3", "7/2"),
+                                     ("18446744073709551629", "3"),
+                                     ("-18446744073709551629", str(2 * 18446744073709551557))])
+    def test_present_round_trip(self, capsys, tmp_path, a, b):
+        """The class of the printed presentation is the class in the file."""
+        cls = run_json(capsys, "brq", "class", "-a", a, "-b", b)
+        f1 = tmp_path / "c.json"
+        f1.write_text(json.dumps(cls))
+        q = run_json(capsys, "brq", "present", str(f1))
+        assert run_json(capsys, "brq", "class", "-a", q["a"], "-b", q["b"]) == cls
+
+    def test_present_exponent_3_exit_1(self, capsys, tmp_path):
+        f1 = tmp_path / "c.json"
+        f1.write_text(json.dumps({"invariants": [{"place": "2", "inv": "1/3"},
+                                                 {"place": "3", "inv": "2/3"}]}))
+        assert run(capsys, "brq", "present", str(f1)) == \
+            (1, "", "error: class has exponent > 2, not quaternion\n")
+
+    def test_present_non_prime_place_exit_1(self, capsys, tmp_path):
+        f1 = tmp_path / "c.json"
+        f1.write_text(json.dumps({"invariants": [{"place": "3", "inv": "1/2"},
+                                                 {"place": "9", "inv": "1/2"}]}))
+        assert run(capsys, "brq", "present", str(f1)) == (1, "", "error: 9 is not prime\n")
 
 
 class TestQx:

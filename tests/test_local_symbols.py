@@ -1,4 +1,4 @@
-"""Tests for Legendre/Hilbert symbols and the number-field square tester."""
+"""Tests for Euler characters, Hilbert symbols and the number-field square tester."""
 
 import os
 import random
@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from oracles import hilbert_oracle
-from quatbrauer import exact_arith, local_symbols
+from quatbrauer import brauer_q, exact_arith, funcfield, local_symbols, zassenhaus
 from quatbrauer.errors import BudgetError, DomainError, InternalError
 from quatbrauer.exact_arith import (
     PolyFp,
@@ -25,6 +25,7 @@ from quatbrauer.exact_arith import (
     factor_rational,
     fq_char,
     irreducible_factors_fp,
+    polyfp_from_polyq,
 )
 from quatbrauer.local_symbols import (
     REAL,
@@ -33,7 +34,6 @@ from quatbrauer.local_symbols import (
     PlaceQ,
     hilbert,
     is_square_in_number_field,
-    legendre,
     verify_nonsquare_certificate,
     verify_square_certificate,
 )
@@ -46,31 +46,31 @@ def support_places(a, b):
     return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
 
-class TestLegendre:
+# odd places of the `hilbert` tests, from 3 to a prime above 2^64
+ODD_PRIMES = [3, 5, 10**9 + 7, 2**31 - 1, 2**61 - 1, 18446744073709551629]
+
+
+class TestEulerChar:
     def test_known_values(self):
-        assert legendre(2, 7) == 1
-        assert legendre(3, 7) == -1
-        assert legendre(14, 7) == 0
+        assert euler_char(2, 7) == 1
+        assert euler_char(3, 7) == -1
+        assert euler_char(-1, 7) == -1
 
     def test_euler_consistency(self):
         for p in [3, 5, 7, 11, 13]:
             residues = {x * x % p for x in range(1, p)}
             for a in range(1, p):
                 want = 1 if a in residues else -1
-                assert legendre(a, p) == euler_char(a, p) == euler_char(a - 3 * p, p) == want
+                assert euler_char(a, p) == euler_char(a - 3 * p, p) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-2**70, 2**70), st.integers(3, 2**31 - 2).map(sympy.nextprime))
-    @example(0, 3)
-    @example(2**31 - 1, 2**31 - 1)
     @example(-1, 2**31 - 1)
     def test_matches_the_norm_character_route(self, a, p):
-        """legendre against the quadratic character of F_p = F_p[x]/(x) by
+        """euler_char against the quadratic character of F_p = F_p[x]/(x) by
         `fq_char`, which reaches the same Euler criterion through a resultant."""
-        if a % p:
-            assert legendre(a, p) == fq_char(PolyFp.const(p, a), PolyFp.x(p))
-        else:
-            assert legendre(a, p) == 0
+        assume(a % p)
+        assert euler_char(a, p) == fq_char(PolyFp.const(p, a), PolyFp.x(p))
 
     def test_multiplicativity(self):
         rng = random.Random(2)
@@ -78,11 +78,7 @@ class TestLegendre:
             p = rng.choice([3, 5, 7, 11, 13, 17])
             a, b = rng.randint(1, 100), rng.randint(1, 100)
             if a % p and b % p:
-                assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-    def test_even_modulus_rejected(self):
-        with pytest.raises(DomainError):
-            legendre(3, 2)
+                assert euler_char(a * b, p) == euler_char(a, p) * euler_char(b, p)
 
 
 class TestPlaceQ:
@@ -144,6 +140,67 @@ class TestHilbert:
             for a in [-10, -5, -3, -2, -1, 1, 2, 3, 5, 10]:
                 for b in [-10, -5, -3, -2, -1, 1, 2, 3, 5, 10]:
                     assert hilbert(a, b, v) == hilbert_oracle(a, b, v), (a, b, v)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(ODD_PRIMES), st.integers(-3, 3), st.integers(-3, 3),
+           st.tuples(*[st.integers(1, 2**80)] * 4), st.booleans(), st.booleans())
+    @example(2**61 - 1, -1, -3, (2, 1, 1, 2), False, False)  # only the sign term is -1
+    @example(2**61 - 1, 3, -1, (5, 7, 11, 13), True, False)
+    @example(18446744073709551629, -3, -1, (1, 3, 2, 1), False, True)
+    @example(3, -1, -1, (1, 1, 1, 1), False, False)
+    def test_odd_place_matches_the_case_formula(self, p, alpha, beta, units, neg_a, neg_b):
+        """At odd p, the Euler character of the tame symbol against the case
+        formula on Legendre symbols, for valuations of either sign."""
+        an, ad, bn, bd = (u if u % p else u + 1 for u in units)
+        a = Fraction(-an if neg_a else an, ad) * Fraction(p) ** alpha
+        b = Fraction(-bn if neg_b else bn, bd) * Fraction(p) ** beta
+        assert hilbert(a, b, PlaceQ(p)) == hilbert_by_cases(a, b, p)
+
+    def test_odd_place_checks_no_prime(self, monkeypatch):
+        calls = _count_prime_checks(monkeypatch)
+        for p in (3, 5, 2**61 - 1, 18446744073709551629):
+            for a, b in ((2, 3), (Fraction(p, 7), Fraction(5, p**3)), (-p, -p)):
+                assert hilbert(a, b, PlaceQ(p)) == hilbert_by_cases(Fraction(a), Fraction(b), p)
+        assert calls == []
+
+
+def hilbert_by_cases(a: Fraction, b: Fraction, p: int) -> int:
+    """(a, b)_p at an odd prime p by the case formula (Serre, A Course in
+    Arithmetic, III.1.2): (-1)^(alpha beta (p-1)/2), times (u / p) if beta
+    is odd and (w / p) if alpha is odd, for a = p^alpha u, b = p^beta w,
+    the valuations of either sign and u, w read mod p."""
+    def val_unit(c: Fraction) -> tuple[int, int]:
+        n, d, v = c.numerator, c.denominator, 0
+        while n % p == 0:
+            n, v = n // p, v + 1
+        while d % p == 0:
+            d, v = d // p, v - 1
+        return v, n * pow(d, -1, p) % p
+
+    def legendre(u: int) -> int:
+        return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+    (alpha, u), (beta, w) = val_unit(a), val_unit(b)
+    sym = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    if beta % 2:
+        sym *= legendre(u)
+    if alpha % 2:
+        sym *= legendre(w)
+    return sym
+
+
+def _count_prime_checks(monkeypatch) -> list[tuple[int, str]]:
+    """(n, caller) for every `is_prime(n)` call, in every module that binds
+    the name."""
+    calls = []
+    is_prime = exact_arith.is_prime
+
+    def counted(n):
+        calls.append((n, sys._getframe(1).f_code.co_name))
+        return is_prime(n)
+    for module in (exact_arith, local_symbols, brauer_q, funcfield, zassenhaus):
+        monkeypatch.setattr(module, "is_prime", counted)
+    return calls
 
 
 GAUSS = PolyQ.make([1, 0, 1])        # x^2 + 1
@@ -362,6 +419,16 @@ class TestSquareTester:
         assert not v.is_square and v.verified and calls == []
         assert v.witness == NonsquareWitness(5, PolyFp.make(5, [3, 0, 0, 1]))
         assert verify_nonsquare_certificate(c, v.witness)
+
+    def test_norm_screen_checks_only_the_primes_it_generates(self, monkeypatch):
+        # N(x + 3) = 10 in Q(i), a residue mod 3 and a nonresidue mod 7: the
+        # screen tries 3 to 7, and the certificate re-check proves 7 prime
+        calls = _count_prime_checks(monkeypatch)
+        c = NumberFieldElem.make(GAUSS, PolyQ.make([3, 1]))
+        v = is_square_in_number_field(c)
+        assert v.witness == NonsquareWitness(7, polyfp_from_polyq(GAUSS, 7))
+        assert calls == [(n, "_good_primes") for n in range(3, 8)] + \
+            [(7, "verify_nonsquare_certificate")]
 
     def test_forged_norm_witness_rejected(self):
         # (2 / 7) = +1, so x^3 - 2 mod 7 certifies nothing about 2^(1/3)
