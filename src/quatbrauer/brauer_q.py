@@ -168,7 +168,7 @@ def quaternion_of_class(c: BrauerClassQ) -> QuaternionQ:
     b = s * q for the least prime q with s q a nonresidue mod each odd p in P
     and s q = 5 (2 in P) or 1 mod 8.  The product formula leaves q unramified;
     Hilbert symbols at real, 2, P and q check it, factoring nothing.  A q above
-    2^64 is a Miller-Rabin probable prime, the trust `factor_int` marks."""
+    2^64 is a Miller-Rabin probable prime, as is any prime `factor_int` returns there."""
     if c.exponent() > 2:
         raise DomainError("class has exponent > 2, not quaternion")
     if c.is_zero():

@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quaternion algebras and exponent-2 Brauer classes over "
                     "Q, Q(x) and F_p(x)")
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    top.add_argument("--seed", type=int,
-                     help="seed of selftest's random cases (default: QUATBRAUER_SEED or 0)")
+    top.add_argument("--seed", type=int, default=0,
+                     help="seed of selftest's random cases (default: 0)")
     sub = top.add_subparsers(dest="command", required=True)
 
     ph = sub.add_parser("hilbert", help="Hilbert symbols over Q")
@@ -300,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _env_int(name: str, default: int, positive: bool = False) -> int:
-    """An integer environment variable, default if it is unset or empty."""
+def _env_int(name: str, default: int) -> int:
+    """A positive integer environment variable, default if it is unset or empty."""
     text = os.environ.get(name)
     if not text:
         return default
-    if not text.removeprefix("-").isdecimal() or positive and int(text) < 1:
-        raise ParseError(f"{name}={text!r} is not a{' positive' if positive else 'n'} integer")
+    if not text.isdecimal() or int(text) < 1:
+        raise ParseError(f"{name}={text!r} is not a positive integer")
     return int(text)
 
 
@@ -314,10 +314,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     token = BUDGETS.set(BUDGETS.get())  # the caller's budgets, restored on return
     try:
-        lift = _env_int("QUATBRAUER_SQUARE_BUDGET", BUDGETS.get().lift_exponent, positive=True)
+        lift = _env_int("QUATBRAUER_SQUARE_BUDGET", BUDGETS.get().lift_exponent)
         BUDGETS.set(BUDGETS.get()._replace(lift_exponent=lift))
-        if args.seed is None:
-            args.seed = _env_int("QUATBRAUER_SEED", 0)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

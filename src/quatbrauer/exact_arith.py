@@ -1,7 +1,7 @@
 """Exact integer, rational and polynomial arithmetic with factorization.
 
 Everything downstream (Hilbert symbols, tame residues, Brauer classes) works
-with values produced here: reduced rationals, certified prime factorizations,
+with values produced here: reduced rationals, integer factorizations,
 and monic irreducible polynomial factorizations over Q and over F_p.
 
 Canonical forms are used throughout so that equality of values is structural
@@ -115,6 +115,14 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             return g
 
 
+def _iroot(m: int, k: int) -> int:
+    """The integer k-th root floor(m^(1/k)) of m >= 1, by Newton's method."""
+    x = 1 << -(-m.bit_length() // k)  # at least the root
+    while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def _factor_positive(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     rng = None  # seeded at the first Pollard-Brent call, its only reader
@@ -131,69 +139,27 @@ def _factor_positive(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        g = _pollard_brent(m, rng := rng or random.Random(0x5EED))
-        stack.extend((g, m // g))
+        # a power r^k first, which rho may not split: m has no prime below
+        # TRIAL_DIVISION_BOUND > 2^9, so r > 2^9 and k <= bitlen(m) / 9
+        for k in range(2, m.bit_length() // 9 + 1):
+            if (r := _iroot(m, k)) ** k == m:
+                stack.extend([r] * k)
+                break
+        else:
+            g = _pollard_brent(m, rng := rng or random.Random(0x5EED))
+            stack.extend((g, m // g))
     return factors
 
 
-class _FactoredRationalFields(NamedTuple):
-    sign: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-    probable: tuple[int, ...] = ()
-
-
-class FactoredRational(_FactoredRationalFields):
-    """A nonzero rational in certified factored form: sign * prod p**e.
-
-    `probable` lists primes too large for the deterministic Miller-Rabin
-    certificate (only reachable with inputs beyond 2**64).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, sign: int, factors: tuple[tuple[int, int], ...],
-                probable: tuple[int, ...] = ()) -> "FactoredRational":
-        if sign not in (-1, 1) or any(e == 0 for _, e in factors):
-            raise DomainError(f"malformed factorization {sign} {factors}")
-        return super().__new__(cls, sign, factors, probable)
-
-    def value(self) -> Fraction:
-        return prod((Fraction(p) ** e for p, e in self.factors), start=Fraction(self.sign))
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        exps = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        facs = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
-        return FactoredRational(self.sign * other.sign, facs,
-                                tuple(sorted(set(self.probable + other.probable))))
-
-
-def factor_int(n: int) -> FactoredRational:
-    """Factor a nonzero integer into certified primes, sorted."""
+def factor_int(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n| for nonzero n, primes ascending.  A prime below
+    2^64 is certified (deterministic Miller-Rabin); one above is probable."""
     if n == 0:
         raise DomainError("cannot factor zero")
-    facs = _factor_positive(abs(n))
-    probable = tuple(sorted(p for p in facs if p >= 2**64))
-    return FactoredRational(1 if n > 0 else -1, tuple(sorted(facs.items())), probable)
-
-
-def factor_rational(q: Fraction | int) -> FactoredRational:
-    """Factor a nonzero rational; denominator primes get negative exponents."""
-    q = Fraction(q)
-    num = factor_int(q.numerator)  # raises on zero
-    if q.denominator == 1:
-        return num
-    den = factor_int(q.denominator)
-    return num * FactoredRational(den.sign, tuple((p, -e) for p, e in den.factors), den.probable)
+    return dict(sorted(_factor_positive(abs(n)).items()))
 
 
 # ---------------------------------------------------------------------------

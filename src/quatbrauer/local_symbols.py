@@ -28,7 +28,7 @@ from .exact_arith import (
     ZxRing,
     coeffs_mod,
     euler_char,
-    factor_rational,
+    factor_int,
     fq_char,
     irreducible_factors_fp,
     is_prime,
@@ -124,7 +124,8 @@ def support_places(a, b) -> list[PlaceQ]:
     symbol (a, b) is 1 (unit criterion)."""
     if a == 0 or b == 0:  # as `hilbert` says it, not as `factor_int` does
         raise DomainError("Hilbert symbol needs nonzero arguments")
-    primes = {2, *factor_rational(a).primes(), *factor_rational(b).primes()}
+    # each entry apart: rho might not split a product of two large primes
+    primes = {2}.union(*map(factor_int, (a.numerator, a.denominator, b.numerator, b.denominator)))
     return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
 

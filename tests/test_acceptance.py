@@ -28,7 +28,6 @@ from quatbrauer.exact_arith import (
     PolyFp,
     PolyQ,
     factor_poly_q,
-    factor_rational,
     is_prime,
 )
 from quatbrauer.funcfield import Place, places
@@ -64,10 +63,8 @@ def report(n: int, title: str, t0: float, bound: float) -> None:
 
 
 def support_places(a: Fraction, b: Fraction) -> list[PlaceQ]:
-    primes = {2}
-    primes.update(factor_rational(a).primes())
-    primes.update(factor_rational(b).primes())
-    return [REAL] + [PlaceQ(p) for p in sorted(primes)]
+    ints = (abs(a.numerator), a.denominator, abs(b.numerator), b.denominator)
+    return [REAL] + [PlaceQ(p) for p in sorted({2}.union(*map(sympy.factorint, ints)))]
 
 
 def test_criterion_1_example_reproduction(capsys):

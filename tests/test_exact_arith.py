@@ -19,7 +19,6 @@ from quatbrauer.errors import BudgetError, Budgets, DomainError, InternalError, 
 from quatbrauer.exact_arith import (
     MAX_POWER_SIZE,
     TRIAL_DIVISION_BOUND,
-    FactoredRational,
     PolyFp,
     PolyQ,
     ZxRing,
@@ -27,7 +26,6 @@ from quatbrauer.exact_arith import (
     factor_key,
     factor_poly_fp,
     factor_poly_q,
-    factor_rational,
     fq_char,
     irreducible_factors_fp,
     irreducible_factors_q,
@@ -68,54 +66,58 @@ class TestPrimality:
 
 class TestFactorInt:
     def test_twelve(self):
-        fz = factor_int(12)
-        assert fz.sign == 1
-        assert fz.factors == ((2, 2), (3, 1))
-        assert not fz.probable
+        assert factor_int(12) == {2: 2, 3: 1}
 
     def test_negative(self):
-        fz = factor_int(-45)
-        assert fz.sign == -1 and fz.factors == ((3, 2), (5, 1))
-
-    @pytest.mark.parametrize("sign,factors", [(0, ()), (2, ()), (1, ((2, 0),)),
-                                              (-1, ((3, 1), (5, 0)))])
-    def test_malformed_factorization_rejected(self, sign, factors):
-        with pytest.raises(DomainError):
-            FactoredRational(sign, factors)
+        assert factor_int(-45) == {3: 2, 5: 1} == sympy.factorint(45)
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="cannot factor zero"):
             factor_int(0)
-
-    def test_rational_mixed_exponents(self):
-        fz = factor_rational(Fraction(12, 35))
-        assert fz.factors == ((2, 2), (3, 1), (5, -1), (7, -1))
-        assert fz.value() == Fraction(12, 35)
 
     def test_roundtrip_random(self):
         rng = random.Random(11)
         for _ in range(60):
             n = rng.randint(2, 10**9) * rng.choice([1, -1])
             fz = factor_int(n)
-            assert fz.value() == n
-            assert all(is_prime(p) for p, _ in fz.factors)
+            assert fz == sympy.factorint(abs(n)) and list(fz) == sorted(fz)
 
     def test_product(self):
-        a, b = factor_int(12), factor_rational(Fraction(5, 9))
-        assert (a * b).value() == Fraction(12 * 5, 9)
+        # the exponents of a product are the sums of its factors' exponents
+        a, b = factor_int(12), factor_int(-5 * 9 * 1009)
+        want = {p: a.get(p, 0) + b.get(p, 0) for p in sorted({*a, *b})}
+        assert factor_int(12 * -5 * 9 * 1009) == want
+
+    def test_prime_above_2_64(self):
+        p = 18446744073709551629  # a probable prime: Miller-Rabin is not deterministic here
+        assert factor_int(p) == {p: 1}
+        assert factor_int(-3 * p**2) == {3: 1, p: 2} == sympy.factorint(3 * p**2)
 
     @pytest.mark.parametrize("p", [1009, 1013, 65537, 999983])
     def test_prime_powers_past_trial_division(self, p):
         assert TRIAL_DIVISION_BOUND < p < 10**6
-        assert factor_int(p**2).factors == ((p, 2),)
-        assert factor_int(p**3).factors == ((p, 3),)
-        assert factor_int(-1009 * 1013 * p**2).value() == -1009 * 1013 * p**2
+        assert factor_int(p**2) == {p: 2}
+        assert factor_int(p**3) == {p: 3}
+        assert factor_int(-1009 * 1013 * p**2) == sympy.factorint(1009 * 1013 * p**2)
+
+    @pytest.mark.parametrize("n", [(10**12 + 39)**2, (2**61 - 1)**3, 1009**7 * (2**31 - 1)**2,
+                                   18446744073709551629**2, 3**40],
+                             ids=["(10^12+39)^2", "(2^61-1)^3", "1009^7(2^31-1)^2",
+                                  "(2^64+13)^2", "3^40"])
+    def test_prime_powers_past_rho(self, n):
+        # a power of a prime that rho cannot reach within pollard_steps
+        assert factor_int(n) == sympy.factorint(n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1009, 10**7), st.integers(2, 7), st.integers(1, 10**4))
+    def test_powers_match_sympy(self, r, k, s):
+        assert factor_int(r**k * s) == sympy.factorint(r**k * s)
 
     def test_pollard_budget_covers_an_11_digit_least_factor(self):
         # rho takes about sqrt(q) steps for the least prime factor q: 2^20
-        # steps reach q of 11 digits, not of 12
-        fz = factor_int(99999999977 * 100000000003)
-        assert fz.factors == ((99999999977, 1), (100000000003, 1)) and not fz.probable
+        # steps reach q of 11 digits, not of 12; a product of two distinct
+        # primes is no power, so nothing but rho can split it
+        assert factor_int(99999999977 * 100000000003) == {99999999977: 1, 100000000003: 1}
         with pytest.raises(BudgetError, match="pollard_steps = 1048576"):
             factor_int(469895971357 * 1336448565469)
 
@@ -128,8 +130,7 @@ class TestFactorInt:
             while n < 10**17:
                 n *= rng.choice((3, 5, 7, 11, 97, 1009))
             assert 10**17 <= n < 10**20
-            fz = factor_int(n)
-            assert dict(fz.factors) == sympy.factorint(n) and not fz.probable
+            assert factor_int(n) == sympy.factorint(n)
 
 
 class TestPolyQ:

@@ -22,7 +22,7 @@ from quatbrauer import (
 )
 from quatbrauer.brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
 from quatbrauer.errors import Budgets
-from quatbrauer.exact_arith import FactoredRational, PolyFp, PolyQ, RatFuncQ, factor_rational
+from quatbrauer.exact_arith import PolyFp, PolyQ, RatFuncQ
 from quatbrauer.funcfield import FactoredFunc, IsomorphismVerdict, Place
 from quatbrauer.funcfield_fp import QuatClassFp, class_fp, is_isomorphic_fpx
 from quatbrauer.funcfield_q import (
@@ -57,8 +57,6 @@ def _fp_pair(g):
 
 # class -> (fields, a function that builds one instance, equal on every call)
 RECORDS = {
-    FactoredRational: (("sign", "factors", "probable"),
-                       lambda: factor_rational(Fraction(-12, 35))),
     PolyQ: (("nums", "den"), lambda: PolyQ.make([Fraction(1, 2), 0, 1])),
     RatFuncQ: (("num", "den"), lambda: RatFuncQ.make(PolyQ.x(), PolyQ.make([1, 1]))),
     PolyFp: (("p", "coeffs"), lambda: PolyFp.make(7, [3, 0, 1])),
