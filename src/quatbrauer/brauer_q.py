@@ -1,9 +1,10 @@
-"""Br(Q) as finitely supported local invariant vectors.
+"""Places of Q, Hilbert symbols and Br(Q) as local invariant vectors.
 
 A class is a map from places of Q to exact fractions in [0, 1) summing to 0
 mod 1, with the real invariant restricted to {0, 1/2}.  Quaternion algebras
 over Q land here through their Hilbert symbols; the same-maximal-subfields
-and same-subgroup predicates compare local invariant orders.
+and same-subgroup predicates compare local invariant orders.  Of the
+package it imports only `errors` and `integers`: no polynomial code.
 """
 
 from __future__ import annotations
@@ -14,8 +15,83 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import DomainError, InternalError
-from .exact_arith import euler_char, is_prime
-from .local_symbols import REAL, PlaceQ, hilbert, support_places
+from .integers import euler_char, factor_int, is_prime
+
+
+class PlaceQ(NamedTuple):
+    """A place of Q: a finite prime, or the real place (p is None).  No symbol
+    checks p again: `finite` and `parse` check it where a prime enters, and
+    `support_places` takes its primes from `factor_int`."""
+
+    p: int | None
+
+    @staticmethod
+    def finite(p: int) -> "PlaceQ":
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        return PlaceQ(p)
+
+    @property
+    def is_real(self) -> bool:
+        return self.p is None
+
+    def sort_key(self) -> tuple:
+        return (1, 0) if self.is_real else (0, self.p)
+
+    def __str__(self) -> str:
+        return "real" if self.is_real else str(self.p)
+
+    @staticmethod
+    def parse(s: str) -> "PlaceQ":
+        s = s.strip().lower()
+        return REAL if s in ("real", "oo", "inf") else PlaceQ.finite(int(s))
+
+
+REAL = PlaceQ(None)
+
+
+def _val_unit(a: Fraction, p: int) -> tuple[int, int]:
+    """(v, u), u prime to p, with p^v u = a d^2 for a = n/d: the integer n d,
+    whose Hilbert symbols are a's, as d^2 is a square."""
+    v, u = 0, a.numerator * a.denominator
+    while u % p == 0:
+        u //= p
+        v += 1
+    return v, u
+
+
+def hilbert(a, b, place: PlaceQ) -> int:
+    """Hilbert symbol (a, b) at a place of Q; +1 iff z^2 = a x^2 + b y^2
+    has a nontrivial solution over the completion."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise DomainError("Hilbert symbol needs nonzero arguments")
+    if place.is_real:
+        return -1 if (a < 0 and b < 0) else 1
+    p = place.p
+    alpha, u = _val_unit(a, p)
+    beta, w = _val_unit(b, p)
+    if p != 2:
+        # the character of the tame symbol (-1)^(alpha beta) a^beta b^-alpha
+        # (Serre III.1.2) on the unit parts, by the parities of the valuations
+        return euler_char((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)
+    # p = 2: epsilon/omega formula on the unit parts mod 8
+    u, w = u % 8, w % 8
+    eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
+    om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
+    e = (eps_u * eps_w + alpha * om_w + beta * om_u) % 2
+    return -1 if e else 1
+
+
+def support_places(a, b) -> list[PlaceQ]:
+    """The real place, 2 and the primes of a and b: outside these the Hilbert
+    symbol (a, b) is 1 (unit criterion)."""
+    if a == 0 or b == 0:  # as `hilbert` says it, not as `factor_int` does
+        raise DomainError("Hilbert symbol needs nonzero arguments")
+    # each distinct |entry| once and apart: rho might not split a product of two large primes
+    ints = {abs(n) for n in (a.numerator, a.denominator, b.numerator, b.denominator)}
+    primes = {2}.union(*map(factor_int, ints))
+    return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
 
 class QuaternionQ(NamedTuple):

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import prod
 
 from .errors import BUDGETS, BudgetError, DomainError, InternalError, ParseError
-from .exact_arith import polyfp_from_string, ratfunc_from_string
 
 
 def _fraction(s: str) -> Fraction:
@@ -29,6 +28,7 @@ def _fraction(s: str) -> Fraction:
 
 
 def _funcfield(s: str):
+    from .exact_arith import ratfunc_from_string
     from .funcfield import FactoredFunc
     num, den = ratfunc_from_string(s)
     if num.is_zero():
@@ -69,7 +69,7 @@ def _emit(args, payload: dict, human: str) -> None:
 # -- command handlers --------------------------------------------------------
 
 def cmd_hilbert(args) -> int:
-    from .local_symbols import REAL, PlaceQ, hilbert, support_places
+    from .brauer_q import REAL, PlaceQ, hilbert, support_places
     a, b = _fraction(args.a), _fraction(args.b)
     if args.all:
         syms = {str(v): hilbert(a, b, v) for v in support_places(a, b)}
@@ -104,8 +104,7 @@ def cmd_brq_samesub(args) -> int:
 
 
 def cmd_brq_ex65(args) -> int:
-    from .brauer_q import example_6_5, same_maximal_subfields_q, same_subgroup
-    from .local_symbols import PlaceQ
+    from .brauer_q import PlaceQ, example_6_5, same_maximal_subfields_q, same_subgroup
     try:  # only int's ValueError: PlaceQ.finite's DomainError (exit 1) is one too
         primes = [int(p) for p in args.places.split(",")]
     except ValueError as exc:
@@ -171,6 +170,7 @@ def cmd_qx_specialize(args) -> int:
 
 
 def _fp_entries(args, *texts: str) -> list:
+    from .exact_arith import polyfp_from_string
     from .funcfield import FactoredFunc, check_char
     check_char(args.char)
     return [FactoredFunc.from_poly(polyfp_from_string(s, args.char)) for s in texts]

@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
-from .exact_arith import PolyFp, PolyQ, factor_key, is_prime, poly_key, squarefree_parts
+from .exact_arith import PolyFp, PolyQ, factor_key, poly_key, squarefree_parts
+from .integers import is_prime
 
 if TYPE_CHECKING:
     from .brauer_q import BrauerClassQ

@@ -1,16 +1,15 @@
-"""Local computations over Q and over Q[x]/(pi), pi monic squarefree.
+"""The certified square test in Q[x]/(pi), pi monic squarefree.
 
-Provides Hilbert symbols at every place of Q, at an odd prime the Euler
-character of the tame symbol, and a certified square test in number fields
-and, for reducible pi, in the etale algebra Q[x]/(pi), the product of the
-number fields of pi's irreducible factors, where an element is a square iff
-it is one in every factor.  The square test goes norm first: a prime p where
-the norm Res(pi, t) is a nonresidue certifies a nonsquare without any
-factoring.  Otherwise it lifts 1/sqrt and the factor idempotents at a prime
-where pi has few factors, reads every sign pattern's root off that one lift,
-and alternates it with a search for a witness: a prime p and a factor h of
-pi mod p where the element's norm-Legendre character (Res(h, t) / p) is -1.
-Every verdict it returns carries an exactly re-verifiable certificate.
+It decides squares in number fields and, for reducible pi, in the etale
+algebra Q[x]/(pi), the product of the number fields of pi's irreducible
+factors, where an element is a square iff it is one in every factor.  It
+goes norm first: a prime p where the norm Res(pi, t) is a nonresidue
+certifies a nonsquare without any factoring.  Otherwise it lifts 1/sqrt and
+the factor idempotents at a prime where pi has few factors, reads every sign
+pattern's root off that one lift, and alternates it with a search for a
+witness: a prime p and a factor h of pi mod p where the element's
+norm-Legendre character (Res(h, t) / p) is -1.  Every verdict it returns
+carries an exactly re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -21,17 +20,16 @@ from functools import cache
 from itertools import islice, zip_longest
 from typing import NamedTuple
 
+# hilbert, unused here, is the name bench/spans.py traces (ROADMAP item 10)
+from .brauer_q import hilbert  # noqa: F401
 from .errors import BUDGETS, BudgetError, DomainError, InternalError
 from .exact_arith import (
     PolyFp,
     PolyQ,
     ZxRing,
     coeffs_mod,
-    euler_char,
-    factor_int,
     fq_char,
     irreducible_factors_fp,
-    is_prime,
     poly_inverse,
     polyfp_from_polyq,
     polyfp_gcd,
@@ -41,92 +39,10 @@ from .exact_arith import (
     sqrt_fraction,
     sqrt_tonelli_shanks,
 )
+from .integers import euler_char, is_prime
 
 NORM_PRIMES = 64        # norm-Legendre primes tried before any factoring
 LIFT_CANDIDATES = 4     # primes factored to pick the lifting prime
-
-
-# ---------------------------------------------------------------------------
-# places of Q
-# ---------------------------------------------------------------------------
-
-class PlaceQ(NamedTuple):
-    """A place of Q: a finite prime, or the real place (p is None).  No symbol
-    checks p again: `finite` and `parse` check it where a prime enters, and
-    `support_places` takes its primes from `factor_int`."""
-
-    p: int | None
-
-    @staticmethod
-    def finite(p: int) -> "PlaceQ":
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        return PlaceQ(p)
-
-    @property
-    def is_real(self) -> bool:
-        return self.p is None
-
-    def sort_key(self) -> tuple:
-        return (1, 0) if self.is_real else (0, self.p)
-
-    def __str__(self) -> str:
-        return "real" if self.is_real else str(self.p)
-
-    @staticmethod
-    def parse(s: str) -> "PlaceQ":
-        s = s.strip().lower()
-        return REAL if s in ("real", "oo", "inf") else PlaceQ.finite(int(s))
-
-
-REAL = PlaceQ(None)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert symbols
-# ---------------------------------------------------------------------------
-
-def _val_unit(a: Fraction, p: int) -> tuple[int, int]:
-    """(v, u), u prime to p, with p^v u = a d^2 for a = n/d: the integer n d,
-    whose Hilbert symbols are a's, as d^2 is a square."""
-    v, u = 0, a.numerator * a.denominator
-    while u % p == 0:
-        u //= p
-        v += 1
-    return v, u
-
-
-def hilbert(a, b, place: PlaceQ) -> int:
-    """Hilbert symbol (a, b) at a place of Q; +1 iff z^2 = a x^2 + b y^2
-    has a nontrivial solution over the completion."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise DomainError("Hilbert symbol needs nonzero arguments")
-    if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
-    p = place.p
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
-    if p != 2:
-        # the character of the tame symbol (-1)^(alpha beta) a^beta b^-alpha
-        # (Serre III.1.2) on the unit parts, by the parities of the valuations
-        return euler_char((-1) ** (alpha * beta % 2) * u ** (beta % 2) * w ** (alpha % 2), p)
-    # p = 2: epsilon/omega formula on the unit parts mod 8
-    u, w = u % 8, w % 8
-    eps_u, eps_w = (u - 1) // 2 % 2, (w - 1) // 2 % 2
-    om_u, om_w = (u * u - 1) // 8 % 2, (w * w - 1) // 8 % 2
-    e = (eps_u * eps_w + alpha * om_w + beta * om_u) % 2
-    return -1 if e else 1
-
-
-def support_places(a, b) -> list[PlaceQ]:
-    """The real place, 2 and the primes of a and b: outside these the Hilbert
-    symbol (a, b) is 1 (unit criterion)."""
-    if a == 0 or b == 0:  # as `hilbert` says it, not as `factor_int` does
-        raise DomainError("Hilbert symbol needs nonzero arguments")
-    # each entry apart: rho might not split a product of two large primes
-    primes = {2}.union(*map(factor_int, (a.numerator, a.denominator, b.numerator, b.denominator)))
-    return [REAL] + [PlaceQ(p) for p in sorted(primes)]
 
 
 # ---------------------------------------------------------------------------

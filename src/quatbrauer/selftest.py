@@ -12,13 +12,13 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .brauer_q import QuaternionQ, class_of_quaternion
+from .brauer_q import QuaternionQ, class_of_quaternion, hilbert, support_places
 from .errors import InternalError
 from .exact_arith import PolyFp, PolyQ, factor_poly_fp, factor_poly_q
 from .funcfield import FactoredFunc
 from .funcfield_fp import class_fp
 from .funcfield_q import QuaternionFF, is_isomorphic_qx
-from .local_symbols import NumberFieldElem, hilbert, is_square_in_number_field, support_places
+from .local_symbols import NumberFieldElem, is_square_in_number_field
 
 
 class SuiteResult(NamedTuple):

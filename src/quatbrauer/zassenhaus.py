@@ -21,10 +21,10 @@ from .exact_arith import (
     PolyQ,
     _pseudo_divmod,
     factor_poly_fp,
-    is_prime,
     poly_inverse,
     polyfp_from_polyq,
 )
+from .integers import is_prime
 
 
 def split_q(f: PolyQ, degrees: int, splits) -> list[PolyQ]:

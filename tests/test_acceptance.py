@@ -16,10 +16,13 @@ import sympy
 
 from oracles import hilbert_oracle
 from quatbrauer.brauer_q import (
+    REAL,
     BrauerClassQ,
+    PlaceQ,
     QuaternionQ,
     class_of_quaternion,
     example_6_5,
+    hilbert,
     same_maximal_subfields_q,
     same_subgroup,
 )
@@ -28,7 +31,6 @@ from quatbrauer.exact_arith import (
     PolyFp,
     PolyQ,
     factor_poly_q,
-    is_prime,
 )
 from quatbrauer.funcfield import Place, places
 from quatbrauer.funcfield_fp import residue_fp
@@ -38,11 +40,9 @@ from quatbrauer.funcfield_q import (
     is_isomorphic_qx,
     specialize,
 )
+from quatbrauer.integers import is_prime
 from quatbrauer.local_symbols import (
-    REAL,
     NumberFieldElem,
-    PlaceQ,
-    hilbert,
     is_square_in_number_field,
     verify_nonsquare_certificate,
     verify_square_certificate,

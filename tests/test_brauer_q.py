@@ -8,19 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatbrauer import exact_arith
+from quatbrauer import integers
 from quatbrauer.brauer_q import (
+    REAL,
     BrauerClassQ,
+    PlaceQ,
     QuaternionQ,
     class_of_quaternion,
     example_6_5,
+    hilbert,
     quaternion_of_class,
     same_maximal_subfields_q,
     same_subgroup,
 )
 from quatbrauer.errors import DomainError, InternalError
-from quatbrauer.exact_arith import is_prime
-from quatbrauer.local_symbols import REAL, PlaceQ, hilbert
+from quatbrauer.integers import is_prime
 
 
 def places(*ps):
@@ -187,7 +189,7 @@ class TestQuaternionOfClass:
 
         c = BrauerClassQ.make(dict.fromkeys((REAL,) + places(2, 3, 5, 7, 11, 13, 17),
                                             Fraction(1, 2)))
-        monkeypatch.setattr(exact_arith, "_factor_positive", refuse)
+        monkeypatch.setattr(integers, "_factor_positive", refuse)
         q = quaternion_of_class(c)
         monkeypatch.undo()
         assert class_of_quaternion(q) == c

@@ -607,12 +607,15 @@ FUNCTION_FIELD_LAYERS = {"quatbrauer.funcfield", "quatbrauer.funcfield_fp",
                          "quatbrauer.zassenhaus"}
 Q_LAYERS = {"quatbrauer.local_symbols", "quatbrauer.brauer_q", "quatbrauer.funcfield_q",
             "quatbrauer.selftest", "quatbrauer.zassenhaus"}
+# Hilbert symbols and Br(Q) classes run on `integers` alone
+POLYNOMIAL_LAYERS = FUNCTION_FIELD_LAYERS | {"quatbrauer.exact_arith", "quatbrauer.local_symbols"}
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["hilbert", "-a", "30", "-b", "-42", "--all"], FUNCTION_FIELD_LAYERS),
-    (["brq", "class", "-a", "2", "-b", "5"], FUNCTION_FIELD_LAYERS),
-    (["brq", "ex65", "-n", "5", "-p", "2,3,5,7"], FUNCTION_FIELD_LAYERS),
+    (["hilbert", "-a", "30", "-b", "-42", "--all"], POLYNOMIAL_LAYERS),
+    (["hilbert", "-a", "30", "-b", "-42", "--real"], POLYNOMIAL_LAYERS),
+    (["brq", "class", "-a", "2", "-b", "5"], POLYNOMIAL_LAYERS),
+    (["brq", "ex65", "-n", "5", "-p", "2,3,5,7"], POLYNOMIAL_LAYERS),
     (["ffx", "residues", "--char", "5", "-f", "x^2 + 2", "-g", "x"], Q_LAYERS),
     (["ffx", "isom", "--char", "7", "-f1", "(x^2+1)*(x+3)", "-g1", "3",
       "-f2", "x^3 + 3*x^2 + x + 3", "-g2", "5/2"], Q_LAYERS),

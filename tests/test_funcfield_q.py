@@ -36,7 +36,7 @@ from quatbrauer.funcfield_q import (
     specialize,
     tame_symbol,
 )
-from quatbrauer.local_symbols import REAL, NumberFieldElem, PlaceQ, is_square_in_number_field
+from quatbrauer.local_symbols import NumberFieldElem, is_square_in_number_field
 
 
 def ff(s):

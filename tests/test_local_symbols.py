@@ -16,22 +16,20 @@ from hypothesis import strategies as st
 from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from oracles import hilbert_oracle
-from quatbrauer import brauer_q, exact_arith, funcfield, local_symbols, zassenhaus
+from quatbrauer import brauer_q, exact_arith, funcfield, integers, local_symbols, zassenhaus
+from quatbrauer.brauer_q import REAL, PlaceQ, hilbert
 from quatbrauer.errors import BudgetError, DomainError, InternalError
 from quatbrauer.exact_arith import (
     PolyFp,
     PolyQ,
-    euler_char,
     fq_char,
     irreducible_factors_fp,
     polyfp_from_polyq,
 )
+from quatbrauer.integers import euler_char
 from quatbrauer.local_symbols import (
-    REAL,
     NonsquareWitness,
     NumberFieldElem,
-    PlaceQ,
-    hilbert,
     is_square_in_number_field,
     verify_nonsquare_certificate,
     verify_square_certificate,
@@ -102,7 +100,17 @@ class TestSupportPlaces:
     def test_matches_sympy(self, a, b):
         """Each of the four integers is factored apart, so a quotient of two
         primes that rho could not split as a product raises no BudgetError."""
-        assert local_symbols.support_places(a, b) == support_places(a, b)
+        assert brauer_q.support_places(a, b) == support_places(a, b)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_each_integer_factored_once(self, monkeypatch, sign):
+        """(N, N) and (N, -N) factor N once: one call per distinct |entry|."""
+        n = 2 * 3 * 10007 * (10**7 + 19) * (10**7 + 79)
+        calls, factor = [], integers._factor_positive
+        monkeypatch.setattr(integers, "_factor_positive", lambda m: calls.append(m) or factor(m))
+        places = brauer_q.support_places(Fraction(n), Fraction(sign * n))
+        assert sorted(calls) == [1, n]
+        assert places == support_places(n, sign * n)
 
 
 class TestHilbert:
@@ -205,12 +213,12 @@ def _count_prime_checks(monkeypatch) -> list[tuple[int, str]]:
     """(n, caller) for every `is_prime(n)` call, in every module that binds
     the name."""
     calls = []
-    is_prime = exact_arith.is_prime
+    is_prime = integers.is_prime
 
     def counted(n):
         calls.append((n, sys._getframe(1).f_code.co_name))
         return is_prime(n)
-    for module in (exact_arith, local_symbols, brauer_q, funcfield, zassenhaus):
+    for module in (integers, local_symbols, brauer_q, funcfield, zassenhaus):
         monkeypatch.setattr(module, "is_prime", counted)
     return calls
 
@@ -505,7 +513,7 @@ class TestSquareTester:
         mul = exact_arith.ZxRing.mul
 
         def counted(ring, a, b):
-            if not exact_arith.is_prime(ring.m):
+            if not integers.is_prime(ring.m):
                 calls.append(ring.m)
             return mul(ring, a, b)
 

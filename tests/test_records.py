@@ -17,10 +17,11 @@ from quatbrauer import (
     funcfield,
     funcfield_fp,
     funcfield_q,
+    integers,
     local_symbols,
     selftest,
 )
-from quatbrauer.brauer_q import BrauerClassQ, QuaternionQ, class_of_quaternion
+from quatbrauer.brauer_q import BrauerClassQ, PlaceQ, QuaternionQ, class_of_quaternion
 from quatbrauer.errors import Budgets
 from quatbrauer.exact_arith import PolyFp, PolyQ, RatFuncQ
 from quatbrauer.funcfield import FactoredFunc, IsomorphismVerdict, Place
@@ -34,7 +35,6 @@ from quatbrauer.funcfield_q import (
 from quatbrauer.local_symbols import (
     NonsquareWitness,
     NumberFieldElem,
-    PlaceQ,
     SquareClassVerdict,
     is_square_in_number_field,
 )
@@ -92,7 +92,7 @@ CASES["IsomorphismVerdict-Fp"] = (IsomorphismVerdict, RECORDS[IsomorphismVerdict
 
 
 def test_every_record_class_is_listed():
-    defined = {c for m in (errors, exact_arith, local_symbols, brauer_q, funcfield,
+    defined = {c for m in (errors, integers, exact_arith, local_symbols, brauer_q, funcfield,
                            funcfield_fp, funcfield_q, selftest)
                for c in vars(m).values()
                if isinstance(c, type) and issubclass(c, tuple) and c.__module__ == m.__name__
