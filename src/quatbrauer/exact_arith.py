@@ -757,9 +757,11 @@ def polyfp_pow_mod(base: PolyFp, n: int, modulus: PolyFp) -> PolyFp:
 
 
 def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
-    """Resultant over F_p in [0, p) by the Euclidean recursion on coefficient
-    lists; 0 when f or g is zero (the loop gives it, or the test at the end)."""
+    """Resultant over F_p in [0, p) by the Euclidean recursion on coefficient lists,
+    longer first; 0 when f or g is zero (the loop gives it, or the final test)."""
     p, acc, a, b = f.p, 1, f.coeffs, g.coeffs
+    if len(a) < len(b):  # Res(a, b) = (-1)^(deg a deg b) Res(b, a)
+        acc, a, b = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1, b, a
     while len(b) > 1:  # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)
         r = _rem(a, b, p)
         if not r:
@@ -771,15 +773,15 @@ def polyfp_resultant(f: PolyFp, g: PolyFp) -> int:
     return acc * pow(b[0], len(a) - 1, p) % p if a and b else 0
 
 
-def fq_char(t: PolyFp, h: PolyFp) -> int:
-    """Quadratic character of t in F_q = F_p[x]/(h), h monic irreducible.
-
-    t^((q-1)/2) = (N t / p) with N t = Res(h, t), so the character is one
-    resultant over F_p and one Euler criterion."""
-    n = polyfp_resultant(h, t)
+def fq_char(h: PolyFp, factors: list[PolyFp]) -> int:
+    """Quadratic character of the product of `factors` in F_q = F_p[x]/(h), h monic
+    irreducible: t^((q-1)/2) = (N t / p), N t = prod Res(h, t_i); a non-unit raises."""
+    p, n = h.p, 1
+    for t in factors:  # no prod(generator): its set-up outweighs the usual 1-3 factors
+        n = n * polyfp_resultant(h, t) % p
     if n == 0:
         raise InternalError(f"quadratic character of a non-unit mod {h}")
-    return euler_char(n, h.p)
+    return euler_char(n, p)
 
 
 def sqrt_tonelli_shanks(a, z, q: int, mul, power, one):

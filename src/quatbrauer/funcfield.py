@@ -10,8 +10,8 @@ stands for all its irreducible factors at once.  The tame symbol of (f, g)
 at a place is returned as (base, exponent) terms whose bases are units
 there; `residue_support`, the residue step of both fields, reads their
 `odd_tame_bases` at each basis element h from the entries' exponents of h,
-and `funcfield_fp` decides their square class by the norm-Legendre character
-at each place of h, `funcfield_q` by the certified square test in Q[x]/(h).
+and `funcfield_fp` tests their product by one Euler criterion per place of h,
+`funcfield_q` by the certified square test in Q[x]/(h).
 The polynomials carry the constant field; only their ring operations are used.
 """
 

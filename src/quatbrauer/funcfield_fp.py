@@ -3,14 +3,14 @@
 Over a finite constant field the unramified 2-torsion is trivial, so a
 quaternion class IS its residue vector: tame residue characters at the
 finite places plus the place at infinity, with values +-1 given by the
-norm-Legendre character (Res(h, t) / p) of the residue field F_p[x]/(h).
+norm-Legendre character (Res(h, t) / p) of the residue field F_p[x]/(h),
+one Euler criterion per place for the product t of its odd tame bases.
 The finite ones come from `funcfield.residue_support`, which splits entries
 into places only where needed; reciprocity (product = +1) is always checked.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple
 
 from .errors import DomainError, InternalError
@@ -22,13 +22,11 @@ FactoredFuncFp = FactoredFunc  # the name callers of this module import
 
 def residue_fp(f: FactoredFunc, g: FactoredFunc, v: Place) -> int:
     """Tame residue character value at v: the quadratic character of
-    (-1)^(v(f)v(g)) f^v(g) g^(-v(f)) in the residue field F_p[x]/(h).
-
-    The character is multiplicative, so each odd tame base counts
-    fq_char(base, h); a constant c counts (c^deg h / p).  At infinity h = x
-    and only -1 and the constants appear."""
+    (-1)^(v(f)v(g)) f^v(g) g^(-v(f)) in F_p[x]/(h), that of the product of the
+    odd tame bases, one `fq_char` call (a constant c has norm c^deg h).  At
+    infinity h = x, and only -1 and the constants appear."""
     h = PolyFp.x(f.p) if v.modulus is None else v.modulus
-    return prod(fq_char(base, h) for base in odd_tame_bases(v, (f, g)))
+    return fq_char(h, odd_tame_bases(v, (f, g)))
 
 
 class QuatClassFp(NamedTuple):
@@ -51,9 +49,9 @@ class QuatClassFp(NamedTuple):
 
 
 def _nonsquare_places(h: PolyFp, bases: list[PolyFp]) -> list[Place]:
-    """The places pi | h where the product of the bases has character -1."""
-    return [Place(pi) for pi in irreducible_factors_fp(h)
-            if prod(fq_char(base, pi) for base in bases) == -1]
+    """The places pi | h where the product of the bases has character -1, one
+    `fq_char` call (one Euler criterion) per place."""
+    return [Place(pi) for pi in irreducible_factors_fp(h) if fq_char(pi, bases) == -1]
 
 
 def class_fp(f: FactoredFunc, g: FactoredFunc) -> QuatClassFp:

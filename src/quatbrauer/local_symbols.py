@@ -113,14 +113,14 @@ def _fq_sqrt(val: PolyFp, h: PolyFp, rng: random.Random) -> PolyFp | None:
     p, d, q = h.p, h.degree, h.p**h.degree
     if val.is_zero():
         return val
-    if fq_char(val, h) == -1:
+    if fq_char(h, [val]) == -1:
         return None
     ring = ZxRing(h.coeffs, p)
     if q % 4 == 3:
         return PolyFp(p, tuple(ring.pow(val.coeffs, (q + 1) // 4)))
     while True:
         z = PolyFp.make(p, [rng.randrange(p) for _ in range(d)])
-        if not z.is_zero() and fq_char(z, h) == -1:
+        if not z.is_zero() and fq_char(h, [z]) == -1:
             break
     return PolyFp(p, tuple(sqrt_tonelli_shanks(val.coeffs, z.coeffs, q, ring.mul, ring.pow, [1])))
 
@@ -201,7 +201,7 @@ def verify_nonsquare_certificate(c: NumberFieldElem, w: NonsquareWitness) -> boo
             or not (pim % h).is_zero():
         return False
     t = polyfp_from_polyq(c.value, p) % h
-    return not t.is_zero() and fq_char(t, h) == -1
+    return not t.is_zero() and fq_char(h, [t]) == -1
 
 
 def _nonsquare(c: NumberFieldElem, w: NonsquareWitness) -> SquareClassVerdict:
@@ -217,7 +217,7 @@ def _factors_and_witness(c: NumberFieldElem, p: int
     one where the character of c is -1 (None if there is none)."""
     vp = polyfp_from_polyq(c.value, p)
     moduli = irreducible_factors_fp(polyfp_from_polyq(c.modulus, p))
-    return moduli, next((NonsquareWitness(p, h) for h in moduli if fq_char(vp, h) == -1), None)
+    return moduli, next((NonsquareWitness(p, h) for h in moduli if fq_char(h, [vp]) == -1), None)
 
 
 def is_square_in_number_field(c: NumberFieldElem) -> SquareClassVerdict:

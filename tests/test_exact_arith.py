@@ -1525,15 +1525,27 @@ class TestNormLegendre:
     @settings(max_examples=60, deadline=None)
     @given(residue_fields(), st.data())
     def test_fq_char_is_euler_power(self, field, data):
+        """The character of one to three factors is `_euler_power` of their
+        product; a factor that is a non-unit mod h raises."""
         p, h = field
         d = len(h) - 1
-        t = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * d + 1))
-        tp, hp = PolyFp.make(p, t), PolyFp.make(p, h)
-        if (tp % hp).is_zero():
+        ts = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=1, max_size=2 * d + 1),
+                                min_size=1, max_size=3))
+        tps, hp = [PolyFp.make(p, t) for t in ts], PolyFp.make(p, h)
+        if any((tp % hp).is_zero() for tp in tps):
             with pytest.raises(InternalError):
-                fq_char(tp, hp)
+                fq_char(hp, tps)
         else:
-            assert fq_char(tp, hp) == _euler_power(t, h, p)
+            product = ts[0]
+            for t in ts[1:]:
+                product = _mulmod(product, t, h, p)
+            assert fq_char(hp, tps) == _euler_power(product, h, p)
+
+    def test_fq_char_in_the_factor_first_order_raises(self):
+        """The modulus comes first; the other order cannot pass for a value."""
+        t, h = PolyFp.make(7, [3, 1]), PolyFp.make(7, [1, 0, 1])
+        with pytest.raises(AttributeError):
+            fq_char(t, h)
 
     def test_resultant_x_minus_one(self):
         f = PolyFp.make(11, [1, 5, 10, 1, 3, 1])  # x^5+3x^4+x^3+10x^2+5x+1
@@ -1566,6 +1578,10 @@ class TestNormLegendre:
     @example(7, [3], [5])
     @example(7, [3], [1, 2, 1])
     @example(11, [1, 2, 1], [4])
+    @example(7, [1, 2, 0, 3], [2, 0, 1, 0, 4, 1])  # deg f < deg g, deg f deg g = 15 odd
+    @example(7, [1, 1, 2], [3, 0, 1, 5])  # deg f < deg g, deg f deg g = 6 even
+    @example(7, [3, 2], [1, 0, 5, 4, 6])  # linear f = 2x + 3: the Horner step of `_rem`
+    @example(2**31 - 1, [5, 2**31 - 2, 7], [1, 2, 3, 4, 5, 2**31 - 3])
     def test_resultant_matches_sylvester_determinant(self, p, a, b):
         fa, fb = PolyFp.make(p, a), PolyFp.make(p, b)
         if fa.is_zero() or fb.is_zero():

@@ -434,7 +434,7 @@ def test_residue_fp_is_product_over_raw_odd_terms(pair):
         want = 1
         for base, e in tame_terms(f, g, v):
             if e % 2:
-                want *= fq_char(base, h)
+                want *= fq_char(h, [base])
         assert residue_fp(f, g, v) == want, (f, g, v)
 
 

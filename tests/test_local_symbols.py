@@ -67,7 +67,7 @@ class TestEulerChar:
         """euler_char against the quadratic character of F_p = F_p[x]/(x) by
         `fq_char`, which reaches the same Euler criterion through a resultant."""
         assume(a % p)
-        assert euler_char(a, p) == fq_char(PolyFp.const(p, a), PolyFp.x(p))
+        assert euler_char(a, p) == fq_char(PolyFp.x(p), [PolyFp.const(p, a)])
 
     def test_multiplicativity(self):
         rng = random.Random(2)
